@@ -12,21 +12,8 @@ import sys
 
 import numpy as np
 
-from geoschro.dynamics import CoefficientFn, IntegratorSpec, TDepHamiltonian, propagate
-from geoschro.hilbert import BasisSpec, coherent_state
-from geoschro.operators import build_quadratics
-
-
-def build_hamiltonian(size: int, driven: bool) -> TDepHamiltonian:
-    basis = BasisSpec.hermite(size)
-    x2, p2, _ = build_quadratics(basis)
-    terms = [
-        (CoefficientFn.constant(0.5), p2, "kinetic"),
-        (CoefficientFn.constant(0.5), x2, "potential"),
-    ]
-    if driven:
-        terms.append((CoefficientFn.sinusoid(0.05, 1.0), x2, "drive"))
-    return TDepHamiltonian(tuple(terms))
+from geoschro.dynamics import IntegratorSpec, oscillator_hamiltonian, propagate
+from geoschro.hilbert import coherent_state
 
 
 def final_state(H, psi0, method, dt, t1):
@@ -44,7 +31,7 @@ def main(argv=None) -> int:
     ap.add_argument("--driven", action="store_true")
     args = ap.parse_args(argv)
 
-    H = build_hamiltonian(args.size, args.driven)
+    H = oscillator_hamiltonian(args.size, drive=0.05 if args.driven else 0.0)
     psi0 = coherent_state(args.alpha, args.size)
     dts = [args.dt0 / 2 ** k for k in range(args.levels)]
 

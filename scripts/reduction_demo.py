@@ -10,20 +10,9 @@ plus the projector drift diagnostics before each correction.
 import argparse
 import sys
 
-from geoschro.dynamics import CoefficientFn, IntegratorSpec, TDepHamiltonian
-from geoschro.hilbert import BasisSpec, coherent_state
-from geoschro.operators import build_quadratics
+from geoschro.dynamics import IntegratorSpec, oscillator_hamiltonian
+from geoschro.hilbert import coherent_state
 from geoschro.reduction import fubini_study_distance, paired_records, ray_of
-
-
-def build_hamiltonian(size: int, amplitude: float) -> TDepHamiltonian:
-    basis = BasisSpec.hermite(size)
-    x2, p2, _ = build_quadratics(basis)
-    return TDepHamiltonian((
-        (CoefficientFn.constant(0.5), p2, "kinetic"),
-        (CoefficientFn.constant(0.5), x2, "potential"),
-        (CoefficientFn.sinusoid(amplitude, 1.0), x2, "drive"),
-    ))
 
 
 def main(argv=None) -> int:
@@ -37,7 +26,7 @@ def main(argv=None) -> int:
     ap.add_argument("--levels", type=int, default=3)
     args = ap.parse_args(argv)
 
-    H = build_hamiltonian(args.size, args.amplitude)
+    H = oscillator_hamiltonian(args.size, drive=args.amplitude)
     psi0 = coherent_state(args.alpha, args.size)
 
     print(f"size {args.size}, mu {args.mu}, T {args.t1}")

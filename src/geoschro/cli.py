@@ -1,14 +1,12 @@
 """Batch front end: simulate / verify / reduce / plot.
 
 Exit codes: 0 ok, 1 configuration problem, 2 numeric failure, 3 missing or
-unreadable file, 4 verification suite failure.  GEOSCHRO_THREADS caps the
-worker threads used for multi-suite verify runs.
+unreadable file, 4 verification suite failure.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -26,17 +24,6 @@ from .serialize import (
 )
 from .tolerances import DEFAULT, parse_overrides
 from .verify import run_verify
-
-
-def _threads_from_env() -> int | None:
-    raw = os.environ.get("GEOSCHRO_THREADS")
-    if raw is None:
-        return None
-    try:
-        n = int(raw)
-    except ValueError as exc:
-        raise ParseError(f"GEOSCHRO_THREADS must be an integer, got {raw!r}") from exc
-    return max(1, n)
 
 
 def _trajectory_summary(records) -> dict:
@@ -167,7 +154,7 @@ def _cmd_verify(args) -> int:
         tol = parse_overrides(args.tol) if args.tol else DEFAULT
     except (KeyError, ValueError) as exc:
         raise ParseError(f"bad --tol override: {exc}") from exc
-    report = run_verify(args.suite, args.size, args.seed, tol, threads=_threads_from_env())
+    report = run_verify(args.suite, args.size, args.seed, tol)
     out = Path(args.out) if args.out else Path(f"verify_{args.suite}.json")
     write_summary(out, report)
     failed = 0

@@ -24,10 +24,10 @@ from math import sin
 
 import numpy as np
 
-from .errors import BasisMismatch, IntegratorMismatch, NotHermitian
-from .hilbert import StateVector, TangentVector, inner
+from .errors import BasisMismatch, IntegratorMismatch, NotHermitian, NumericError
+from .hilbert import BasisSpec, StateVector, TangentVector
 from .numerics import apply_exp_step, hermitian_eigendecompose
-from .operators import OperatorMatrix
+from .operators import OperatorMatrix, build_quadratics
 from .tolerances import DEFAULT, Tolerances
 
 INTEGRATOR_METHODS = ("exact_eig", "magnus2", "cayley2")
@@ -140,24 +140,40 @@ class TDepHamiltonian:
         return all(coeff.is_constant for coeff, _, _ in self.terms)
 
 
-def assemble(H: TDepHamiltonian, t: float) -> OperatorMatrix:
-    """Sum b_a(t) H_a as a Hermitian OperatorMatrix."""
+def oscillator_hamiltonian(size: int, drive: float = 0.0) -> TDepHamiltonian:
+    """(1/2)p^2 + (1/2)x^2 + drive sin(t) x^2 on the orthonormal Hermite basis;
+    autonomous when drive is 0."""
+    x2, p2, _ = build_quadratics(BasisSpec.hermite(size))
+    terms = [
+        (CoefficientFn.constant(0.5), p2, "p2"),
+        (CoefficientFn.constant(0.5), x2, "x2"),
+    ]
+    if drive:
+        terms.append((CoefficientFn.sinusoid(drive, 1.0), x2, "x2_drive"))
+    return TDepHamiltonian(tuple(terms))
+
+
+def assemble(H: TDepHamiltonian, t: float) -> np.ndarray:
+    """H(t) = sum b_a(t) H_a as a raw complex array.
+
+    The terms were checked for basis and Hermitian flag when H was built and
+    every b_a(t) is a real float, so the sum is Hermitian by construction;
+    only overflow is left to check.
+    """
     n = H.basis.size
     M = np.zeros((n, n), dtype=np.complex128)
-    rb = lb = 0
     for coeff, op, _ in H.terms:
         M += coeff(t) * op.matrix
-        rb = max(rb, op.raise_band)
-        lb = max(lb, op.lower_band)
-    return OperatorMatrix(H.basis, M, "hermitian", rb, lb)
+    if not np.all(np.isfinite(M.view(np.float64))):
+        raise NumericError(f"non-finite H(t) entries at t={t!r}")
+    return M
 
 
 def schrodinger_rhs(H: TDepHamiltonian, t: float, psi: StateVector) -> TangentVector:
     """The Schrodinger vector field at (t, psi): direction -i H(t) psi."""
     if psi.basis != H.basis:
         raise BasisMismatch("state basis does not match the Hamiltonian")
-    A = assemble(H, t)
-    return TangentVector(psi, StateVector(psi.basis, -1j * (A.matrix @ psi.coefficients)))
+    return TangentVector(psi, StateVector(psi.basis, -1j * (assemble(H, t) @ psi.coefficients)))
 
 
 def average_value(A: OperatorMatrix, psi: StateVector, tol: Tolerances = DEFAULT) -> float:
@@ -225,27 +241,46 @@ class TrajectoryRecord:
         return out
 
 
-def _time_grid(t0: float, t1: float, dt: float) -> list[float]:
-    """Closed grid t0, t0+dt, ... with the final step shortened onto t1."""
+def _time_grid(t0: float, t1: float, dt: float, knots=()) -> list[float]:
+    """Closed grid t0, t0+dt, ... with the final step shortened onto t1.
+
+    The grid restarts at every knot strictly inside (t0, t1), so it passes
+    exactly through each of them.
+    """
+    if not dt > 0:
+        raise ValueError("dt must be positive")
     if t1 < t0:
         raise ValueError("t1 must not precede t0")
+    bounds = [t0] + sorted({float(k) for k in knots if t0 < k < t1}) + [t1]
     times = [t0]
-    k = 1
-    # tolerate 1-ulp-scale misfits so dt that "divides" (t1-t0) lands exactly
-    slack = 64.0 * np.finfo(float).eps * max(1.0, abs(t1), abs(t0))
-    while t0 + k * dt < t1 - slack:
-        times.append(t0 + k * dt)
-        k += 1
-    if t1 > t0:
-        times.append(t1)
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        # tolerate 1-ulp-scale misfits so dt that "divides" (b-a) lands exactly
+        slack = 64.0 * np.finfo(float).eps * max(1.0, abs(b), abs(a))
+        k = 1
+        while a + k * dt < b - slack:
+            times.append(a + k * dt)
+            k += 1
+        if b > a:
+            times.append(b)
     return times
+
+
+def _record_flags(times: list[float], stride: int, record_times=None) -> list[bool]:
+    """Which grid points to record: exactly ``record_times`` when given,
+    otherwise the first point, every stride-th step and the last point."""
+    if stride < 1:
+        raise ValueError("stride must be >= 1")
+    if record_times is not None:
+        wanted = {float(t) for t in record_times}
+        return [t in wanted for t in times]
+    last = len(times) - 1
+    return [k == 0 or k % stride == 0 or k == last for k in range(len(times))]
 
 
 def _record(H: TDepHamiltonian, t: float, coeffs: np.ndarray) -> TrajectoryRecord:
     psi = StateVector(H.basis, coeffs)
     nrm = float(np.linalg.norm(coeffs))
-    A = assemble(H, t)
-    energy = complex(np.vdot(coeffs, A.matrix @ coeffs)).real / (nrm * nrm)
+    energy = complex(np.vdot(coeffs, assemble(H, t) @ coeffs)).real / (nrm * nrm)
     return TrajectoryRecord(t, nrm, -0.5 * nrm * nrm, energy, psi)
 
 
@@ -254,7 +289,7 @@ def _step_operators(H: TDepHamiltonian, spec: IntegratorSpec, tol: Tolerances):
     if spec.method == "exact_eig":
         if not H.is_autonomous:
             raise IntegratorMismatch("exact_eig requires constant coefficients")
-        es = hermitian_eigendecompose(assemble(H, 0.0).matrix, tol)
+        es = hermitian_eigendecompose(assemble(H, 0.0), tol)
 
         def step(t, tau, vec):
             return apply_exp_step(es, tau, vec)
@@ -264,18 +299,32 @@ def _step_operators(H: TDepHamiltonian, spec: IntegratorSpec, tol: Tolerances):
     if spec.method == "magnus2":
 
         def step(t, tau, vec):
-            es = hermitian_eigendecompose(assemble(H, t + tau / 2.0).matrix, tol)
+            es = hermitian_eigendecompose(assemble(H, t + tau / 2.0), tol)
             return apply_exp_step(es, tau, vec)
 
         return step
 
     def step(t, tau, vec):  # cayley2
-        M = assemble(H, t + tau / 2.0).matrix
+        M = assemble(H, t + tau / 2.0)
         n = M.shape[0]
         eye = np.eye(n, dtype=np.complex128)
         return np.linalg.solve(eye + 0.5j * tau * M, vec - 0.5j * tau * (M @ vec))
 
     return step
+
+
+def _advance(H: TDepHamiltonian, spec: IntegratorSpec, times: list[float],
+             vec0: np.ndarray, tol: Tolerances):
+    """Yield (k, vec at times[k]) for k = 1, 2, ... .  exact_eig evaluates
+    every point from the origin; the stepped methods chain step to step."""
+    step = _step_operators(H, spec, tol)
+    current = vec0
+    for k in range(1, len(times)):
+        if spec.method == "exact_eig":
+            current = step(times[0], times[k] - times[0], vec0)
+        else:
+            current = step(times[k - 1], times[k] - times[k - 1], current)
+        yield k, current
 
 
 def propagate(H: TDepHamiltonian, psi0: StateVector, spec: IntegratorSpec,
@@ -286,18 +335,11 @@ def propagate(H: TDepHamiltonian, psi0: StateVector, spec: IntegratorSpec,
     shortened to land exactly on t1."""
     if psi0.basis != H.basis:
         raise BasisMismatch("initial state basis does not match the Hamiltonian")
-    if stride < 1:
-        raise ValueError("stride must be >= 1")
     times = _time_grid(t0, t1, spec.dt)
-    step = _step_operators(H, spec, tol)
+    flags = _record_flags(times, stride)
     records = [_record(H, t0, psi0.coefficients)]
-    current = psi0.coefficients
-    for k in range(1, len(times)):
-        if spec.method == "exact_eig":
-            current = step(t0, times[k] - t0, psi0.coefficients)
-        else:
-            current = step(times[k - 1], times[k] - times[k - 1], current)
-        if k % stride == 0 or k == len(times) - 1:
+    for k, current in _advance(H, spec, times, psi0.coefficients, tol):
+        if flags[k]:
             records.append(_record(H, times[k], current))
     return records
 
@@ -310,13 +352,8 @@ def symplectic_preservation_check(H: TDepHamiltonian, u: TangentVector, v: Tange
         raise BasisMismatch("tangent directions must live in the Hamiltonian basis")
     pair = np.column_stack([u.direction.coefficients, v.direction.coefficients])
     before = complex(np.vdot(pair[:, 0], pair[:, 1])).imag
-    times = _time_grid(t0, t1, spec.dt)
-    step = _step_operators(H, spec, tol)
-    current = pair
-    for k in range(1, len(times)):
-        if spec.method == "exact_eig":
-            current = step(t0, times[k] - t0, pair)
-        else:
-            current = step(times[k - 1], times[k] - times[k - 1], current)
-    after = complex(np.vdot(current[:, 0], current[:, 1])).imag
+    final = pair
+    for _, final in _advance(H, spec, _time_grid(t0, t1, spec.dt), pair, tol):
+        pass
+    after = complex(np.vdot(final[:, 0], final[:, 1])).imag
     return abs(after - before)

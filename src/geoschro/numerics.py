@@ -22,7 +22,7 @@ def require_hermitian(H: np.ndarray, tol: float) -> np.ndarray:
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
         raise NotHermitian("matrix must be square")
     dev = float(np.max(np.abs(H - H.conj().T)))
-    if dev > tol:
+    if not dev <= tol:
         raise NotHermitian(f"Hermiticity deviation {dev:.3e} exceeds {tol:.1e}")
     return H
 
@@ -46,11 +46,11 @@ def hermitian_eigendecompose(H: np.ndarray, tol: Tolerances = DEFAULT) -> EigenS
         raise ConvergenceFailure(str(exc)) from exc
     n = H.shape[0]
     ortho = float(np.max(np.abs(V.conj().T @ V - np.eye(n))))
-    if ortho > tol.orthonormality:
+    if not ortho <= tol.orthonormality:
         raise ConvergenceFailure(f"eigenvector orthonormality residual {ortho:.3e}")
     scale = max(1.0, float(np.max(np.abs(H))))
     recon = float(np.max(np.abs(H @ V - V * w)))
-    if recon > tol.eig_residual * scale:
+    if not recon <= tol.eig_residual * scale:
         raise ConvergenceFailure(f"eigen residual {recon:.3e} vs scale {scale:.3e}")
     return EigenSystem(w, V)
 

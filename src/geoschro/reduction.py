@@ -27,7 +27,15 @@ from .errors import (
     RankCollapse,
     ZeroVector,
 )
-from .dynamics import IntegratorSpec, TDepHamiltonian, assemble, average_value, propagate
+from .dynamics import (
+    IntegratorSpec,
+    TDepHamiltonian,
+    _record_flags,
+    _time_grid,
+    assemble,
+    average_value,
+    propagate,
+)
 from .hilbert import BasisSpec, StateVector, TangentVector
 from .numerics import hermitian_eigendecompose
 from .tolerances import DEFAULT, Tolerances
@@ -201,7 +209,7 @@ def dominant_ray(P: ProjectorState, tol: Tolerances = DEFAULT) -> Ray:
     sym = 0.5 * (P.matrix + P.matrix.conj().T)
     es = hermitian_eigendecompose(sym, tol)
     lam = float(es.eigenvalues[-1])
-    if lam < tol.rank_dominance:
+    if not lam >= tol.rank_dominance:
         raise RankCollapse(f"dominant eigenvalue {lam:.6f} below {tol.rank_dominance}")
     return ray_of(StateVector(P.basis, es.eigenvectors[:, -1]), tol)
 
@@ -220,23 +228,10 @@ class ReducedRecord:
         }
 
 
-def _segmented_times(t0: float, t1: float, dt: float, knots) -> list[float]:
-    """Step grid over [t0, t1] that passes exactly through every knot."""
-    from .dynamics import _time_grid
-
-    interior = sorted({float(k) for k in knots if t0 < k < t1})
-    bounds = [t0] + interior + [t1]
-    times = [t0]
-    for a, b in zip(bounds[:-1], bounds[1:]):
-        if b > a:
-            times.extend(_time_grid(a, b, dt)[1:])
-    return times
-
-
 def _rk4_projector_step(H: TDepHamiltonian, t: float, h: float, P: np.ndarray) -> np.ndarray:
-    M0 = assemble(H, t).matrix
-    Mm = assemble(H, t + 0.5 * h).matrix
-    M1 = assemble(H, t + h).matrix
+    M0 = assemble(H, t)
+    Mm = assemble(H, t + 0.5 * h)
+    M1 = assemble(H, t + h)
     k1 = -1j * (M0 @ P - P @ M0)
     Q = P + (0.5 * h) * k1
     k2 = -1j * (Mm @ Q - Q @ Mm)
@@ -261,21 +256,8 @@ def reduced_propagate(H: TDepHamiltonian, ray0: Ray, dt: float, t0: float, t1: f
     """
     if ray0.representative.basis != H.basis:
         raise BasisMismatch("initial ray basis does not match the Hamiltonian")
-    if not dt > 0:
-        raise ValueError("dt must be positive")
-    if t1 < t0:
-        raise ValueError("t1 must not precede t0")
-
-    if record_times is not None:
-        times = _segmented_times(t0, t1, dt, record_times)
-        wanted = {float(k) for k in record_times}
-        flags = [t in wanted for t in times]
-    else:
-        from .dynamics import _time_grid
-
-        times = _time_grid(t0, t1, dt)
-        flags = [k == 0 or k % stride == 0 or k == len(times) - 1 for k in range(len(times))]
-
+    times = _time_grid(t0, t1, dt, record_times or ())
+    flags = _record_flags(times, stride, record_times)
     P = projector_of(ray0).matrix
     drifts = {"trace": 0.0, "hermiticity": 0.0, "idempotency": 0.0}
     records = []

@@ -20,7 +20,6 @@ class Tolerances:
     # eigendecomposition / unitary step quality
     eig_residual: float = 1e-10         # |H V - V diag(w)| relative to |H|
     orthonormality: float = 1e-12       # |V^H V - I|
-    unitarity: float = 1e-12            # |U^H U - I| for exponential steps
 
     # state / ray handling
     support: float = 1e-12              # coefficient modulus counted as support

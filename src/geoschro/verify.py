@@ -9,18 +9,16 @@ tolerances used *inside* computations (hermiticity gates and the like).
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import factorial, pi, sqrt
 
 import numpy as np
 
 from .dynamics import (
-    CoefficientFn,
     IntegratorSpec,
-    TDepHamiltonian,
     differential_of_average,
     hamiltonian_field_residual,
+    oscillator_hamiltonian,
     propagate,
 )
 from .errors import UnknownSuite
@@ -91,24 +89,6 @@ def _draw(rng: np.random.Generator, basis: BasisSpec, unit: bool = False) -> Sta
     if unit:
         c = c / np.linalg.norm(c)
     return StateVector(basis, c)
-
-
-def _driven_hamiltonian(size: int) -> TDepHamiltonian:
-    """(1/2)p^2 + (1/2)(1 + 0.1 sin t)x^2 on the Hermite basis."""
-    basis = BasisSpec.hermite(size)
-    return TDepHamiltonian((
-        (CoefficientFn.constant(0.5), build_named("p2", basis), "p2"),
-        (CoefficientFn.constant(0.5), build_named("x2", basis), "x2"),
-        (CoefficientFn.sinusoid(0.05, 1.0), build_named("x2", basis), "x2_drive"),
-    ))
-
-
-def _oscillator_hamiltonian(size: int) -> TDepHamiltonian:
-    basis = BasisSpec.hermite(size)
-    return TDepHamiltonian((
-        (CoefficientFn.constant(0.5), build_named("p2", basis), "p2"),
-        (CoefficientFn.constant(0.5), build_named("x2", basis), "x2"),
-    ))
 
 
 def suite_symplectic(size: int, seed: int, tol: Tolerances) -> list[VerifyCase]:
@@ -240,8 +220,8 @@ def suite_analytic(size: int, seed: int, tol: Tolerances) -> list[VerifyCase]:
 
 def suite_dynamics(size: int, seed: int, tol: Tolerances) -> list[VerifyCase]:
     basis = BasisSpec.hermite(size)
-    driven = _driven_hamiltonian(size)
-    osc = _oscillator_hamiltonian(size)
+    driven = oscillator_hamiltonian(size, drive=0.05)
+    osc = oscillator_hamiltonian(size)
     low = coherent_state(0.5, size)
     rng = _rng(seed, 3)
 
@@ -314,7 +294,7 @@ def suite_dynamics(size: int, seed: int, tol: Tolerances) -> list[VerifyCase]:
 
 def suite_reduction(size: int, seed: int, tol: Tolerances) -> list[VerifyCase]:
     basis = BasisSpec.hermite(size)
-    driven = _driven_hamiltonian(size)
+    driven = oscillator_hamiltonian(size, drive=0.05)
     low = coherent_state(0.5, size)
     rng = _rng(seed, 4)
     mu = -0.5
@@ -401,23 +381,13 @@ SUITES = {
 }
 
 
-def run_verify(suite: str, size: int, seed: int, tol: Tolerances = DEFAULT,
-               threads: int | None = None) -> dict:
+def run_verify(suite: str, size: int, seed: int, tol: Tolerances = DEFAULT) -> dict:
     """Run one suite (or all of them) and return the report dict."""
     if suite != "all" and suite not in SUITES:
         raise UnknownSuite(f"unknown suite {suite!r}; choose from {SUITE_NAMES + ('all',)}")
     start = time.perf_counter()
-    if suite == "all":
-        names = list(SUITE_NAMES)
-        if threads and threads > 1:
-            with ThreadPoolExecutor(max_workers=min(threads, len(names))) as pool:
-                futures = {name: pool.submit(SUITES[name], size, seed, tol) for name in names}
-                results = [futures[name].result() for name in names]
-        else:
-            results = [SUITES[name](size, seed, tol) for name in names]
-        cases = [case for block in results for case in block]
-    else:
-        cases = SUITES[suite](size, seed, tol)
+    names = SUITE_NAMES if suite == "all" else (suite,)
+    cases = [case for name in names for case in SUITES[name](size, seed, tol)]
     elapsed = time.perf_counter() - start
     return {
         "suite": suite,

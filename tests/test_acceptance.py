@@ -154,7 +154,7 @@ def test_criterion_04_spectrum_and_ground_phase():
     from geoschro.dynamics import assemble
     from geoschro.numerics import hermitian_eigendecompose
 
-    w = hermitian_eigendecompose(assemble(H, 0.0).matrix).eigenvalues
+    w = hermitian_eigendecompose(assemble(H, 0.0)).eigenvalues
     spec_err = float(np.max(np.abs(w[:10] - (np.arange(10) + 0.5))))
     assert spec_err <= 1e-10
 

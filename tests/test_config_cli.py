@@ -321,12 +321,34 @@ class TestExitCodes:
         assert cli.main(["simulate", "--config", str(config_path),
                          "--out", str(tmp_path / "o")]) == 2
 
+    def test_overflowing_hamiltonian_is_2(self, tmp_path, capsys):
+        cfg = _base_config()
+        cfg["hamiltonian"][0]["coefficient"] = {"kind": "constant", "c": 1e308}
+        config_path = _write_config(tmp_path, cfg)
+        assert cli.main(["simulate", "--config", str(config_path),
+                         "--out", str(tmp_path / "o")]) == 2
+        assert "non-finite H(t)" in capsys.readouterr().err
+
+    def test_diverging_projector_flow_is_2(self, tmp_path):
+        # RK4 at dt 0.5 is unstable for the N=32 spectrum: the projector
+        # overflows, and the NaN it turns into must trip a gate
+        cfg = _base_config(
+            basis={"kind": "hermite1d_orthonormal", "size": 32},
+            initial_state={"kind": "coherent", "alpha": 0.5},
+            integrator={"method": "exact_eig", "dt": 0.5},
+            time={"t0": 0.0, "t1": 200.0, "stride": 1},
+            reduction={"mu": -0.5, "dt_reduced": 0.5},
+        )
+        config_path = _write_config(tmp_path, cfg)
+        assert cli.main(["reduce", "--config", str(config_path),
+                         "--out", str(tmp_path / "o")]) == 2
+
     def test_argparse_error_is_1(self):
         assert cli.main(["simulate"]) == 1
         assert cli.main(["frobnicate"]) == 1
 
     def test_verify_failure_is_4(self, tmp_path, monkeypatch):
-        def fake_verify(suite, size, seed, tol, threads=None):
+        def fake_verify(suite, size, seed, tol):
             return {"suite": suite, "seed": seed, "elapsed": 0.0,
                     "cases": [{"name": "stub", "measured": 1.0, "bound": 0.5, "pass": False}]}
 
@@ -344,10 +366,6 @@ class TestExitCodes:
         assert all(case["pass"] for case in report["cases"])
 
     def test_bad_tol_override_is_1(self, tmp_path):
-        assert cli.main(["verify", "--suite", "symplectic", "--size", "8", "--seed", "1",
-                         "--tol", "nonsense=1", "--out", str(tmp_path / "r.json")]) == 1
-
-    def test_bad_thread_env_is_1(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("GEOSCHRO_THREADS", "many")
-        assert cli.main(["verify", "--suite", "symplectic", "--size", "8", "--seed", "1",
-                         "--out", str(tmp_path / "r.json")]) == 1
+        for override in ("nonsense=1", "unitarity=1e-12"):
+            assert cli.main(["verify", "--suite", "symplectic", "--size", "8", "--seed", "1",
+                             "--tol", override, "--out", str(tmp_path / "r.json")]) == 1
