@@ -8,7 +8,6 @@ any numerics; schema failures carry the JSON pointer of the offending field.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -21,9 +20,10 @@ from .dynamics import (
     IntegratorSpec,
     TDepHamiltonian,
 )
-from .errors import MissingInput, ParseError, SchemaError, UnknownOperator
+from .errors import MissingInput, SchemaError, UnknownOperator
 from .hilbert import BASIS_KINDS, BasisSpec, StateVector, coherent_state
 from .operators import BUILTIN_OPERATORS, OperatorMatrix, build_named
+from .serialize import loads_finite
 
 INITIAL_STATE_KINDS = ("basis_vector", "coherent", "coefficients_file")
 
@@ -243,21 +243,13 @@ def parse_config(path) -> SimulationConfig:
         text = path.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise MissingInput(f"{path}: {exc}") from exc
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
-    return parse_config_dict(raw, path.parent)
+    return parse_config_dict(loads_finite(text, path), path.parent)
 
 
 def load_operator_file(path: Path) -> OperatorMatrix:
     if not path.is_file():
         raise MissingInput(str(path))
-    try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
-    return OperatorMatrix.from_json_dict(raw)
+    return OperatorMatrix.from_json_dict(loads_finite(path.read_text(encoding="utf-8"), path))
 
 
 def build_hamiltonian(config: SimulationConfig) -> TDepHamiltonian:
@@ -283,8 +275,4 @@ def build_initial_state(config: SimulationConfig) -> StateVector:
     path = config.base_dir / init.path
     if not path.is_file():
         raise MissingInput(str(path))
-    try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
-    return StateVector.from_json_dict(raw)
+    return StateVector.from_json_dict(loads_finite(path.read_text(encoding="utf-8"), path))

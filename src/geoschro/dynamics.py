@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import BasisMismatch, IntegratorMismatch, NotHermitian, NumericError
 from .hilbert import BasisSpec, StateVector, TangentVector
-from .numerics import apply_exp_step, hermitian_eigendecompose
+from .numerics import apply_exp_step, hermitian_eigendecompose, matmul
 from .operators import OperatorMatrix, build_quadratics
 from .tolerances import DEFAULT, Tolerances
 
@@ -117,7 +117,11 @@ class CoefficientFn:
 
 @dataclass(frozen=True)
 class TDepHamiltonian:
+    """H(t) = sum b_a(t) H_a.  When every H_a has zero imaginary part, the
+    real parts are kept and H(t) is assembled as a float64 array."""
+
     terms: tuple  # of (CoefficientFn, OperatorMatrix, label)
+    matrices: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         terms = tuple(self.terms)
@@ -129,7 +133,11 @@ class TDepHamiltonian:
                 raise BasisMismatch(f"term {label!r} uses a different basis")
             if op.symmetry != "hermitian":
                 raise NotHermitian(f"term {label!r} is not flagged Hermitian")
+        matrices = tuple(op.matrix for _, op, _ in terms)
+        if not any(np.any(m.imag) for m in matrices):
+            matrices = tuple(m.real for m in matrices)
         object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "matrices", matrices)
 
     @property
     def basis(self):
@@ -154,16 +162,21 @@ def oscillator_hamiltonian(size: int, drive: float = 0.0) -> TDepHamiltonian:
 
 
 def assemble(H: TDepHamiltonian, t: float) -> np.ndarray:
-    """H(t) = sum b_a(t) H_a as a raw complex array.
+    """H(t) = sum b_a(t) H_a as a raw array: float64 when every term is real,
+    complex128 otherwise.
 
     The terms were checked for basis and Hermitian flag when H was built and
     every b_a(t) is a real float, so the sum is Hermitian by construction;
     only overflow is left to check.
     """
     n = H.basis.size
-    M = np.zeros((n, n), dtype=np.complex128)
-    for coeff, op, _ in H.terms:
-        M += coeff(t) * op.matrix
+    M = np.zeros((n, n), dtype=H.matrices[0].dtype)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            for (coeff, _, _), mat in zip(H.terms, H.matrices):
+                M += coeff(t) * mat
+    except FloatingPointError as exc:
+        raise NumericError(f"non-finite H(t) entries at t={t!r}") from exc
     if not np.all(np.isfinite(M.view(np.float64))):
         raise NumericError(f"non-finite H(t) entries at t={t!r}")
     return M
@@ -173,7 +186,7 @@ def schrodinger_rhs(H: TDepHamiltonian, t: float, psi: StateVector) -> TangentVe
     """The Schrodinger vector field at (t, psi): direction -i H(t) psi."""
     if psi.basis != H.basis:
         raise BasisMismatch("state basis does not match the Hamiltonian")
-    return TangentVector(psi, StateVector(psi.basis, -1j * (assemble(H, t) @ psi.coefficients)))
+    return TangentVector(psi, StateVector(psi.basis, -1j * matmul(assemble(H, t), psi.coefficients)))
 
 
 def average_value(A: OperatorMatrix, psi: StateVector, tol: Tolerances = DEFAULT) -> float:
@@ -280,7 +293,7 @@ def _record_flags(times: list[float], stride: int, record_times=None) -> list[bo
 def _record(H: TDepHamiltonian, t: float, coeffs: np.ndarray) -> TrajectoryRecord:
     psi = StateVector(H.basis, coeffs)
     nrm = float(np.linalg.norm(coeffs))
-    energy = complex(np.vdot(coeffs, assemble(H, t) @ coeffs)).real / (nrm * nrm)
+    energy = complex(np.vdot(coeffs, matmul(assemble(H, t), coeffs))).real / (nrm * nrm)
     return TrajectoryRecord(t, nrm, -0.5 * nrm * nrm, energy, psi)
 
 
@@ -308,7 +321,7 @@ def _step_operators(H: TDepHamiltonian, spec: IntegratorSpec, tol: Tolerances):
         M = assemble(H, t + tau / 2.0)
         n = M.shape[0]
         eye = np.eye(n, dtype=np.complex128)
-        return np.linalg.solve(eye + 0.5j * tau * M, vec - 0.5j * tau * (M @ vec))
+        return np.linalg.solve(eye + 0.5j * tau * M, vec - 0.5j * tau * matmul(M, vec))
 
     return step
 

@@ -1,9 +1,16 @@
-"""Dense complex linear algebra backbone.
+"""Dense linear algebra backbone.
 
 Unitary steps are built from Hermitian eigendecompositions, U = V e^{-i tau
 Lambda} V^H, not from scaling-and-squaring: the eigenvector matrix is
 orthonormal to roundoff, so every step is unitary to roundoff and norm /
 momentum conservation tests inherit that guarantee.
+
+Dtype rule: a real matrix stays real.  A real symmetric H is decomposed by
+the real ``eigh`` into real orthogonal eigenvectors, and the same three gates
+(Hermiticity, orthonormality, eigen residual) run in real arithmetic with the
+same tolerances; a complex H takes the complex path.  State vectors are
+always complex, and ``matmul`` applies a real matrix to them as one real
+product.
 """
 
 from __future__ import annotations
@@ -17,8 +24,22 @@ from .hilbert import BasisSpec, StateVector
 from .tolerances import DEFAULT, Tolerances
 
 
+def matmul(A: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """A @ X.  A real A acts on a complex vector or block X through the
+    interleaved (re, im) float64 view of X: one real product, with no complex
+    copy of A."""
+    if np.iscomplexobj(A) or not np.iscomplexobj(X):
+        return A @ X
+    X = np.ascontiguousarray(X, dtype=np.complex128)
+    Y = A @ X.view(np.float64).reshape(X.shape[0], -1)
+    return Y.view(np.complex128).reshape(Y.shape[0], *X.shape[1:])
+
+
 def require_hermitian(H: np.ndarray, tol: float) -> np.ndarray:
-    H = np.asarray(H, dtype=np.complex128)
+    """H as float64 when it is real, complex128 otherwise; NotHermitian
+    unless it is square and within tol of its conjugate transpose."""
+    H = np.asarray(H)
+    H = H.astype(np.complex128 if np.iscomplexobj(H) else np.float64, copy=False)
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
         raise NotHermitian("matrix must be square")
     dev = float(np.max(np.abs(H - H.conj().T)))
@@ -30,11 +51,7 @@ def require_hermitian(H: np.ndarray, tol: float) -> np.ndarray:
 @dataclass(frozen=True)
 class EigenSystem:
     eigenvalues: np.ndarray   # real, ascending
-    eigenvectors: np.ndarray  # unitary columns
-
-    def __post_init__(self):
-        object.__setattr__(self, "eigenvalues", np.asarray(self.eigenvalues, dtype=np.float64))
-        object.__setattr__(self, "eigenvectors", np.asarray(self.eigenvectors, dtype=np.complex128))
+    eigenvectors: np.ndarray  # unitary columns; real orthogonal for a real H
 
 
 def hermitian_eigendecompose(H: np.ndarray, tol: Tolerances = DEFAULT) -> EigenSystem:
@@ -67,11 +84,11 @@ def apply_exp_step(es: EigenSystem, tau: float, vec: np.ndarray) -> np.ndarray:
     """Apply exp(-i tau H) through a precomputed eigensystem (works on
     column-stacked matrices too)."""
     V = es.eigenvectors
-    z = V.conj().T @ vec
+    z = matmul(V.conj().T, vec)
     phases = np.exp(-1j * tau * es.eigenvalues)
     if z.ndim == 1:
-        return V @ (phases * z)
-    return V @ (phases[:, None] * z)
+        return matmul(V, phases * z)
+    return matmul(V, phases[:, None] * z)
 
 
 def random_state(dim: int, seed: int, basis: BasisSpec | None = None) -> StateVector:

@@ -24,6 +24,7 @@ from .errors import (
     BasisMismatch,
     NonNegativeMu,
     NotTangent,
+    NumericError,
     RankCollapse,
     ZeroVector,
 )
@@ -37,7 +38,7 @@ from .dynamics import (
     propagate,
 )
 from .hilbert import BasisSpec, StateVector, TangentVector
-from .numerics import hermitian_eigendecompose
+from .numerics import hermitian_eigendecompose, matmul
 from .tolerances import DEFAULT, Tolerances
 
 
@@ -228,17 +229,21 @@ class ReducedRecord:
         }
 
 
+def _commutator(M: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """-i[M, Q] for Hermitian M and Q from one product: with X = MQ,
+    QM = X^H, and X - X^H is exactly anti-Hermitian."""
+    X = matmul(M, Q)
+    return -1j * (X - X.conj().T)
+
+
 def _rk4_projector_step(H: TDepHamiltonian, t: float, h: float, P: np.ndarray) -> np.ndarray:
     M0 = assemble(H, t)
     Mm = assemble(H, t + 0.5 * h)
     M1 = assemble(H, t + h)
-    k1 = -1j * (M0 @ P - P @ M0)
-    Q = P + (0.5 * h) * k1
-    k2 = -1j * (Mm @ Q - Q @ Mm)
-    Q = P + (0.5 * h) * k2
-    k3 = -1j * (Mm @ Q - Q @ Mm)
-    Q = P + h * k3
-    k4 = -1j * (M1 @ Q - Q @ M1)
+    k1 = _commutator(M0, P)
+    k2 = _commutator(Mm, P + (0.5 * h) * k1)
+    k3 = _commutator(Mm, P + (0.5 * h) * k2)
+    k4 = _commutator(M1, P + h * k3)
     return P + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
@@ -252,7 +257,8 @@ def reduced_propagate(H: TDepHamiltonian, ray0: Ray, dt: float, t0: float, t1: f
     without interpolation); otherwise records fall at t0, every stride-th
     step, and t1.  Returns (records, diagnostics) where diagnostics holds the
     worst per-step trace, hermiticity, and idempotency drifts measured before
-    each correction.
+    each correction.  A step that overflows (dt too large for the spectrum of
+    H) raises NumericError.
     """
     if ray0.representative.basis != H.basis:
         raise BasisMismatch("initial ray basis does not match the Hamiltonian")
@@ -265,8 +271,14 @@ def reduced_propagate(H: TDepHamiltonian, ray0: Ray, dt: float, t0: float, t1: f
         records.append(ReducedRecord(times[0], ray0, 0.0))
     for k in range(1, len(times)):
         h = times[k] - times[k - 1]
-        P = _rk4_projector_step(H, times[k - 1], h, P)
-        state = ProjectorState(H.basis, P).drift()
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                P = _rk4_projector_step(H, times[k - 1], h, P)
+                state = ProjectorState(H.basis, P).drift()
+        except FloatingPointError as exc:
+            raise NumericError(f"projector flow overflowed at t={times[k]!r}") from exc
+        if not np.all(np.isfinite(list(state.values()))):
+            raise NumericError(f"non-finite projector drift at t={times[k]!r}")
         for key in drifts:
             drifts[key] = max(drifts[key], state[key])
         P = 0.5 * (P + P.conj().T)

@@ -2,22 +2,52 @@
 gnuplot, summary JSON, and the gnuplot script emitter.
 
 All numbers pass through Python's shortest round-trip float repr via the json
-module, so identical runs produce byte-identical files.
+module, so identical runs produce byte-identical files.  NaN and Infinity are
+not JSON: writing one raises NumericError, reading one raises ParseError.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
-from .errors import MissingInput
+from .errors import MissingInput, NumericError, ParseError
 
 TRAJECTORY_CSV_HEADER = "# t,norm,norm_drift,J,energy"
 RAYS_CSV_HEADER = "# t,fs_distance_to_initial,fs_residual"
 
 
+_COMPACT = json.JSONEncoder(separators=(",", ":"), allow_nan=False)
+_INDENTED = json.JSONEncoder(indent=2, allow_nan=False)
+
+
+def _encode(encoder: json.JSONEncoder, obj) -> str:
+    """JSON text of obj; NaN and Infinity are not JSON, so they raise."""
+    try:
+        return encoder.encode(obj)
+    except ValueError as exc:
+        raise NumericError(f"non-finite number in output: {exc}") from exc
+
+
+def _finite_float(token: str) -> float:
+    value = float(token)
+    if not math.isfinite(value):
+        raise ValueError(f"{token} is not a finite number")
+    return value
+
+
+def loads_finite(text: str, source) -> object:
+    """json.loads with NaN and Infinity, spelled out or overflowed, rejected
+    as a ParseError naming source."""
+    try:
+        return json.loads(text, parse_constant=_finite_float, parse_float=_finite_float)
+    except ValueError as exc:  # json.JSONDecodeError included
+        raise ParseError(f"{source}: {exc}") from exc
+
+
 def dumps_compact(obj) -> str:
-    return json.dumps(obj, separators=(",", ":"))
+    return _encode(_COMPACT, obj)
 
 
 def write_jsonl(path: Path, dicts) -> None:
@@ -51,13 +81,13 @@ def write_rays_csv(path: Path, records, residuals) -> None:
 
 
 def write_summary(path: Path, summary: dict) -> None:
-    path.write_text(json.dumps(summary, indent=2) + "\n", encoding="utf-8")
+    path.write_text(_encode(_INDENTED, summary) + "\n", encoding="utf-8")
 
 
 def load_summary(path: Path) -> dict:
     if not path.is_file():
         raise MissingInput(str(path))
-    return json.loads(path.read_text(encoding="utf-8"))
+    return loads_finite(path.read_text(encoding="utf-8"), path)
 
 
 _STANZA = """set output "{png}"

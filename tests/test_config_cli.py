@@ -1,6 +1,9 @@
 """Config schema, scenario construction, file outputs, and CLI exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +38,14 @@ def _base_config(**overrides):
     }
     cfg.update(overrides)
     return cfg
+
+
+def _run_cli(*args):
+    """The CLI in a fresh interpreter, so its real stderr can be checked."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "geoschro", *args], env=env,
+                          capture_output=True, text=True, timeout=300)
 
 
 def _write_config(tmp_path, cfg, name="config.json"):
@@ -321,17 +332,18 @@ class TestExitCodes:
         assert cli.main(["simulate", "--config", str(config_path),
                          "--out", str(tmp_path / "o")]) == 2
 
-    def test_overflowing_hamiltonian_is_2(self, tmp_path, capsys):
+    def test_overflowing_hamiltonian_is_2(self, tmp_path):
         cfg = _base_config()
         cfg["hamiltonian"][0]["coefficient"] = {"kind": "constant", "c": 1e308}
         config_path = _write_config(tmp_path, cfg)
-        assert cli.main(["simulate", "--config", str(config_path),
-                         "--out", str(tmp_path / "o")]) == 2
-        assert "non-finite H(t)" in capsys.readouterr().err
+        proc = _run_cli("simulate", "--config", str(config_path), "--out", str(tmp_path / "o"))
+        assert proc.returncode == 2
+        assert "non-finite H(t)" in proc.stderr
+        assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
 
     def test_diverging_projector_flow_is_2(self, tmp_path):
-        # RK4 at dt 0.5 is unstable for the N=32 spectrum: the projector
-        # overflows, and the NaN it turns into must trip a gate
+        # RK4 at dt 0.5 is unstable for the N=32 spectrum: the first step
+        # that overflows must stop the flow before numpy warns about it
         cfg = _base_config(
             basis={"kind": "hermite1d_orthonormal", "size": 32},
             initial_state={"kind": "coherent", "alpha": 0.5},
@@ -340,8 +352,27 @@ class TestExitCodes:
             reduction={"mu": -0.5, "dt_reduced": 0.5},
         )
         config_path = _write_config(tmp_path, cfg)
-        assert cli.main(["reduce", "--config", str(config_path),
-                         "--out", str(tmp_path / "o")]) == 2
+        proc = _run_cli("reduce", "--config", str(config_path), "--out", str(tmp_path / "o"))
+        assert proc.returncode == 2
+        assert "projector flow overflowed" in proc.stderr
+        assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("token", ["NaN", "-Infinity", "1e400"])
+    def test_non_finite_json_number_is_1(self, tmp_path, capsys, token):
+        (tmp_path / "psi.json").write_text(
+            '{"basis": {"kind": "hermite1d_orthonormal", "size": 8},'
+            f' "re": [{token}, 0, 0, 0, 0, 0, 0, 0], "im": [0, 0, 0, 0, 0, 0, 0, 0]}}',
+            encoding="utf-8")
+        cfg = _base_config(initial_state={"kind": "coefficients_file", "path": "psi.json"})
+        config_path = _write_config(tmp_path, cfg)
+        assert cli.main(["simulate", "--config", str(config_path),
+                         "--out", str(tmp_path / "o")]) == 1
+        assert token in capsys.readouterr().err
+
+    def test_non_finite_summary_is_1(self, tmp_path):
+        (tmp_path / "summary.json").write_text('{"max_norm_drift": Infinity, "files": {}}',
+                                               encoding="utf-8")
+        assert cli.main(["plot", "--summary", str(tmp_path / "summary.json")]) == 1
 
     def test_argparse_error_is_1(self):
         assert cli.main(["simulate"]) == 1

@@ -12,6 +12,7 @@ from geoschro.dynamics import (
     CoefficientFn,
     IntegratorSpec,
     TDepHamiltonian,
+    _step_operators,
     assemble,
     average_value,
     differential_of_average,
@@ -22,8 +23,9 @@ from geoschro.dynamics import (
     symplectic_preservation_check,
 )
 from geoschro.hilbert import BasisSpec, StateVector, TangentVector, coherent_state, inner
-from geoschro.numerics import random_state
-from geoschro.operators import build_identity, build_position, build_quadratics
+from geoschro.numerics import apply_exp_step, hermitian_eigendecompose, random_state
+from geoschro.operators import build_identity, build_named, build_position, build_quadratics
+from geoschro.tolerances import DEFAULT
 
 
 def _oscillator(size):
@@ -117,6 +119,22 @@ class TestHamiltonianAssembly:
     def test_oscillator_assembles_to_exact_diagonal(self):
         A = assemble(_oscillator(12), 0.0)
         assert np.array_equal(A, np.diag(np.arange(12) + 0.5).astype(complex))
+
+    def test_real_terms_assemble_real_and_complex_terms_complex(self):
+        assert assemble(_driven(10), 0.3).dtype == np.float64
+        basis = BasisSpec.hermite(10)
+        H = TDepHamiltonian(((CoefficientFn.constant(1.0), build_named("p", basis), "p"),
+                             (CoefficientFn.constant(0.5), build_named("x2", basis), "x2")))
+        assert assemble(H, 0.3).dtype == np.complex128
+
+    def test_real_magnus2_step_matches_complex_path(self):
+        H = _driven(32, amplitude=0.3)
+        psi = coherent_state(0.8, 32).coefficients
+        t, dt = 0.4, 0.02
+        got = _step_operators(H, IntegratorSpec("magnus2", dt), DEFAULT)(t, dt, psi)
+        M = assemble(H, t + dt / 2).astype(np.complex128)
+        want = apply_exp_step(hermitian_eigendecompose(M), dt, psi)
+        assert np.max(np.abs(got - want)) <= 1e-13
 
     def test_rhs_direction(self):
         H = _oscillator(6)

@@ -9,6 +9,7 @@ from geoschro.errors import NotHermitian
 from geoschro.numerics import (
     apply_exp_step,
     hermitian_eigendecompose,
+    matmul,
     random_state,
     require_hermitian,
     unitary_exp_step,
@@ -33,6 +34,34 @@ def test_require_hermitian_accepts_and_rejects():
         require_hermitian(bad, 1e-8)
     with pytest.raises(NotHermitian):
         require_hermitian(np.zeros((2, 3)), 1e-12)
+
+
+def test_real_matrices_stay_real_and_keep_the_gates():
+    rng = np.random.default_rng(5)
+    A = rng.standard_normal((6, 6))
+    S = A + A.T
+    assert require_hermitian(S, 1e-12).dtype == np.float64
+    es = hermitian_eigendecompose(S)
+    assert es.eigenvectors.dtype == np.float64
+    assert np.max(np.abs((es.eigenvectors * es.eigenvalues) @ es.eigenvectors.T - S)) < 1e-12
+    for bad in (A, np.triu(S)):
+        with pytest.raises(NotHermitian):
+            require_hermitian(bad, 1e-8)
+        with pytest.raises(NotHermitian):
+            hermitian_eigendecompose(bad)
+
+
+def test_matmul_real_times_complex_matches_plain_product():
+    rng = np.random.default_rng(6)
+    n = 9
+    A = rng.standard_normal((n, n))
+    X = rng.standard_normal((n, 4)) + 1j * rng.standard_normal((n, 4))
+    for a, x in ((A, X[:, 0]), (A, X), (A, X[:, ::2]), (A.T, X.T[1]), (A[:, :5], X[::2]),
+                 (A.astype(complex), X), (A, X.real)):
+        got = matmul(a, x)
+        want = a @ x
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 def test_eigendecompose_reconstructs():

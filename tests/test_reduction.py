@@ -15,11 +15,12 @@ from geoschro.errors import (
 from geoschro.dynamics import CoefficientFn, IntegratorSpec, TDepHamiltonian
 from geoschro.hilbert import BasisSpec, StateVector, TangentVector, symplectic_form
 from geoschro.numerics import random_state
-from geoschro.operators import build_identity, build_quadratics
+from geoschro.operators import build_identity, build_named, build_quadratics
 from geoschro.reduction import (
     LevelSetPoint,
     ProjectorState,
     Ray,
+    _rk4_projector_step,
     commuting_diagram_residual,
     dominant_ray,
     fubini_study_distance,
@@ -323,6 +324,17 @@ class TestReducedPropagation:
         records, drifts = reduced_propagate(H, ray0, 1e-3, 0.0, 2 * np.pi, stride=10 ** 6)
         assert records[-1].fs_distance_to_initial < 1e-7
         assert drifts["hermiticity"] < 1e-12
+
+    def test_rk4_step_stays_exactly_hermitian(self):
+        basis = BasisSpec.hermite(12)
+        with_p = TDepHamiltonian(((CoefficientFn.sinusoid(0.3, 1.0), build_named("p", basis), "p"),
+                                  (CoefficientFn.constant(0.5), build_named("x2", basis), "x2")))
+        P = projector_of(ray_of(random_state(12, 4))).matrix
+        P = 0.5 * (P + P.conj().T)
+        for H in (_driven(12), with_p):
+            out = _rk4_projector_step(H, 0.3, 0.05, P)
+            assert np.array_equal(out, out.conj().T)
+            assert abs(np.trace(out) - 1.0) < 1e-12
 
     def test_record_times_exact_pass_through(self):
         H = _driven(6)
