@@ -5,9 +5,15 @@ Scenarios with a reduction block go through the reduce path, the rest through
 simulate.  Outputs land in out/<scenario>/ next to the repo root; the summary
 numbers that matter (norm drift, momentum drift, reduction residual) are
 printed as one line per scenario.
+
+With ``--compare REF_DIR`` every output file is then checked against the file
+of the same name under REF_DIR (an earlier run's output root): each prints
+either "byte-identical" or the largest absolute difference between the
+numbers of the two files.
 """
 
 import argparse
+import re
 import sys
 from pathlib import Path
 
@@ -15,12 +21,37 @@ from geoschro.cli import run_reduce, run_simulate
 from geoschro.config import parse_config
 
 REPO = Path(__file__).resolve().parent.parent
+NUMBER = re.compile(rb"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+
+
+def compare(out_root: Path, ref_root: Path) -> None:
+    """One line per output file: byte-identical, or the max absolute numeric
+    difference when only the numbers differ."""
+    rels = sorted({p.relative_to(root) for root in (out_root, ref_root)
+                   for p in root.rglob("*") if p.is_file()})
+    for rel in rels:
+        a, b = out_root / rel, ref_root / rel
+        if not (a.is_file() and b.is_file()):
+            print(f"{rel}: only under {out_root if a.is_file() else ref_root}")
+            continue
+        da, db = a.read_bytes(), b.read_bytes()
+        if da == db:
+            print(f"{rel}: byte-identical")
+            continue
+        xa, xb = NUMBER.findall(da), NUMBER.findall(db)
+        if NUMBER.split(da) != NUMBER.split(db) or len(xa) != len(xb):
+            print(f"{rel}: differs beyond its numbers")
+            continue
+        diff = max(abs(float(u) - float(v)) for u, v in zip(xa, xb))
+        print(f"{rel}: max abs numeric difference {diff:.3e}")
 
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--configs", default=str(REPO / "configs"), help="config directory")
     ap.add_argument("--out", default=str(REPO / "out"), help="output root")
+    ap.add_argument("--compare", metavar="REF_DIR", default=None,
+                    help="output root of an earlier run to diff the new outputs against")
     args = ap.parse_args(argv)
 
     config_dir = Path(args.configs)
@@ -44,6 +75,8 @@ def main(argv=None) -> int:
                   f"  norm drift {summary['max_norm_drift']:.3e}"
                   f"  J drift {summary['max_J_drift']:.3e}")
     print(f"outputs under {out_root}/ (gnuplot scripts: <scenario>/plot.gp)")
+    if args.compare is not None:
+        compare(out_root, Path(args.compare))
     return 0
 
 

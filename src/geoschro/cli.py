@@ -22,7 +22,7 @@ from .serialize import (
     write_trajectory_csv,
     write_trajectory_jsonl,
 )
-from .tolerances import DEFAULT, parse_overrides
+from .tolerances import parse_overrides
 from .verify import run_verify
 
 
@@ -150,11 +150,7 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    try:
-        tol = parse_overrides(args.tol) if args.tol else DEFAULT
-    except (KeyError, ValueError) as exc:
-        raise ParseError(f"bad --tol override: {exc}") from exc
-    report = run_verify(args.suite, args.size, args.seed, tol)
+    report = run_verify(args.suite, args.size, args.seed, parse_overrides(args.tol))
     out = Path(args.out) if args.out else Path(f"verify_{args.suite}.json")
     write_summary(out, report)
     failed = 0

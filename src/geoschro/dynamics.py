@@ -15,6 +15,13 @@ Integrators:
   unitary to roundoff (this is what the conservation checks lean on).
 * ``cayley2``    -- Crank-Nicolson: (I + i dt/2 H)^{-1} (I - i dt/2 H) with
   the midpoint generator, one dense solve per step.
+
+Block rule: the index sets on which the terms' joint nonzero pattern splits
+(parity for ``x2``/``p2``, total degree for ``Lx``/``Ly``/``Lz``) are found
+once, when the Hamiltonian is built, and are invariant for every t.  The
+eigendecompositions of ``exact_eig`` and ``magnus2`` decompose each block
+instead of the whole H(t), under the same gates; RK4, ``cayley2`` and records
+work on the whole matrix.
 """
 
 from __future__ import annotations
@@ -26,7 +33,13 @@ import numpy as np
 
 from .errors import BasisMismatch, IntegratorMismatch, NotHermitian, NumericError
 from .hilbert import BasisSpec, StateVector, TangentVector
-from .numerics import apply_exp_step, hermitian_eigendecompose, matmul
+from .numerics import (
+    InvariantBlocks,
+    apply_exp_step,
+    hermitian_eigendecompose,
+    invariant_blocks,
+    matmul,
+)
 from .operators import OperatorMatrix, build_quadratics
 from .tolerances import DEFAULT, Tolerances
 
@@ -118,10 +131,12 @@ class CoefficientFn:
 @dataclass(frozen=True)
 class TDepHamiltonian:
     """H(t) = sum b_a(t) H_a.  When every H_a has zero imaginary part, the
-    real parts are kept and H(t) is assembled as a float64 array."""
+    real parts are kept and H(t) is assembled as a float64 array.  ``blocks``
+    holds the invariant blocks of the H_a, found once here."""
 
     terms: tuple  # of (CoefficientFn, OperatorMatrix, label)
     matrices: tuple = field(init=False, repr=False, compare=False)
+    blocks: InvariantBlocks = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         terms = tuple(self.terms)
@@ -138,6 +153,7 @@ class TDepHamiltonian:
             matrices = tuple(m.real for m in matrices)
         object.__setattr__(self, "terms", terms)
         object.__setattr__(self, "matrices", matrices)
+        object.__setattr__(self, "blocks", invariant_blocks(matrices))
 
     @property
     def basis(self):
@@ -302,7 +318,7 @@ def _step_operators(H: TDepHamiltonian, spec: IntegratorSpec, tol: Tolerances):
     if spec.method == "exact_eig":
         if not H.is_autonomous:
             raise IntegratorMismatch("exact_eig requires constant coefficients")
-        es = hermitian_eigendecompose(assemble(H, 0.0), tol)
+        es = hermitian_eigendecompose(assemble(H, 0.0), tol, H.blocks)
 
         def step(t, tau, vec):
             return apply_exp_step(es, tau, vec)
@@ -312,7 +328,7 @@ def _step_operators(H: TDepHamiltonian, spec: IntegratorSpec, tol: Tolerances):
     if spec.method == "magnus2":
 
         def step(t, tau, vec):
-            es = hermitian_eigendecompose(assemble(H, t + tau / 2.0), tol)
+            es = hermitian_eigendecompose(assemble(H, t + tau / 2.0), tol, H.blocks)
             return apply_exp_step(es, tau, vec)
 
         return step

@@ -11,11 +11,22 @@ the real ``eigh`` into real orthogonal eigenvectors, and the same three gates
 same tolerances; a complex H takes the complex path.  State vectors are
 always complex, and ``matmul`` applies a real matrix to them as one real
 product.
+
+Block rule: a set of matrices whose joint nonzero pattern splits into
+connected components (``invariant_blocks``) has those index sets as invariant
+subspaces, and so has every linear combination of the set.  Given the
+blocks, ``hermitian_eigendecompose`` decomposes each block instead of the
+whole matrix: blocks of one size are stacked and go through one batched
+``eigh``, and the three gates run on every block with the same tolerances.
+The eigenvectors of a block land on that block's indices, so V is exactly
+zero off-block and the off-block entries of V^H V - I and HV - V Lambda are
+exact zeros: the gates measure the same quantities as on the whole matrix.
+A single block spanning the whole matrix takes the plain dense path.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -37,39 +48,128 @@ def matmul(A: np.ndarray, X: np.ndarray) -> np.ndarray:
 
 def require_hermitian(H: np.ndarray, tol: float) -> np.ndarray:
     """H as float64 when it is real, complex128 otherwise; NotHermitian
-    unless it is square and within tol of its conjugate transpose."""
+    unless it is square (or a stack of square matrices) and within tol of its
+    conjugate transpose."""
     H = np.asarray(H)
     H = H.astype(np.complex128 if np.iscomplexobj(H) else np.float64, copy=False)
-    if H.ndim != 2 or H.shape[0] != H.shape[1]:
+    if H.ndim < 2 or H.shape[-1] != H.shape[-2]:
         raise NotHermitian("matrix must be square")
-    dev = float(np.max(np.abs(H - H.conj().T)))
+    dev = float(np.max(np.abs(H - _adjoint(H))))
     if not dev <= tol:
         raise NotHermitian(f"Hermiticity deviation {dev:.3e} exceeds {tol:.1e}")
     return H
 
 
+def _adjoint(A: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of a matrix or of every matrix in a stack."""
+    return np.swapaxes(A, -1, -2).conj()
+
+
+@dataclass(frozen=True, eq=False)
+class InvariantBlocks:
+    """Invariant blocks of a set of N x N matrices, grouped by size.
+
+    Row j of ``groups[g]`` holds the ascending indices of one block; every
+    block of a group has the same size s.  ``flat[g]`` holds the row-major
+    positions i*N + j of the group's (k, s, s) sub-matrices, so one ``take``
+    gathers them and one ``put`` scatters them back; it is empty when one
+    block spans every index.
+    """
+
+    size: int
+    groups: tuple                     # of (k, s) int arrays
+    flat: tuple = field(repr=False)   # of (k*s*s,) int arrays
+
+    @property
+    def whole(self) -> bool:
+        """One block spanning every index: nothing to split."""
+        return not self.flat
+
+
+def invariant_blocks(matrices) -> InvariantBlocks:
+    """The connected components of the union of the matrices' nonzero
+    patterns.  Every matrix of the set, and every linear combination of them,
+    is exactly zero between two different components."""
+    n = matrices[0].shape[0]
+    pattern = np.zeros((n, n), dtype=bool)
+    for M in matrices:
+        pattern |= M != 0
+    rows, cols = np.nonzero(pattern | pattern.T)
+    label = np.arange(n)
+    while True:
+        # hook the larger root of every edge onto the smaller one, then point
+        # every index at its root; the root of a component is its least index
+        hooked = label.copy()
+        np.minimum.at(hooked, np.maximum(label[rows], label[cols]),
+                      np.minimum(label[rows], label[cols]))
+        while not np.array_equal(hooked[hooked], hooked):
+            hooked = hooked[hooked]
+        if np.array_equal(hooked, label):
+            break
+        label = hooked
+    order = np.argsort(label, kind="stable")
+    _, starts, sizes = np.unique(label[order], return_index=True, return_counts=True)
+    # sorted(set(...)): a bare np.unique(sizes) costs about 15 ms on its first call
+    groups = tuple(np.array([order[a:a + s] for a, m in zip(starts, sizes) if m == s])
+                   for s in sorted(set(sizes.tolist())))
+    if len(groups) == 1 and groups[0].shape[0] == 1:
+        return InvariantBlocks(n, groups, ())
+    flat = tuple((idx[:, :, None] * n + idx[:, None, :]).reshape(-1) for idx in groups)
+    return InvariantBlocks(n, groups, flat)
+
+
 @dataclass(frozen=True)
 class EigenSystem:
-    eigenvalues: np.ndarray   # real, ascending
+    eigenvalues: np.ndarray   # real; ascending (within each block when blocked)
     eigenvectors: np.ndarray  # unitary columns; real orthogonal for a real H
 
 
-def hermitian_eigendecompose(H: np.ndarray, tol: Tolerances = DEFAULT) -> EigenSystem:
-    """Eigendecompose a Hermitian matrix; validates the returned system."""
-    H = require_hermitian(H, tol.hermiticity)
+def hermitian_eigendecompose(H: np.ndarray, tol: Tolerances = DEFAULT,
+                             blocks: InvariantBlocks | None = None) -> EigenSystem:
+    """Eigendecompose a Hermitian matrix; validates the returned system.
+
+    With ``blocks``, H must be zero outside them (as every combination of the
+    matrices they were found from is): each size group is gathered into a
+    (k, s, s) stack for one batched ``eigh``, and the eigenpairs of a block
+    are placed on its indices.
+    """
+    if blocks is None or blocks.whole:
+        H = require_hermitian(H, tol.hermiticity)
+        w, V = _eigh(H)
+        _check_eigensystem(H, w, V, max(1.0, float(np.max(np.abs(H)))), tol)
+        return EigenSystem(w, V)
+    H = np.asarray(H)
+    stacks = []
+    for idx, flat in zip(blocks.groups, blocks.flat):
+        k, s = idx.shape
+        stacks.append(require_hermitian(H.take(flat).reshape(k, s, s), tol.hermiticity))
+    scale = max(1.0, max(float(np.max(np.abs(S))) for S in stacks))
+    w = np.empty(blocks.size)
+    V = np.zeros((blocks.size, blocks.size), dtype=stacks[0].dtype)
+    for S, idx, flat in zip(stacks, blocks.groups, blocks.flat):
+        ws, Vs = _eigh(S)
+        _check_eigensystem(S, ws, Vs, scale, tol)
+        w[idx.reshape(-1)] = ws.reshape(-1)
+        V.put(flat, Vs)
+    return EigenSystem(w, V)
+
+
+def _eigh(H: np.ndarray):
     try:
-        w, V = np.linalg.eigh(H)
+        return np.linalg.eigh(H)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(str(exc)) from exc
-    n = H.shape[0]
-    ortho = float(np.max(np.abs(V.conj().T @ V - np.eye(n))))
+
+
+def _check_eigensystem(H: np.ndarray, w: np.ndarray, V: np.ndarray, scale: float,
+                       tol: Tolerances) -> None:
+    """Orthonormality and eigen-residual gates on a matrix or a stack."""
+    ortho = float(np.max(np.abs(_adjoint(V) @ V - np.eye(V.shape[-1]))))
     if not ortho <= tol.orthonormality:
         raise ConvergenceFailure(f"eigenvector orthonormality residual {ortho:.3e}")
-    scale = max(1.0, float(np.max(np.abs(H))))
-    recon = float(np.max(np.abs(H @ V - V * w)))
+    recon = float(np.max(np.abs(H @ V - V * w[..., None, :])))
     if not recon <= tol.eig_residual * scale:
         raise ConvergenceFailure(f"eigen residual {recon:.3e} vs scale {scale:.3e}")
-    return EigenSystem(w, V)
 
 
 def unitary_exp_step(H: np.ndarray, tau: float, tol: Tolerances = DEFAULT) -> np.ndarray:

@@ -13,7 +13,7 @@ rows/columns of the truncation while the closed forms are exact everywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from math import factorial, pi, sqrt
 
 import numpy as np
@@ -41,13 +41,18 @@ def _band_limits(M: np.ndarray) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class OperatorMatrix:
+    """A dense operator matrix whose symmetry flag is checked against the
+    flag tolerance of ``tol`` and whose declared bands are checked to cover
+    its nonzero pattern."""
+
     basis: BasisSpec
     matrix: np.ndarray
     symmetry: str
     raise_band: int
     lower_band: int
+    tol: InitVar[Tolerances] = DEFAULT
 
-    def __post_init__(self):
+    def __post_init__(self, tol):
         M = np.asarray(self.matrix, dtype=np.complex128)
         n = self.basis.size
         if M.shape != (n, n):
@@ -59,11 +64,11 @@ class OperatorMatrix:
         scale = max(1.0, float(np.max(np.abs(M))) if M.size else 1.0)
         if self.symmetry == "hermitian":
             dev = float(np.max(np.abs(M - M.conj().T)))
-            if dev > DEFAULT.flag_check * scale:
+            if dev > tol.flag_check * scale:
                 raise ValueError(f"hermitian flag violated by {dev:.3e}")
         elif self.symmetry == "skew_hermitian":
             dev = float(np.max(np.abs(M + M.conj().T)))
-            if dev > DEFAULT.flag_check * scale:
+            if dev > tol.flag_check * scale:
                 raise ValueError(f"skew flag violated by {dev:.3e}")
         rb, lb = _band_limits(M)
         if rb > self.raise_band or lb > self.lower_band:
@@ -87,16 +92,16 @@ class OperatorMatrix:
             else:
                 symmetry = "none"
         rb, lb = _band_limits(M)
-        return OperatorMatrix(basis, M, symmetry, rb, lb)
+        return OperatorMatrix(basis, M, symmetry, rb, lb, tol)
 
     def apply(self, psi: StateVector) -> StateVector:
         if psi.basis != self.basis:
             raise BasisMismatch("operator and state bases differ")
         return StateVector(self.basis, self.matrix @ psi.coefficients)
 
-    def scaled(self, factor: complex) -> "OperatorMatrix":
+    def scaled(self, factor: complex, tol: Tolerances = DEFAULT) -> "OperatorMatrix":
         """Scalar multiple; the flag follows the factor (i*Hermitian is skew)."""
-        return OperatorMatrix.from_matrix(self.basis, factor * self.matrix)
+        return OperatorMatrix.from_matrix(self.basis, factor * self.matrix, tol=tol)
 
     def max_norm(self) -> float:
         return float(np.max(np.abs(self.matrix)))
@@ -303,7 +308,7 @@ def build_named(name: str, basis: BasisSpec) -> OperatorMatrix:
 # commutators and truncation-safety accounting
 
 
-def commutator(A: OperatorMatrix, B: OperatorMatrix) -> OperatorMatrix:
+def commutator(A: OperatorMatrix, B: OperatorMatrix, tol: Tolerances = DEFAULT) -> OperatorMatrix:
     """AB - BA with added bands and the inferred symmetry flag."""
     if A.basis != B.basis:
         raise BasisMismatch("commutator requires one common basis")
@@ -322,7 +327,7 @@ def commutator(A: OperatorMatrix, B: OperatorMatrix) -> OperatorMatrix:
     lb = min(n - 1, A.lower_band + B.lower_band)
     if symmetry != "none":
         rb = lb = min(n - 1, max(rb, lb))
-    return OperatorMatrix(A.basis, K, symmetry, rb, lb)
+    return OperatorMatrix(A.basis, K, symmetry, rb, lb, tol)
 
 
 def support_max(psi: StateVector, support_tol: float) -> int:

@@ -15,7 +15,7 @@ of the upstairs unitary flow at shared sample times.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from math import acos, asin, sqrt
 
 import numpy as np
@@ -55,16 +55,18 @@ def momentum_tangent_map(phi: TangentVector) -> float:
 
 @dataclass(frozen=True)
 class LevelSetPoint:
-    """A state pinned to the level J = mu (mu < 0)."""
+    """A state pinned to the level J = mu (mu < 0), checked against the
+    level-set tolerance of ``tol``."""
 
     state: StateVector
     mu: float
+    tol: InitVar[Tolerances] = DEFAULT
 
-    def __post_init__(self):
+    def __post_init__(self, tol):
         if not self.mu < 0:
             raise NonNegativeMu(f"level value must be negative, got {self.mu}")
         drift = abs(momentum_map(self.state) - self.mu)
-        if drift > DEFAULT.level_set * max(1.0, abs(self.mu)):
+        if drift > tol.level_set * max(1.0, abs(self.mu)):
             raise ZeroVector(f"state misses the level set by {drift:.3e}")
 
 
@@ -76,29 +78,32 @@ def level_set_project(psi: StateVector, mu: float, tol: Tolerances = DEFAULT) ->
     if n <= tol.zero_vector:
         raise ZeroVector("cannot project the zero vector onto a level set")
     scaled = (sqrt(-2.0 * mu) / n) * psi.coefficients
-    return LevelSetPoint(StateVector(psi.basis, scaled), mu)
+    return LevelSetPoint(StateVector(psi.basis, scaled), mu, tol)
 
 
-def u1_act(theta: float, point: LevelSetPoint) -> LevelSetPoint:
+def u1_act(theta: float, point: LevelSetPoint, tol: Tolerances = DEFAULT) -> LevelSetPoint:
     """Phase rotation e^{i theta}; preserves J exactly."""
     z = complex(np.cos(theta), np.sin(theta))
-    return LevelSetPoint(StateVector(point.state.basis, z * point.state.coefficients), point.mu)
+    return LevelSetPoint(StateVector(point.state.basis, z * point.state.coefficients),
+                         point.mu, tol)
 
 
 @dataclass(frozen=True)
 class Ray:
     """A point of projective space, stored as its canonical representative:
-    unit norm, first coefficient above the phase floor real and positive."""
+    unit norm, first coefficient above the phase floor real and positive,
+    checked against the ray-norm and phase tolerances of ``tol``."""
 
     representative: StateVector
+    tol: InitVar[Tolerances] = DEFAULT
 
-    def __post_init__(self):
+    def __post_init__(self, tol):
         c = self.representative.coefficients
         n = float(np.linalg.norm(c))
-        if abs(n - 1.0) > DEFAULT.ray_norm:
+        if abs(n - 1.0) > tol.ray_norm:
             raise ZeroVector(f"ray representative has norm {n}, expected 1")
-        k = _anchor_index(c, DEFAULT.phase)
-        if c[k].real <= 0 or abs(c[k].imag) > DEFAULT.phase:
+        k = _anchor_index(c, tol.phase)
+        if c[k].real <= 0 or abs(c[k].imag) > tol.phase:
             raise ZeroVector("ray representative is not canonically phased")
 
     def to_json_dict(self) -> dict:
@@ -125,7 +130,7 @@ def ray_of(psi: StateVector, tol: Tolerances = DEFAULT) -> Ray:
     c = c / n
     k = _anchor_index(c, tol.phase)
     phase = c[k] / abs(c[k])
-    return Ray(StateVector(psi.basis, c * np.conj(phase)))
+    return Ray(StateVector(psi.basis, c * np.conj(phase)), tol)
 
 
 def fubini_study_distance(a: Ray, b: Ray) -> float:

@@ -7,7 +7,10 @@ them in one place (the CLI exposes --tol key=value overrides).
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
+
+from .errors import ParseError
 
 
 @dataclass(frozen=True)
@@ -43,13 +46,22 @@ DEFAULT = Tolerances()
 
 
 def parse_overrides(pairs) -> Tolerances:
-    """Build a Tolerances from DEFAULT plus ``key=value`` strings."""
+    """Build a Tolerances from DEFAULT plus ``key=value`` strings.  An unknown
+    key, or a value that is not a finite non-negative number, is a ParseError:
+    NaN would fail every gate and infinity would switch one off."""
     fields = {f.name for f in dataclasses.fields(Tolerances)}
     updates = {}
     for pair in pairs:
         key, _, value = pair.partition("=")
         key = key.strip()
         if key not in fields:
-            raise KeyError(f"unknown tolerance key: {key!r}")
-        updates[key] = float(value)
+            raise ParseError(f"bad --tol override: unknown tolerance key: {key!r}")
+        try:
+            number = float(value)
+        except ValueError:
+            number = math.nan
+        if not (math.isfinite(number) and number >= 0):
+            raise ParseError(f"bad --tol override: {key} needs a finite number >= 0,"
+                             f" got {value.strip()!r}")
+        updates[key] = number
     return DEFAULT.replace(**updates)

@@ -172,8 +172,8 @@ def suite_operators(size: int, seed: int, tol: Tolerances) -> list[VerifyCase]:
     psi = StateVector(basis, probe / np.linalg.norm(probe))
     ratio_dev = 0.0
     for a, b in NONCOMMUTING_PAIRS:
-        A, B = H[a].scaled(1j), H[b].scaled(1j)
-        target = commutator(A, B).apply(psi).coefficients
+        A, B = H[a].scaled(1j, tol), H[b].scaled(1j, tol)
+        target = commutator(A, B, tol).apply(psi).coefficients
         e = {}
         for h in (2e-3, 1e-3):
             e[h] = float(np.linalg.norm(flow_commutator(A, B, psi, h, tol).coefficients - target))
@@ -181,7 +181,7 @@ def suite_operators(size: int, seed: int, tol: Tolerances) -> list[VerifyCase]:
 
     null = 0.0
     for a, b in COMMUTING_PAIRS:
-        A, B = H[a].scaled(1j), H[b].scaled(1j)
+        A, B = H[a].scaled(1j, tol), H[b].scaled(1j, tol)
         null = max(null, float(np.linalg.norm(flow_commutator(A, B, psi, 1e-3, tol).coefficients)))
 
     base_state = monomial_gaussian_state(2, size)
@@ -335,7 +335,7 @@ def suite_reduction(size: int, seed: int, tol: Tolerances) -> list[VerifyCase]:
         before = reduced_symplectic_form(TangentVector(point.state, v),
                                          TangentVector(point.state, w), tol)
         theta = rng.uniform(0, 2 * pi)
-        rp = u1_act(theta, point)
+        rp = u1_act(theta, point, tol)
         z = np.exp(1j * theta)
         after = reduced_symplectic_form(
             TangentVector(rp.state, StateVector(basis, z * v.coefficients)),

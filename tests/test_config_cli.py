@@ -20,6 +20,7 @@ from geoschro.errors import MissingInput, ParseError, SchemaError, UnknownOperat
 from geoschro.hilbert import BasisSpec, StateVector
 from geoschro.operators import build_position
 from geoschro.serialize import emit_plot_script
+from geoschro.tolerances import DEFAULT, parse_overrides
 
 REPO = Path(__file__).resolve().parent.parent
 GOLDEN = sorted((REPO / "configs").glob("*.json"))
@@ -397,6 +398,13 @@ class TestExitCodes:
         assert all(case["pass"] for case in report["cases"])
 
     def test_bad_tol_override_is_1(self, tmp_path):
-        for override in ("nonsense=1", "unitarity=1e-12"):
+        for override in ("nonsense=1", "unitarity=1e-12", "hermiticity=nan", "hermiticity=-1",
+                         "hermiticity=inf", "eig_residual=1e400", "phase=tiny"):
             assert cli.main(["verify", "--suite", "symplectic", "--size", "8", "--seed", "1",
                              "--tol", override, "--out", str(tmp_path / "r.json")]) == 1
+        assert not (tmp_path / "r.json").exists()
+
+    def test_tol_override_accepts_finite_non_negative_values(self):
+        tol = parse_overrides(["hermiticity=0", " phase = 1e-4"])
+        assert tol == DEFAULT.replace(hermiticity=0.0, phase=1e-4)
+        assert parse_overrides([]) == DEFAULT

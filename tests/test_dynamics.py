@@ -258,6 +258,20 @@ class TestSteppedIntegrators:
             assert abs(r.norm - 1.0) < 1e-13
             assert abs(r.momentum_J + 0.5) < 1e-13
 
+    @pytest.mark.parametrize("size", [32, 33])
+    def test_blocked_magnus2_step_matches_dense_step(self, size):
+        H = _driven(size, amplitude=0.3)
+        assert not H.blocks.whole
+        step = _step_operators(H, IntegratorSpec("magnus2", 1e-2), DEFAULT)
+        pair = np.column_stack([random_state(size, 4).coefficients,
+                                random_state(size, 5).coefficients])
+        for t, tau in ((0.0, 1e-2), (1.3, 0.25)):
+            dense = hermitian_eigendecompose(assemble(H, t + tau / 2.0))
+            want = apply_exp_step(dense, tau, pair)
+            got = step(t, tau, pair)
+            assert np.max(np.abs(got - want)) <= 1e-13
+            assert np.max(np.abs(step(t, tau, pair[:, 0]) - want[:, 0])) <= 1e-13
+
 
 class TestRecordGrid:
     def test_zero_duration_single_record(self):

@@ -5,15 +5,20 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from geoschro.errors import NotHermitian
+from geoschro.dynamics import CoefficientFn, TDepHamiltonian, assemble, oscillator_hamiltonian
+from geoschro.errors import ConvergenceFailure, NotHermitian
+from geoschro.hilbert import BasisSpec, hermite3d_index_tuples
 from geoschro.numerics import (
     apply_exp_step,
     hermitian_eigendecompose,
+    invariant_blocks,
     matmul,
     random_state,
     require_hermitian,
     unitary_exp_step,
 )
+from geoschro.operators import build_angular_momentum, build_named
+from geoschro.tolerances import DEFAULT
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]])
@@ -124,3 +129,116 @@ def test_random_state_deterministic_unit_norm():
     assert not np.array_equal(a.coefficients, random_state(16, 43).coefficients)
     with pytest.raises(ValueError):
         random_state(0, 1)
+
+
+def _shapes(blocks):
+    return [idx.shape for idx in blocks.groups]
+
+
+def test_oscillator_blocks_split_by_parity():
+    blocks = oscillator_hamiltonian(64, drive=0.05).blocks
+    assert _shapes(blocks) == [(2, 32)] and not blocks.whole
+    assert np.array_equal(blocks.groups[0], [np.arange(0, 64, 2), np.arange(1, 64, 2)])
+    odd = oscillator_hamiltonian(65).blocks
+    assert _shapes(odd) == [(1, 32), (1, 33)]
+    assert np.array_equal(odd.groups[0][0], np.arange(1, 65, 2))
+    assert np.array_equal(odd.groups[1][0], np.arange(0, 65, 2))
+
+
+def test_coupling_terms_give_one_whole_block():
+    basis = BasisSpec.hermite(12)
+    for names in (("p",), ("x",), ("x2", "x")):
+        blocks = invariant_blocks([build_named(n, basis).matrix for n in names])
+        assert _shapes(blocks) == [(1, 12)] and blocks.whole
+    blocks = invariant_blocks([build_named("id", basis).matrix])
+    assert _shapes(blocks) == [(12, 1)]
+
+
+def _components(pattern):
+    """Reference: connected components by breadth-first search."""
+    n = pattern.shape[0]
+    seen, comps = set(), []
+    for start in range(n):
+        if start in seen:
+            continue
+        comp, todo = {start}, [start]
+        while todo:
+            i = todo.pop()
+            for j in map(int, np.nonzero(pattern[i] | pattern[:, i])[0]):
+                if j not in comp:
+                    comp.add(j)
+                    todo.append(j)
+        seen |= comp
+        comps.append(sorted(comp))
+    return comps
+
+
+@given(st.integers(0, 10 ** 6))
+def test_invariant_blocks_match_breadth_first_components(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 40))
+    mats = [np.where(rng.random((n, n)) < rng.uniform(0, 0.08), rng.standard_normal((n, n)), 0.0)
+            for _ in range(int(rng.integers(1, 4)))]
+    pattern = np.zeros((n, n), dtype=bool)
+    for M in mats:
+        pattern |= M != 0
+    blocks = invariant_blocks(mats)
+    got = sorted(list(map(int, row)) for idx in blocks.groups for row in idx)
+    assert got == sorted(_components(pattern))
+    assert [idx.shape[1] for idx in blocks.groups] == sorted({len(c) for c in got})
+    assert blocks.whole == (len(got) == 1)
+
+
+def test_angular_momentum_blocks_are_degree_shells():
+    degree = 5
+    basis = BasisSpec.hermite3d(degree)
+    blocks = invariant_blocks([L.matrix for L in build_angular_momentum(basis)])
+    assert _shapes(blocks) == [(1, (k + 1) * (k + 2) // 2) for k in range(degree + 1)]
+    tuples = hermite3d_index_tuples(degree)
+    for k, idx in enumerate(blocks.groups):
+        assert {sum(tuples[i]) for i in idx[0]} == {k}
+
+
+@pytest.mark.parametrize("drive", [0.0, 0.05])
+@pytest.mark.parametrize("size", [24, 25])
+def test_blocked_eigendecompose_matches_dense(size, drive):
+    H = oscillator_hamiltonian(size, drive)
+    M = assemble(H, 0.7)
+    dense = hermitian_eigendecompose(M)
+    blocked = hermitian_eigendecompose(M, blocks=H.blocks)
+    V, w = blocked.eigenvectors, blocked.eigenvalues
+    scale = np.max(np.abs(M))
+    assert np.max(np.abs(np.sort(w) - dense.eigenvalues)) <= 1e-13 * scale
+    assert np.max(np.abs((V * w) @ V.T - M)) <= 1e-13 * scale
+    same_block = np.zeros((size, size), dtype=bool)
+    for idx in H.blocks.groups:
+        for row in idx:
+            same_block[np.ix_(row, row)] = True
+    assert np.all(V[~same_block] == 0.0)
+    psi = random_state(size, 3).coefficients
+    step = apply_exp_step(blocked, 0.3, psi) - apply_exp_step(dense, 0.3, psi)
+    assert np.max(np.abs(step)) <= 1e-13
+
+
+def test_whole_block_returns_the_dense_arrays():
+    basis = BasisSpec.hermite(10)
+    H = TDepHamiltonian(((CoefficientFn.constant(1.0), build_named("p", basis), "p"),))
+    M = assemble(H, 0.0)
+    got = hermitian_eigendecompose(M, blocks=H.blocks)
+    want = hermitian_eigendecompose(M)
+    assert np.array_equal(got.eigenvectors, want.eigenvectors)
+    assert np.array_equal(got.eigenvalues, want.eigenvalues)
+
+
+def test_gates_fire_inside_one_block():
+    blocks = oscillator_hamiltonian(16).blocks
+    M = assemble(oscillator_hamiltonian(16), 0.0)  # diagonal: both blocks exact
+    bad = M.copy()
+    bad[1, 3] += 1e-6  # breaks Hermiticity inside the odd block only
+    with pytest.raises(NotHermitian):
+        hermitian_eigendecompose(bad, blocks=blocks)
+    coupled = M.copy()
+    coupled[1, 3] = coupled[3, 1] = 0.3  # only the odd block leaves a roundoff residual
+    hermitian_eigendecompose(M, DEFAULT.replace(eig_residual=0.0), blocks)
+    with pytest.raises(ConvergenceFailure):
+        hermitian_eigendecompose(coupled, DEFAULT.replace(eig_residual=0.0), blocks)

@@ -32,6 +32,7 @@ from geoschro.operators import (
     safe_subspace,
     support_max,
 )
+from geoschro.tolerances import DEFAULT
 
 HERMITE12 = BasisSpec.hermite(12)
 
@@ -158,6 +159,19 @@ class TestOperatorMatrix:
         M = np.array([[0, 1, 0], [0, 0, 0], [0, 0, 0]], dtype=complex)
         with pytest.raises(ValueError):
             OperatorMatrix(basis, M, "hermitian", 1, 1)
+
+    def test_flag_check_uses_the_callers_tolerance(self):
+        basis = BasisSpec.hermite(3)
+        M = np.diag([1.0, 2.0, 3.0]).astype(complex)
+        M[0, 1] = 1e-11  # Hermitian to 1e-11, outside the default flag tolerance
+        loose = DEFAULT.replace(flag_check=1e-10)
+        with pytest.raises(ValueError):
+            OperatorMatrix(basis, M, "hermitian", 1, 1)
+        assert OperatorMatrix(basis, M, "hermitian", 1, 1, loose).symmetry == "hermitian"
+        assert OperatorMatrix.from_matrix(basis, M, tol=loose).symmetry == "hermitian"
+        assert OperatorMatrix.from_matrix(basis, M).symmetry == "none"
+        assert OperatorMatrix.from_matrix(basis, 1j * M, tol=loose).scaled(1j, loose).symmetry \
+            == "hermitian"
 
     def test_scaled_by_i_flips_flag(self):
         x = build_position(BasisSpec.hermite(6))

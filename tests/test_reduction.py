@@ -37,6 +37,7 @@ from geoschro.reduction import (
     u1_act,
     vertical_vector,
 )
+from geoschro.tolerances import DEFAULT
 
 
 def _unit(basis, index):
@@ -114,6 +115,17 @@ class TestLevelSet:
         with pytest.raises(ZeroVector):
             LevelSetPoint(_unit(basis, 0), -2.0)
 
+    def test_level_set_check_uses_the_callers_tolerance(self):
+        basis = BasisSpec.hermite(3)
+        off = StateVector(basis, [1.0 + 1e-10, 0.0, 0.0])
+        loose = DEFAULT.replace(level_set=1e-9)
+        with pytest.raises(ZeroVector):
+            LevelSetPoint(off, -0.5)
+        point = LevelSetPoint(off, -0.5, loose)
+        assert u1_act(0.4, point, loose).mu == -0.5
+        with pytest.raises(ZeroVector):
+            u1_act(0.4, point)
+
     def test_phase_action_preserves_level_and_ray(self):
         pt = level_set_project(random_state(6, 2), -0.5)
         moved = u1_act(0.7, pt)
@@ -140,6 +152,14 @@ class TestRays:
             Ray(StateVector(basis, [2.0, 0.0]))
         with pytest.raises(ZeroVector):
             Ray(StateVector(basis, [1j, 0.0]))
+
+    def test_ray_checks_use_the_callers_tolerances(self):
+        psi = StateVector(BasisSpec.hermite(3), [1e-6j, 1.0, 0.0])
+        loose = DEFAULT.replace(phase=1e-4)
+        r = ray_of(psi, loose).representative.coefficients
+        assert r[1].real > 0 and r[1].imag == 0.0 and r[0].imag > 0  # anchored past index 0
+        with pytest.raises(ZeroVector):
+            Ray(StateVector(psi.basis, r))
 
     def test_json_round_trip(self):
         r = ray_of(random_state(5, 3))
