@@ -9,7 +9,8 @@ printed as one line per scenario.
 With ``--compare REF_DIR`` every output file is then checked against the file
 of the same name under REF_DIR (an earlier run's output root): each prints
 either "byte-identical" or the largest absolute difference between the
-numbers of the two files.
+numbers of the two files, and the script exits 1 unless every file is
+byte-identical and present under both roots.
 """
 
 import argparse
@@ -24,11 +25,13 @@ REPO = Path(__file__).resolve().parent.parent
 NUMBER = re.compile(rb"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 
 
-def compare(out_root: Path, ref_root: Path) -> None:
+def compare(out_root: Path, ref_root: Path) -> bool:
     """One line per output file: byte-identical, or the max absolute numeric
-    difference when only the numbers differ."""
+    difference when only the numbers differ.  True when every file is
+    byte-identical and present under both roots."""
     rels = sorted({p.relative_to(root) for root in (out_root, ref_root)
                    for p in root.rglob("*") if p.is_file()})
+    same = 0
     for rel in rels:
         a, b = out_root / rel, ref_root / rel
         if not (a.is_file() and b.is_file()):
@@ -37,6 +40,7 @@ def compare(out_root: Path, ref_root: Path) -> None:
         da, db = a.read_bytes(), b.read_bytes()
         if da == db:
             print(f"{rel}: byte-identical")
+            same += 1
             continue
         xa, xb = NUMBER.findall(da), NUMBER.findall(db)
         if NUMBER.split(da) != NUMBER.split(db) or len(xa) != len(xb):
@@ -44,6 +48,7 @@ def compare(out_root: Path, ref_root: Path) -> None:
             continue
         diff = max(abs(float(u) - float(v)) for u, v in zip(xa, xb))
         print(f"{rel}: max abs numeric difference {diff:.3e}")
+    return same == len(rels)
 
 
 def main(argv=None) -> int:
@@ -75,8 +80,8 @@ def main(argv=None) -> int:
                   f"  norm drift {summary['max_norm_drift']:.3e}"
                   f"  J drift {summary['max_J_drift']:.3e}")
     print(f"outputs under {out_root}/ (gnuplot scripts: <scenario>/plot.gp)")
-    if args.compare is not None:
-        compare(out_root, Path(args.compare))
+    if args.compare is not None and not compare(out_root, Path(args.compare)):
+        return 1
     return 0
 
 

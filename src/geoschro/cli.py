@@ -13,7 +13,7 @@ from pathlib import Path
 from .config import SimulationConfig, build_hamiltonian, build_initial_state, parse_config
 from .dynamics import propagate
 from .errors import ConfigError, MissingInput, NumericError, ParseError, SchemaError
-from .reduction import fubini_study_distance, paired_records, ray_of
+from .reduction import diagram_residuals, paired_records
 from .serialize import (
     emit_plot_script,
     write_rays_csv,
@@ -41,27 +41,41 @@ def _trajectory_summary(records) -> dict:
     }
 
 
+def _write_run(config: SimulationConfig, out_dir: Path, seed: int, up,
+               reduced=None) -> dict:
+    """Write a run's trajectory files, summary.json and (with diagnostics)
+    plot.gp, and return the summary.  ``reduced`` = (down records, residuals,
+    drifts) marks a reduce run: it adds the ray files and their summary keys."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    write_trajectory_jsonl(out_dir / "trajectory.jsonl", up, config.outputs.coefficients)
+    write_trajectory_csv(out_dir / "trajectory.csv", up)
+    files = {"trajectory_jsonl": "trajectory.jsonl", "trajectory_csv": "trajectory.csv"}
+    summary = {"kind": "simulate", "seed": seed, "basis": config.basis.to_json_dict()}
+    if reduced is not None:
+        down, residuals, drifts = reduced
+        write_rays_jsonl(out_dir / "rays.jsonl", down)
+        write_rays_csv(out_dir / "rays.csv", down, residuals)
+        files.update(rays_jsonl="rays.jsonl", rays_csv="rays.csv")
+        summary.update(kind="reduce", mu=config.reduction.mu,
+                       dt_reduced=config.reduction.dt_reduced)
+    summary["integrator"] = {"method": config.integrator.method, "dt": config.integrator.dt}
+    summary["time"] = {"t0": config.time.t0, "t1": config.time.t1, "stride": config.time.stride}
+    summary.update(_trajectory_summary(up))
+    if reduced is not None:
+        summary.update(max_residual=max(residuals), projector_drifts=drifts)
+    summary["files"] = files
+    write_summary(out_dir / "summary.json", summary)
+    if config.outputs.diagnostics:
+        emit_plot_script(out_dir / "summary.json")
+    return summary
+
+
 def run_simulate(config: SimulationConfig, out_dir: Path, seed: int = 0) -> dict:
     H = build_hamiltonian(config)
     psi0 = build_initial_state(config)
     records = propagate(H, psi0, config.integrator, config.time.t0, config.time.t1,
                         stride=config.time.stride)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_trajectory_jsonl(out_dir / "trajectory.jsonl", records, config.outputs.coefficients)
-    write_trajectory_csv(out_dir / "trajectory.csv", records)
-    summary = {
-        "kind": "simulate",
-        "seed": seed,
-        "basis": config.basis.to_json_dict(),
-        "integrator": {"method": config.integrator.method, "dt": config.integrator.dt},
-        "time": {"t0": config.time.t0, "t1": config.time.t1, "stride": config.time.stride},
-        **_trajectory_summary(records),
-        "files": {"trajectory_jsonl": "trajectory.jsonl", "trajectory_csv": "trajectory.csv"},
-    }
-    write_summary(out_dir / "summary.json", summary)
-    if config.outputs.diagnostics:
-        emit_plot_script(out_dir / "summary.json")
-    return summary
+    return _write_run(config, out_dir, seed, records)
 
 
 def run_reduce(config: SimulationConfig, out_dir: Path, seed: int = 0) -> dict:
@@ -72,34 +86,7 @@ def run_reduce(config: SimulationConfig, out_dir: Path, seed: int = 0) -> dict:
     up, down, drifts = paired_records(H, psi0, config.reduction.mu, config.integrator,
                                       config.reduction.dt_reduced, config.time.t0,
                                       config.time.t1, stride=config.time.stride)
-    residuals = [fubini_study_distance(ray_of(u.state), d.ray) for u, d in zip(up, down)]
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_trajectory_jsonl(out_dir / "trajectory.jsonl", up, config.outputs.coefficients)
-    write_trajectory_csv(out_dir / "trajectory.csv", up)
-    write_rays_jsonl(out_dir / "rays.jsonl", down)
-    write_rays_csv(out_dir / "rays.csv", down, residuals)
-    summary = {
-        "kind": "reduce",
-        "seed": seed,
-        "basis": config.basis.to_json_dict(),
-        "mu": config.reduction.mu,
-        "dt_reduced": config.reduction.dt_reduced,
-        "integrator": {"method": config.integrator.method, "dt": config.integrator.dt},
-        "time": {"t0": config.time.t0, "t1": config.time.t1, "stride": config.time.stride},
-        **_trajectory_summary(up),
-        "max_residual": max(residuals),
-        "projector_drifts": drifts,
-        "files": {
-            "trajectory_jsonl": "trajectory.jsonl",
-            "trajectory_csv": "trajectory.csv",
-            "rays_jsonl": "rays.jsonl",
-            "rays_csv": "rays.csv",
-        },
-    }
-    write_summary(out_dir / "summary.json", summary)
-    if config.outputs.diagnostics:
-        emit_plot_script(out_dir / "summary.json")
-    return summary
+    return _write_run(config, out_dir, seed, up, (down, diagram_residuals(up, down), drifts))
 
 
 class _Parser(argparse.ArgumentParser):

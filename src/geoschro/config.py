@@ -63,7 +63,6 @@ class ReductionConfig:
 class OutputFlags:
     coefficients: bool = False
     diagnostics: bool = True
-    reduced: bool = False
 
 
 @dataclass(frozen=True)
@@ -107,6 +106,10 @@ def _parse_basis(d, pointer: str) -> BasisSpec:
     kind = _need(d, "kind", pointer)
     if kind not in BASIS_KINDS:
         raise SchemaError(f"{pointer}/kind", f"unknown basis kind {kind!r}")
+    if kind == "hermite1d_probabilist":
+        # norm and J are taken from raw coefficients, which is the L2 norm
+        # only in an orthonormal basis
+        raise SchemaError(f"{pointer}/kind", "simulate and reduce need an orthonormal basis")
     size = _integer(_need(d, "size", pointer), f"{pointer}/size")
     if size < 1:
         raise SchemaError(f"{pointer}/size", "size must be positive")
@@ -139,10 +142,11 @@ def _parse_terms(lst, pointer: str) -> tuple:
         name = _need(entry, "operator", here)
         if not isinstance(name, str):
             raise SchemaError(f"{here}/operator", "expected a string")
-        if name not in BUILTIN_OPERATORS and not (name.endswith(".json") or "/" in name):
+        term = TermConfig(name, _parse_coefficient(_need(entry, "coefficient", here),
+                                                   f"{here}/coefficient"))
+        if name not in BUILTIN_OPERATORS and not term.is_file:
             raise UnknownOperator(name)
-        coeff = _parse_coefficient(_need(entry, "coefficient", here), f"{here}/coefficient")
-        terms.append(TermConfig(name, coeff))
+        terms.append(term)
     return tuple(terms)
 
 
@@ -213,7 +217,7 @@ def _parse_outputs(d, pointer: str) -> OutputFlags:
         return OutputFlags()
     d = _object(d, pointer)
     flags = {}
-    for key in ("coefficients", "diagnostics", "reduced"):
+    for key in ("coefficients", "diagnostics"):
         if key in d:
             if not isinstance(d[key], bool):
                 raise SchemaError(f"{pointer}/{key}", "expected a boolean")

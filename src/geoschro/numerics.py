@@ -14,14 +14,15 @@ product.
 
 Block rule: a set of matrices whose joint nonzero pattern splits into
 connected components (``invariant_blocks``) has those index sets as invariant
-subspaces, and so has every linear combination of the set.  Given the
-blocks, ``hermitian_eigendecompose`` decomposes each block instead of the
-whole matrix: blocks of one size are stacked and go through one batched
-``eigh``, and the three gates run on every block with the same tolerances.
-The eigenvectors of a block land on that block's indices, so V is exactly
-zero off-block and the off-block entries of V^H V - I and HV - V Lambda are
-exact zeros: the gates measure the same quantities as on the whole matrix.
-A single block spanning the whole matrix takes the plain dense path.
+subspaces, and so has every linear combination of the set.
+``hermitian_eigendecompose`` runs the Hermiticity pre-check once on the whole
+matrix and then decomposes each block: blocks of one size are stacked and go
+through one batched ``eigh``, and the orthonormality and eigen-residual gates
+run on every block with the same tolerances.  The eigenvectors of a block
+land on that block's indices, so V is exactly zero off-block and the
+off-block entries of H - H^H, V^H V - I and HV - V Lambda are exact zeros:
+the gates measure the same quantities as on the whole matrix.  Without
+blocks the whole matrix is the one block, and goes the same way.
 """
 
 from __future__ import annotations
@@ -48,21 +49,15 @@ def matmul(A: np.ndarray, X: np.ndarray) -> np.ndarray:
 
 def require_hermitian(H: np.ndarray, tol: float) -> np.ndarray:
     """H as float64 when it is real, complex128 otherwise; NotHermitian
-    unless it is square (or a stack of square matrices) and within tol of its
-    conjugate transpose."""
+    unless it is square and within tol of its conjugate transpose."""
     H = np.asarray(H)
     H = H.astype(np.complex128 if np.iscomplexobj(H) else np.float64, copy=False)
-    if H.ndim < 2 or H.shape[-1] != H.shape[-2]:
+    if H.ndim != 2 or H.shape[0] != H.shape[1]:
         raise NotHermitian("matrix must be square")
-    dev = float(np.max(np.abs(H - _adjoint(H))))
+    dev = float(np.max(np.abs(H - H.conj().T)))
     if not dev <= tol:
         raise NotHermitian(f"Hermiticity deviation {dev:.3e} exceeds {tol:.1e}")
     return H
-
-
-def _adjoint(A: np.ndarray) -> np.ndarray:
-    """Conjugate transpose of a matrix or of every matrix in a stack."""
-    return np.swapaxes(A, -1, -2).conj()
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,18 +67,22 @@ class InvariantBlocks:
     Row j of ``groups[g]`` holds the ascending indices of one block; every
     block of a group has the same size s.  ``flat[g]`` holds the row-major
     positions i*N + j of the group's (k, s, s) sub-matrices, so one ``take``
-    gathers them and one ``put`` scatters them back; it is empty when one
-    block spans every index.
+    gathers them and one ``put`` scatters them back.
     """
 
     size: int
-    groups: tuple                     # of (k, s) int arrays
-    flat: tuple = field(repr=False)   # of (k*s*s,) int arrays
+    groups: tuple                                # of (k, s) int arrays
+    flat: tuple = field(init=False, repr=False)  # of (k*s*s,) int arrays
+
+    def __post_init__(self):
+        n = self.size
+        object.__setattr__(self, "flat", tuple(
+            (idx[:, :, None] * n + idx[:, None, :]).reshape(-1) for idx in self.groups))
 
     @property
     def whole(self) -> bool:
         """One block spanning every index: nothing to split."""
-        return not self.flat
+        return len(self.groups) == 1 and self.groups[0].shape[0] == 1
 
 
 def invariant_blocks(matrices) -> InvariantBlocks:
@@ -112,10 +111,7 @@ def invariant_blocks(matrices) -> InvariantBlocks:
     # sorted(set(...)): a bare np.unique(sizes) costs about 15 ms on its first call
     groups = tuple(np.array([order[a:a + s] for a, m in zip(starts, sizes) if m == s])
                    for s in sorted(set(sizes.tolist())))
-    if len(groups) == 1 and groups[0].shape[0] == 1:
-        return InvariantBlocks(n, groups, ())
-    flat = tuple((idx[:, :, None] * n + idx[:, None, :]).reshape(-1) for idx in groups)
-    return InvariantBlocks(n, groups, flat)
+    return InvariantBlocks(n, groups)
 
 
 @dataclass(frozen=True)
@@ -129,24 +125,20 @@ def hermitian_eigendecompose(H: np.ndarray, tol: Tolerances = DEFAULT,
     """Eigendecompose a Hermitian matrix; validates the returned system.
 
     With ``blocks``, H must be zero outside them (as every combination of the
-    matrices they were found from is): each size group is gathered into a
-    (k, s, s) stack for one batched ``eigh``, and the eigenpairs of a block
-    are placed on its indices.
+    matrices they were found from is); without, the whole matrix is the one
+    block.  Each size group is gathered into a (k, s, s) stack for one
+    batched ``eigh``, and the eigenpairs of a block are placed on its indices.
     """
-    if blocks is None or blocks.whole:
-        H = require_hermitian(H, tol.hermiticity)
-        w, V = _eigh(H)
-        _check_eigensystem(H, w, V, max(1.0, float(np.max(np.abs(H)))), tol)
-        return EigenSystem(w, V)
-    H = np.asarray(H)
-    stacks = []
+    H = require_hermitian(H, tol.hermiticity)
+    n = H.shape[0]
+    if blocks is None:
+        blocks = InvariantBlocks(n, (np.arange(n)[None, :],))
+    scale = max(1.0, float(np.max(np.abs(H))))
+    w = np.empty(n)
+    V = np.zeros((n, n), dtype=H.dtype)
     for idx, flat in zip(blocks.groups, blocks.flat):
         k, s = idx.shape
-        stacks.append(require_hermitian(H.take(flat).reshape(k, s, s), tol.hermiticity))
-    scale = max(1.0, max(float(np.max(np.abs(S))) for S in stacks))
-    w = np.empty(blocks.size)
-    V = np.zeros((blocks.size, blocks.size), dtype=stacks[0].dtype)
-    for S, idx, flat in zip(stacks, blocks.groups, blocks.flat):
+        S = H.take(flat).reshape(k, s, s)
         ws, Vs = _eigh(S)
         _check_eigensystem(S, ws, Vs, scale, tol)
         w[idx.reshape(-1)] = ws.reshape(-1)
@@ -163,8 +155,8 @@ def _eigh(H: np.ndarray):
 
 def _check_eigensystem(H: np.ndarray, w: np.ndarray, V: np.ndarray, scale: float,
                        tol: Tolerances) -> None:
-    """Orthonormality and eigen-residual gates on a matrix or a stack."""
-    ortho = float(np.max(np.abs(_adjoint(V) @ V - np.eye(V.shape[-1]))))
+    """Orthonormality and eigen-residual gates on a stack of matrices."""
+    ortho = float(np.max(np.abs(np.swapaxes(V, -1, -2).conj() @ V - np.eye(V.shape[-1]))))
     if not ortho <= tol.orthonormality:
         raise ConvergenceFailure(f"eigenvector orthonormality residual {ortho:.3e}")
     recon = float(np.max(np.abs(H @ V - V * w[..., None, :])))

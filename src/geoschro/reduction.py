@@ -9,8 +9,9 @@ real and positive).
 Downstairs dynamics is integrated on rank-one projectors, dP/dt = -i[H(t),P],
 with classical RK4 plus two drift corrections: re-symmetrization every step
 and re-projection onto the dominant eigenprojector every ``reproject_every``
-steps.  commuting_diagram_residual compares that flow against the projection
-of the upstairs unitary flow at shared sample times.
+steps.  paired_records runs that flow and the upstairs unitary flow once
+each, recording both at shared sample times, and diagram_residuals compares
+the projection of the one against the other there.
 """
 
 from __future__ import annotations
@@ -310,13 +311,17 @@ def paired_records(H: TDepHamiltonian, psi0: StateVector, mu: float, spec: Integ
     return up, down, drifts
 
 
+def diagram_residuals(up, down, tol: Tolerances = DEFAULT) -> list[float]:
+    """The commuting-diagram residual at each shared record time of
+    ``paired_records``: the Fubini-Study distance between the ray of the
+    upstairs state and the downstairs ray."""
+    return [fubini_study_distance(ray_of(u.state, tol), d.ray) for u, d in zip(up, down)]
+
+
 def commuting_diagram_residual(H: TDepHamiltonian, psi0: StateVector, mu: float,
                                spec: IntegratorSpec, dt_reduced: float, t0: float, t1: float,
                                stride: int = 1, tol: Tolerances = DEFAULT) -> float:
     """max over shared sample times of the Fubini-Study distance between the
     projected unitary flow and the independently integrated ray flow."""
     up, down, _ = paired_records(H, psi0, mu, spec, dt_reduced, t0, t1, stride, tol)
-    worst = 0.0
-    for u, d in zip(up, down):
-        worst = max(worst, fubini_study_distance(ray_of(u.state, tol), d.ray))
-    return worst
+    return max(diagram_residuals(up, down, tol))

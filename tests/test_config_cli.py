@@ -19,6 +19,7 @@ from geoschro.config import (
 from geoschro.errors import MissingInput, ParseError, SchemaError, UnknownOperator
 from geoschro.hilbert import BasisSpec, StateVector
 from geoschro.operators import build_position
+from geoschro.reduction import diagram_residuals, paired_records
 from geoschro.serialize import emit_plot_script
 from geoschro.tolerances import DEFAULT, parse_overrides
 
@@ -74,6 +75,23 @@ class TestSchema:
         cfg["hamiltonian"][0]["operator"] = "q2"
         with pytest.raises(UnknownOperator):
             parse_config(_write_config(tmp_path, cfg))
+
+    @pytest.mark.parametrize("command", ["simulate", "reduce"])
+    def test_non_orthonormal_basis_is_1(self, tmp_path, capsys, command):
+        # the raw coefficient norm of basis_vector 3 is 1, its L2 norm 1.823
+        cfg = _base_config(basis={"kind": "hermite1d_probabilist", "size": 8},
+                           hamiltonian=[{"operator": "id",
+                                         "coefficient": {"kind": "constant", "c": 1.0}}],
+                           initial_state={"kind": "basis_vector", "index": 3},
+                           reduction={"mu": -0.5, "dt_reduced": 0.1})
+        config_path = _write_config(tmp_path, cfg)
+        with pytest.raises(SchemaError) as err:
+            parse_config(config_path)
+        assert err.value.pointer == "/basis/kind"
+        out = tmp_path / "o"
+        assert cli.main([command, "--config", str(config_path), "--out", str(out)]) == 1
+        assert "/basis/kind" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_reversed_time_pointer(self, tmp_path):
         cfg = _base_config(time={"t0": 1.0, "t1": 0.0})
@@ -271,6 +289,19 @@ class TestReducePipeline:
         ray_line = json.loads((out / "rays.jsonl").read_text().splitlines()[0])
         assert set(ray_line) == {"t", "ray", "fs_distance_to_initial"}
         assert set(ray_line["ray"]) == {"basis", "re", "im"}
+
+    def test_rays_csv_residuals_are_the_diagram_residuals(self, tmp_path):
+        config_path = _write_config(tmp_path, self._reduce_config())
+        out = tmp_path / "red"
+        assert cli.main(["reduce", "--config", str(config_path), "--out", str(out)]) == 0
+        config = parse_config(config_path)
+        up, down, _ = paired_records(build_hamiltonian(config), build_initial_state(config),
+                                     config.reduction.mu, config.integrator,
+                                     config.reduction.dt_reduced, config.time.t0,
+                                     config.time.t1, stride=config.time.stride)
+        lines = (out / "rays.csv").read_text().splitlines()
+        assert lines[0].split(",")[-1] == "fs_residual"
+        assert [float(line.split(",")[-1]) for line in lines[1:]] == diagram_residuals(up, down)
 
     def test_reduce_without_block_fails(self, tmp_path):
         config_path = _write_config(tmp_path, _base_config())

@@ -41,6 +41,12 @@ def test_require_hermitian_accepts_and_rejects():
         require_hermitian(np.zeros((2, 3)), 1e-12)
 
 
+def test_eigendecompose_rejects_what_is_not_one_square_matrix():
+    for bad in (np.zeros((2, 3)), np.zeros((2, 3, 3)), np.zeros(3)):
+        with pytest.raises(NotHermitian):
+            hermitian_eigendecompose(bad)
+
+
 def test_real_matrices_stay_real_and_keep_the_gates():
     rng = np.random.default_rng(5)
     A = rng.standard_normal((6, 6))

@@ -22,6 +22,7 @@ from geoschro.reduction import (
     Ray,
     _rk4_projector_step,
     commuting_diagram_residual,
+    diagram_residuals,
     dominant_ray,
     fubini_study_distance,
     horizontal_project,
@@ -402,3 +403,11 @@ class TestCommutingDiagram:
                                           0.0, 0.55, stride=10)
         assert [r.t for r in up] == [r.t for r in down]
         assert set(drifts) == {"trace", "hermiticity", "idempotency"}
+
+    def test_residual_is_the_worst_paired_residual(self):
+        H = _driven(8)
+        args = (H, random_state(8, 5), -0.5, IntegratorSpec("magnus2", 1e-2), 1e-2, 0.0, 0.55, 10)
+        up, down, _ = paired_records(*args)
+        residuals = diagram_residuals(up, down)
+        assert len(residuals) == len(up)
+        assert commuting_diagram_residual(*args) == max(residuals)

@@ -2,8 +2,11 @@
 
 import pytest
 
+import geoschro.dynamics as dynamics
+import geoschro.reduction as reduction
 import geoschro.verify as verify
 from geoschro.errors import UnknownSuite
+from geoschro.tolerances import DEFAULT
 from geoschro.verify import SUITE_NAMES, VerifyCase, run_verify
 
 
@@ -42,3 +45,22 @@ def test_all_merges_in_declared_order(monkeypatch):
     monkeypatch.setattr(verify, "SUITES", {n: make(n) for n in names})
     report = run_verify("all", 8, 0)
     assert [c["name"] for c in report["cases"]] == ["alpha_case", "beta_case", "gamma_case"]
+
+
+def test_reduction_suite_integrates_each_flow_once(monkeypatch):
+    calls = {"propagate": 0, "reduced_propagate": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    originals = {"propagate": dynamics.propagate,
+                 "reduced_propagate": reduction.reduced_propagate}
+    for module in (reduction, verify):
+        for name, fn in originals.items():
+            monkeypatch.setattr(module, name, counted(name, fn), raising=False)
+    cases = verify.suite_reduction(16, 1, DEFAULT)
+    assert calls == {"propagate": 1, "reduced_propagate": 1}
+    assert len(cases) == 10 and all(c.passed for c in cases)
