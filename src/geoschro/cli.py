@@ -120,19 +120,11 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _cmd_simulate(args) -> int:
-    config = parse_config(args.config)
-    summary = run_simulate(config, Path(args.out), args.seed)
-    print(f"wrote {Path(args.out) / 'summary.json'}"
-          f" (max_norm_drift {summary['max_norm_drift']:.3e})")
-    return 0
-
-
-def _cmd_reduce(args) -> int:
-    config = parse_config(args.config)
-    summary = run_reduce(config, Path(args.out), args.seed)
-    print(f"wrote {Path(args.out) / 'summary.json'}"
-          f" (max_residual {summary['max_residual']:.3e})")
+def _cmd_run(args) -> int:
+    run, key = {"simulate": (run_simulate, "max_norm_drift"),
+                "reduce": (run_reduce, "max_residual")}[args.command]
+    summary = run(parse_config(args.config), Path(args.out), args.seed)
+    print(f"wrote {Path(args.out) / 'summary.json'} ({key} {summary[key]:.3e})")
     return 0
 
 
@@ -161,13 +153,11 @@ def _cmd_plot(args) -> int:
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        if args.command == "simulate":
-            return _cmd_simulate(args)
         if args.command == "verify":
             return _cmd_verify(args)
-        if args.command == "reduce":
-            return _cmd_reduce(args)
-        return _cmd_plot(args)
+        if args.command == "plot":
+            return _cmd_plot(args)
+        return _cmd_run(args)
     except MissingInput as exc:
         print(f"error: missing input: {exc}", file=sys.stderr)
         return 3

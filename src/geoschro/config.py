@@ -20,10 +20,10 @@ from .dynamics import (
     IntegratorSpec,
     TDepHamiltonian,
 )
-from .errors import MissingInput, SchemaError, UnknownOperator
+from .errors import NumericError, SchemaError, UnknownOperator
 from .hilbert import BASIS_KINDS, BasisSpec, StateVector, coherent_state
 from .operators import BUILTIN_OPERATORS, OperatorMatrix, build_named
-from .serialize import loads_finite
+from .serialize import load_json
 
 INITIAL_STATE_KINDS = ("basis_vector", "coherent", "coefficients_file")
 
@@ -101,6 +101,25 @@ def _object(value, pointer: str) -> dict:
     return value
 
 
+def _built(pointer: str, make, *args):
+    """make(*args) on outside input; a failure is a SchemaError at pointer."""
+    try:
+        return make(*args)
+    except KeyError as exc:
+        raise SchemaError(pointer, f"missing field {exc.args[0]!r}") from exc
+    except (ArithmeticError, LookupError, TypeError, ValueError, NumericError) as exc:
+        raise SchemaError(pointer, str(exc)) from exc
+
+
+def _from_file(pointer: str, cls, path: Path, basis: BasisSpec):
+    """cls.from_json_dict of the file at path, which must be on basis."""
+    obj = _built(pointer, cls.from_json_dict, _object(load_json(path), pointer))
+    if obj.basis != basis:
+        raise SchemaError(pointer, f"{path.name} is on basis {obj.basis.to_json_dict()},"
+                                   f" not the config's {basis.to_json_dict()}")
+    return obj
+
+
 def _parse_basis(d, pointer: str) -> BasisSpec:
     d = _object(d, pointer)
     kind = _need(d, "kind", pointer)
@@ -113,10 +132,7 @@ def _parse_basis(d, pointer: str) -> BasisSpec:
     size = _integer(_need(d, "size", pointer), f"{pointer}/size")
     if size < 1:
         raise SchemaError(f"{pointer}/size", "size must be positive")
-    try:
-        return BasisSpec.from_json_dict(d)
-    except Exception as exc:  # dimension/degree mismatches
-        raise SchemaError(pointer, str(exc)) from exc
+    return _built(pointer, BasisSpec.from_json_dict, d)
 
 
 def _parse_coefficient(d, pointer: str) -> CoefficientFn:
@@ -124,12 +140,7 @@ def _parse_coefficient(d, pointer: str) -> CoefficientFn:
     kind = _need(d, "kind", pointer)
     if kind not in COEFFICIENT_KINDS:
         raise SchemaError(f"{pointer}/kind", f"unknown coefficient kind {kind!r}")
-    try:
-        return CoefficientFn.from_json_dict(d)
-    except KeyError as exc:
-        raise SchemaError(pointer, f"missing field {exc.args[0]!r}") from exc
-    except ValueError as exc:
-        raise SchemaError(pointer, str(exc)) from exc
+    return _built(pointer, CoefficientFn.from_json_dict, d)
 
 
 def _parse_terms(lst, pointer: str) -> tuple:
@@ -240,32 +251,20 @@ def parse_config_dict(raw: dict, base_dir: Path) -> SimulationConfig:
 
 
 def parse_config(path) -> SimulationConfig:
-    path = Path(path)
-    if not path.is_file():
-        raise MissingInput(str(path))
-    try:
-        text = path.read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise MissingInput(f"{path}: {exc}") from exc
-    return parse_config_dict(loads_finite(text, path), path.parent)
-
-
-def load_operator_file(path: Path) -> OperatorMatrix:
-    if not path.is_file():
-        raise MissingInput(str(path))
-    return OperatorMatrix.from_json_dict(loads_finite(path.read_text(encoding="utf-8"), path))
+    return parse_config_dict(load_json(path), Path(path).parent)
 
 
 def build_hamiltonian(config: SimulationConfig) -> TDepHamiltonian:
     """Resolve term operators (builtins or files) into a TDepHamiltonian."""
     terms = []
-    for term in config.terms:
+    for k, term in enumerate(config.terms):
+        here = f"/hamiltonian/{k}/operator"
         if term.is_file:
-            op = load_operator_file(config.base_dir / term.operator)
+            op = _from_file(here, OperatorMatrix, config.base_dir / term.operator, config.basis)
         else:
-            op = build_named(term.operator, config.basis)
+            op = _built(here, build_named, term.operator, config.basis)
         terms.append((term.coefficient, op, term.operator))
-    return TDepHamiltonian(tuple(terms))
+    return _built("/hamiltonian", TDepHamiltonian, tuple(terms))
 
 
 def build_initial_state(config: SimulationConfig) -> StateVector:
@@ -275,8 +274,11 @@ def build_initial_state(config: SimulationConfig) -> StateVector:
         c[init.index] = 1.0
         return StateVector(config.basis, c)
     if init.kind == "coherent":
-        return coherent_state(init.alpha, config.basis.size)
-    path = config.base_dir / init.path
-    if not path.is_file():
-        raise MissingInput(str(path))
-    return StateVector.from_json_dict(loads_finite(path.read_text(encoding="utf-8"), path))
+        return _built("/initial_state/alpha", coherent_state, init.alpha, config.basis.size)
+    psi = _from_file("/initial_state/path", StateVector, config.base_dir / init.path, config.basis)
+    with np.errstate(over="ignore"):
+        nrm = float(np.linalg.norm(psi.coefficients))
+    if not 0.0 < nrm * nrm < np.inf:  # every record divides by the squared norm
+        raise SchemaError("/initial_state/path", f"the state in {init.path} has norm {nrm!r},"
+                                                 " whose square is not positive and finite")
+    return psi

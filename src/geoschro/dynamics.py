@@ -265,8 +265,8 @@ class TrajectoryRecord:
     def to_json_dict(self, include_coefficients: bool = False) -> dict:
         out = {"t": self.t, "norm": self.norm, "J": self.momentum_J, "energy": self.energy}
         if include_coefficients:
-            out["re"] = [float(v) for v in self.state.coefficients.real]
-            out["im"] = [float(v) for v in self.state.coefficients.imag]
+            out["re"] = self.state.coefficients.real.tolist()
+            out["im"] = self.state.coefficients.imag.tolist()
         return out
 
 

@@ -29,7 +29,7 @@ from math import comb, factorial, sqrt
 
 import numpy as np
 
-from .errors import BasisMismatch, LengthMismatch, UnsupportedBasis
+from .errors import BasisMismatch, LengthMismatch, UnsupportedBasis, ZeroVector
 
 BASIS_KINDS = (
     "hermite1d_orthonormal",
@@ -147,8 +147,8 @@ class StateVector:
     def to_json_dict(self) -> dict:
         return {
             "basis": self.basis.to_json_dict(),
-            "re": [float(v) for v in self.coefficients.real],
-            "im": [float(v) for v in self.coefficients.imag],
+            "re": self.coefficients.real.tolist(),
+            "im": self.coefficients.imag.tolist(),
         }
 
     @staticmethod
@@ -252,7 +252,10 @@ def coherent_state(alpha: complex, size: int, normalize: bool = True) -> StateVe
     phase = np.exp(1j * n * np.angle(alpha)) if alpha != 0 else np.ones(size)
     c = mod * phase
     if normalize:
-        c = c / np.linalg.norm(c)
+        nrm = np.linalg.norm(c)
+        if nrm == 0.0:
+            raise ZeroVector(f"coherent amplitudes underflow at alpha={alpha!r}, size {size}")
+        c = c / nrm
     return StateVector(BasisSpec.hermite(size), c)
 
 

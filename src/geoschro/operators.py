@@ -112,8 +112,8 @@ class OperatorMatrix:
             "symmetry": self.symmetry,
             "raise_band": self.raise_band,
             "lower_band": self.lower_band,
-            "re": [[float(v) for v in row] for row in self.matrix.real],
-            "im": [[float(v) for v in row] for row in self.matrix.imag],
+            "re": self.matrix.real.tolist(),
+            "im": self.matrix.imag.tolist(),
         }
 
     @staticmethod
@@ -278,30 +278,25 @@ def metaplectic_set(basis: BasisSpec) -> list[OperatorMatrix]:
     return [p2, x2, xppx, build_momentum(basis), build_position(basis), build_identity(basis)]
 
 
-BUILTIN_OPERATORS = ("p2", "x2", "xp_px", "p", "x", "id", "Lx", "Ly", "Lz",
-                     "fourier_p2", "d_dx_prob")
+BUILTINS = {
+    "p2": lambda basis: build_quadratics(basis)[1],
+    "x2": lambda basis: build_quadratics(basis)[0],
+    "xp_px": lambda basis: build_quadratics(basis)[2],
+    "p": build_momentum,
+    "x": build_position,
+    "id": build_identity,
+    "Lx": lambda basis: build_angular_momentum(basis)[0],
+    "Ly": lambda basis: build_angular_momentum(basis)[1],
+    "Lz": lambda basis: build_angular_momentum(basis)[2],
+    "fourier_p2": build_fourier_p_squared,
+}
+BUILTIN_OPERATORS = tuple(BUILTINS)
 
 
 def build_named(name: str, basis: BasisSpec) -> OperatorMatrix:
-    if name == "p2":
-        return build_quadratics(basis)[1]
-    if name == "x2":
-        return build_quadratics(basis)[0]
-    if name == "xp_px":
-        return build_quadratics(basis)[2]
-    if name == "p":
-        return build_momentum(basis)
-    if name == "x":
-        return build_position(basis)
-    if name == "id":
-        return build_identity(basis)
-    if name in ("Lx", "Ly", "Lz"):
-        return build_angular_momentum(basis)["Lx Ly Lz".split().index(name)]
-    if name == "fourier_p2":
-        return build_fourier_p_squared(basis)
-    if name == "d_dx_prob":
-        return build_derivative_probabilist(basis)
-    raise UnsupportedBasis(f"not a builtin operator: {name!r}")
+    if name not in BUILTINS:
+        raise UnsupportedBasis(f"not a builtin operator: {name!r}")
+    return BUILTINS[name](basis)
 
 
 # ---------------------------------------------------------------------------

@@ -37,13 +37,21 @@ def _finite_float(token: str) -> float:
     return value
 
 
-def loads_finite(text: str, source) -> object:
-    """json.loads with NaN and Infinity, spelled out or overflowed, rejected
-    as a ParseError naming source."""
+def load_json(path) -> object:
+    """The JSON value in the file at path.  A missing or non-UTF-8 file is
+    MissingInput; bad JSON, or NaN or Infinity spelled out or overflowed, is a
+    ParseError naming the file."""
+    path = Path(path)
+    if not path.is_file():
+        raise MissingInput(str(path))
+    try:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise MissingInput(f"{path}: {exc}") from exc
     try:
         return json.loads(text, parse_constant=_finite_float, parse_float=_finite_float)
     except ValueError as exc:  # json.JSONDecodeError included
-        raise ParseError(f"{source}: {exc}") from exc
+        raise ParseError(f"{path}: {exc}") from exc
 
 
 def dumps_compact(obj) -> str:
@@ -84,12 +92,6 @@ def write_summary(path: Path, summary: dict) -> None:
     path.write_text(_encode(_INDENTED, summary) + "\n", encoding="utf-8")
 
 
-def load_summary(path: Path) -> dict:
-    if not path.is_file():
-        raise MissingInput(str(path))
-    return loads_finite(path.read_text(encoding="utf-8"), path)
-
-
 _STANZA = """set output "{png}"
 set ylabel "{label}"
 plot "{csv}" using 1:{column} with linespoints pointtype 7 pointsize 0.3
@@ -103,7 +105,7 @@ def emit_plot_script(summary_path) -> Path:
     A missing mirror is reported, by path, before anything is written.
     """
     summary_path = Path(summary_path)
-    summary = load_summary(summary_path)
+    summary = load_json(summary_path)
     out_dir = summary_path.parent
     files = summary.get("files", {})
 

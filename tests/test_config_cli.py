@@ -439,3 +439,89 @@ class TestExitCodes:
         tol = parse_overrides(["hermiticity=0", " phase = 1e-4"])
         assert tol == DEFAULT.replace(hermiticity=0.0, phase=1e-4)
         assert parse_overrides([]) == DEFAULT
+
+
+def _edited(d, **changes):
+    """A copy of d with fields replaced, or deleted when the new value is None."""
+    d = dict(d)
+    for key, value in changes.items():
+        if value is None:
+            del d[key]
+        else:
+            d[key] = value
+    return d
+
+
+def _x_file(size):
+    """The operator file of x on the Hermite basis of this size."""
+    return build_position(BasisSpec.hermite(size)).to_json_dict()
+
+
+def _psi_file(size):
+    """The coefficients file of basis vector 0 on the Hermite basis of this size."""
+    return StateVector(BasisSpec.hermite(size), np.eye(size)[0]).to_json_dict()
+
+
+def _first_operator(name):
+    return {"hamiltonian": [{"operator": name, "coefficient": {"kind": "constant", "c": 0.5}},
+                            {"operator": "x2", "coefficient": {"kind": "constant", "c": 0.5}}]}
+
+
+_OP_TERM = _first_operator("op.json")
+_PSI_STATE = {"initial_state": {"kind": "coefficients_file", "path": "psi.json"}}
+_OP_AT = "/hamiltonian/0/operator"
+_PSI_AT = "/initial_state/path"
+
+# (id, files to write next to the config: JSON values or raw bytes, config
+#  overrides (None runs `plot` on summary.json instead of `simulate`),
+#  exit code, stderr fragment naming the offending field or file)
+_ERROR_CORPUS = [
+    ("Lx_on_1d_basis", {}, _first_operator("Lx"), 1, _OP_AT),
+    ("fourier_p2_on_1d_basis", {}, _first_operator("fourier_p2"), 1, _OP_AT),
+    ("op_without_re", {"op.json": _edited(_x_file(8), re=None)}, _OP_TERM, 1, _OP_AT),
+    ("op_re_not_numbers", {"op.json": _edited(_x_file(8), re="abc")}, _OP_TERM, 1, _OP_AT),
+    ("op_is_an_array", {"op.json": [1, 2]}, _OP_TERM, 1, _OP_AT),
+    ("op_hermitian_flag_violated", {"op.json": _edited(_x_file(8), re=np.eye(8, k=1).tolist())},
+     _OP_TERM, 1, _OP_AT),
+    ("op_bands_too_narrow", {"op.json": _edited(_x_file(8), raise_band=0)}, _OP_TERM, 1, _OP_AT),
+    ("op_unknown_basis_kind",
+     {"op.json": _edited(_x_file(8), basis={"kind": "laguerre", "size": 8})}, _OP_TERM, 1, _OP_AT),
+    ("op_not_flagged_hermitian", {"op.json": _edited(_x_file(8), symmetry="none")}, _OP_TERM, 1,
+     "/hamiltonian: term 'op.json'"),
+    ("op_on_smaller_basis", {"op.json": _x_file(4)}, _OP_TERM, 1, _OP_AT),
+    ("psi_without_im", {"psi.json": _edited(_psi_file(8), im=None)}, _PSI_STATE, 1, _PSI_AT),
+    ("psi_on_smaller_basis", {"psi.json": _psi_file(4)}, _PSI_STATE, 1, _PSI_AT),
+    ("psi_zero_vector", {"psi.json": _edited(_psi_file(8), re=[0.0] * 8)}, _PSI_STATE, 1, _PSI_AT),
+    ("psi_norm_overflows", {"psi.json": _edited(_psi_file(8), re=[1e200] * 8)}, _PSI_STATE, 1,
+     _PSI_AT),
+    ("coherent_amplitudes_underflow", {}, {"initial_state": {"kind": "coherent", "alpha": 40}},
+     1, "/initial_state/alpha"),
+    ("coherent_alpha_overflows", {}, {"initial_state": {"kind": "coherent", "alpha": 1e200}},
+     1, "/initial_state/alpha"),
+    ("op_not_utf8", {"op.json": b"\xff\xfe" + json.dumps(_x_file(8)).encode()}, _OP_TERM, 3,
+     "op.json"),
+    ("summary_not_utf8", {"summary.json": b'\xff{"files": {}}'}, None, 3, "summary.json"),
+]
+
+
+@pytest.mark.parametrize("files,overrides,code,fragment",
+                         [case[1:] for case in _ERROR_CORPUS],
+                         ids=[case[0] for case in _ERROR_CORPUS])
+def test_error_contract_corpus(tmp_path, files, overrides, code, fragment):
+    """Each bad input a config can name exits with its documented code, names
+    the field or file at fault, prints no traceback or warning and writes
+    nothing."""
+    for name, content in files.items():
+        raw = content if isinstance(content, bytes) else json.dumps(content).encode()
+        (tmp_path / name).write_bytes(raw)
+    if overrides is None:
+        argv = ["plot", "--summary", str(tmp_path / "summary.json")]
+    else:
+        config_path = _write_config(tmp_path, _base_config(**overrides))
+        argv = ["simulate", "--config", str(config_path), "--out", str(tmp_path / "o")]
+    before = sorted(tmp_path.iterdir())
+    proc = _run_cli(*argv)
+    assert proc.returncode == code, proc.stderr
+    assert fragment in proc.stderr
+    assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+    assert sorted(tmp_path.iterdir()) == before

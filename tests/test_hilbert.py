@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
-from geoschro.errors import BasisMismatch, LengthMismatch, UnsupportedBasis
+from geoschro.errors import BasisMismatch, LengthMismatch, UnsupportedBasis, ZeroVector
 from geoschro.hilbert import (
     BasisSpec,
     RealChartPoint,
@@ -197,6 +197,13 @@ class TestStateFactories:
 
     def test_coherent_normalized(self):
         assert norm(coherent_state(1.3, 64)) == pytest.approx(1.0, abs=1e-13)
+
+    @pytest.mark.filterwarnings("error")
+    def test_coherent_underflow_is_zero_vector(self):
+        # e^{-|alpha|^2/2} = e^{-800} underflows every amplitude at size 8;
+        # the normalization must refuse before it divides 0 by 0
+        with pytest.raises(ZeroVector):
+            coherent_state(40.0, 8)
 
     def test_monomial_gaussian_m0(self):
         psi = monomial_gaussian_state(0, 6)
