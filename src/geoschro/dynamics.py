@@ -27,7 +27,7 @@ work on the whole matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import sin
+from math import isfinite, sin
 
 import numpy as np
 
@@ -44,6 +44,7 @@ from .operators import OperatorMatrix, build_quadratics
 from .tolerances import DEFAULT, Tolerances
 
 INTEGRATOR_METHODS = ("exact_eig", "magnus2", "cayley2")
+MAX_STEPS = 10**7  # the most steps one time grid may hold
 COEFFICIENT_KINDS = ("constant", "sinusoid", "polynomial", "table")
 
 
@@ -97,7 +98,10 @@ class CoefficientFn:
         if self.kind == "constant":
             return self.c
         if self.kind == "sinusoid":
-            return self.a * sin(self.omega * t + self.phase)
+            arg = self.omega * t + self.phase
+            if not isfinite(arg):
+                raise NumericError(f"sinusoid argument {arg!r} at t={t!r} is not finite")
+            return self.a * sin(arg)
         if self.kind == "polynomial":
             acc = 0.0
             for coeff in reversed(self.coeffs):
@@ -130,12 +134,11 @@ class CoefficientFn:
 
 @dataclass(frozen=True)
 class TDepHamiltonian:
-    """H(t) = sum b_a(t) H_a.  When every H_a has zero imaginary part, the
-    real parts are kept and H(t) is assembled as a float64 array.  ``blocks``
+    """H(t) = sum b_a(t) H_a.  Each H_a keeps the dtype its OperatorMatrix
+    chose, so H(t) is float64 exactly when every term is real.  ``blocks``
     holds the invariant blocks of the H_a, found once here."""
 
     terms: tuple  # of (CoefficientFn, OperatorMatrix, label)
-    matrices: tuple = field(init=False, repr=False, compare=False)
     blocks: InvariantBlocks = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -148,12 +151,8 @@ class TDepHamiltonian:
                 raise BasisMismatch(f"term {label!r} uses a different basis")
             if op.symmetry != "hermitian":
                 raise NotHermitian(f"term {label!r} is not flagged Hermitian")
-        matrices = tuple(op.matrix for _, op, _ in terms)
-        if not any(np.any(m.imag) for m in matrices):
-            matrices = tuple(m.real for m in matrices)
         object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "matrices", matrices)
-        object.__setattr__(self, "blocks", invariant_blocks(matrices))
+        object.__setattr__(self, "blocks", invariant_blocks([op.matrix for _, op, _ in terms]))
 
     @property
     def basis(self):
@@ -186,11 +185,11 @@ def assemble(H: TDepHamiltonian, t: float) -> np.ndarray:
     only overflow is left to check.
     """
     n = H.basis.size
-    M = np.zeros((n, n), dtype=H.matrices[0].dtype)
+    M = np.zeros((n, n), dtype=np.result_type(*(op.matrix for _, op, _ in H.terms)))
     try:
         with np.errstate(over="raise", invalid="raise"):
-            for (coeff, _, _), mat in zip(H.terms, H.matrices):
-                M += coeff(t) * mat
+            for coeff, op, _ in H.terms:
+                M += coeff(t) * op.matrix
     except FloatingPointError as exc:
         raise NumericError(f"non-finite H(t) entries at t={t!r}") from exc
     if not np.all(np.isfinite(M.view(np.float64))):
@@ -274,7 +273,8 @@ def _time_grid(t0: float, t1: float, dt: float, knots=()) -> list[float]:
     """Closed grid t0, t0+dt, ... with the final step shortened onto t1.
 
     The grid restarts at every knot strictly inside (t0, t1), so it passes
-    exactly through each of them.
+    exactly through each of them.  A grid that would need more than
+    MAX_STEPS steps is a NumericError, raised before it is built.
     """
     if not dt > 0:
         raise ValueError("dt must be positive")
@@ -283,6 +283,11 @@ def _time_grid(t0: float, t1: float, dt: float, knots=()) -> list[float]:
     bounds = [t0] + sorted({float(k) for k in knots if t0 < k < t1}) + [t1]
     times = [t0]
     for a, b in zip(bounds[:-1], bounds[1:]):
+        steps = (float(b) - float(a)) / dt
+        left = MAX_STEPS - (len(times) - 1)
+        if steps > left:
+            raise NumericError(f"time grid needs {steps:.6g} more steps, "
+                               f"only {left} of MAX_STEPS={MAX_STEPS} are left")
         # tolerate 1-ulp-scale misfits so dt that "divides" (b-a) lands exactly
         slack = 64.0 * np.finfo(float).eps * max(1.0, abs(b), abs(a))
         k = 1
@@ -345,14 +350,20 @@ def _step_operators(H: TDepHamiltonian, spec: IntegratorSpec, tol: Tolerances):
 def _advance(H: TDepHamiltonian, spec: IntegratorSpec, times: list[float],
              vec0: np.ndarray, tol: Tolerances):
     """Yield (k, vec at times[k]) for k = 1, 2, ... .  exact_eig evaluates
-    every point from the origin; the stepped methods chain step to step."""
+    every point from the origin; the stepped methods chain step to step.  A
+    step that overflows raises NumericError naming the time it steps to."""
     step = _step_operators(H, spec, tol)
     current = vec0
     for k in range(1, len(times)):
-        if spec.method == "exact_eig":
-            current = step(times[0], times[k] - times[0], vec0)
-        else:
-            current = step(times[k - 1], times[k] - times[k - 1], current)
+        try:
+            # the guard is left before the yield, so callers run without it
+            with np.errstate(over="raise", invalid="raise"):
+                if spec.method == "exact_eig":
+                    current = step(times[0], times[k] - times[0], vec0)
+                else:
+                    current = step(times[k - 1], times[k] - times[k - 1], current)
+        except FloatingPointError as exc:
+            raise NumericError(f"{spec.method} step overflowed at t={times[k]!r}") from exc
         yield k, current
 
 

@@ -5,12 +5,13 @@ Lambda} V^H, not from scaling-and-squaring: the eigenvector matrix is
 orthonormal to roundoff, so every step is unitary to roundoff and norm /
 momentum conservation tests inherit that guarantee.
 
-Dtype rule: a real matrix stays real.  A real symmetric H is decomposed by
-the real ``eigh`` into real orthogonal eigenvectors, and the same three gates
-(Hermiticity, orthonormality, eigen residual) run in real arithmetic with the
-same tolerances; a complex H takes the complex path.  State vectors are
-always complex, and ``matmul`` applies a real matrix to them as one real
-product.
+Dtype rule: a real matrix stays real.  Each operator is stored real or
+complex when it is built, and H(t) is real exactly when every term is.  A
+real symmetric H is decomposed by the real ``eigh`` into real orthogonal
+eigenvectors, and the same three gates (Hermiticity, orthonormality, eigen
+residual) run in real arithmetic with the same tolerances; a complex H takes
+the complex path.  State vectors are always complex, and ``matmul`` applies
+a real matrix to them as one real product.
 
 Block rule: a set of matrices whose joint nonzero pattern splits into
 connected components (``invariant_blocks``) has those index sets as invariant

@@ -43,7 +43,8 @@ def _band_limits(M: np.ndarray) -> tuple[int, int]:
 class OperatorMatrix:
     """A dense operator matrix whose symmetry flag is checked against the
     flag tolerance of ``tol`` and whose declared bands are checked to cover
-    its nonzero pattern."""
+    its nonzero pattern.  It is stored as complex128 when any entry has a
+    nonzero imaginary part and as a C-contiguous float64 array otherwise."""
 
     basis: BasisSpec
     matrix: np.ndarray
@@ -53,7 +54,9 @@ class OperatorMatrix:
     tol: InitVar[Tolerances] = DEFAULT
 
     def __post_init__(self, tol):
-        M = np.asarray(self.matrix, dtype=np.complex128)
+        M = np.asarray(self.matrix)
+        real = not (np.iscomplexobj(M) and np.any(M.imag))
+        M = np.ascontiguousarray(M.real if real else M, np.float64 if real else np.complex128)
         n = self.basis.size
         if M.shape != (n, n):
             raise BasisMismatch(f"matrix shape {M.shape} does not match basis size {n}")
@@ -82,7 +85,7 @@ class OperatorMatrix:
     def from_matrix(basis: BasisSpec, M: np.ndarray, symmetry: str | None = None,
                     tol: Tolerances = DEFAULT) -> "OperatorMatrix":
         """Wrap a raw matrix, measuring bands and inferring the symmetry flag."""
-        M = np.asarray(M, dtype=np.complex128)
+        M = np.asarray(M)
         if symmetry is None:
             scale = max(1.0, float(np.max(np.abs(M))) if M.size else 1.0)
             if float(np.max(np.abs(M - M.conj().T))) <= tol.flag_check * scale:
@@ -160,7 +163,7 @@ def build_position(basis: BasisSpec) -> OperatorMatrix:
     _require_kind(basis, "hermite1d_orthonormal")
     n = basis.size
     off = np.sqrt(np.arange(1, n) / 2.0)
-    M = np.zeros((n, n), dtype=np.complex128)
+    M = np.zeros((n, n))
     M[np.arange(n - 1), np.arange(1, n)] = off
     M[np.arange(1, n), np.arange(n - 1)] = off
     return OperatorMatrix(basis, M, "hermitian", 1, 1)
@@ -187,8 +190,8 @@ def build_quadratics(basis: BasisSpec) -> tuple[OperatorMatrix, OperatorMatrix, 
     _require_kind(basis, "hermite1d_orthonormal")
     n = basis.size
     diag = np.arange(n) + 0.5
-    x2 = np.zeros((n, n), dtype=np.complex128)
-    p2 = np.zeros((n, n), dtype=np.complex128)
+    x2 = np.zeros((n, n))
+    p2 = np.zeros((n, n))
     xppx = np.zeros((n, n), dtype=np.complex128)
     x2[np.arange(n), np.arange(n)] = diag
     p2[np.arange(n), np.arange(n)] = diag
@@ -210,14 +213,14 @@ def build_quadratics(basis: BasisSpec) -> tuple[OperatorMatrix, OperatorMatrix, 
 
 
 def build_identity(basis: BasisSpec) -> OperatorMatrix:
-    return OperatorMatrix(basis, np.eye(basis.size, dtype=np.complex128), "hermitian", 0, 0)
+    return OperatorMatrix(basis, np.eye(basis.size), "hermitian", 0, 0)
 
 
 def build_derivative_probabilist(basis: BasisSpec) -> OperatorMatrix:
     """d/dx on He_n(x)e^{-x^2/2}: maps basis element n to -(element n+1)."""
     _require_kind(basis, "hermite1d_probabilist")
     n = basis.size
-    M = np.zeros((n, n), dtype=np.complex128)
+    M = np.zeros((n, n))
     M[np.arange(1, n), np.arange(n - 1)] = -1.0
     return OperatorMatrix(basis, M, "none", 1, 0)
 
@@ -236,7 +239,7 @@ def build_angular_momentum(basis: BasisSpec) -> tuple[OperatorMatrix, OperatorMa
 
     def hop_matrix(dst: int, src: int) -> np.ndarray:
         # a_dst^dag a_src
-        M = np.zeros((n, n), dtype=np.complex128)
+        M = np.zeros((n, n))
         for j, t in enumerate(tuples):
             if t[src] == 0:
                 continue
@@ -269,7 +272,7 @@ def build_fourier_p_squared(basis: BasisSpec) -> OperatorMatrix:
         k = j // 2
         freq = (k + 1) if j % 2 == 0 else k
         diag[j] = (pi * freq / l) ** 2
-    return OperatorMatrix(basis, np.diag(diag).astype(np.complex128), "hermitian", 0, 0)
+    return OperatorMatrix(basis, np.diag(diag), "hermitian", 0, 0)
 
 
 def metaplectic_set(basis: BasisSpec) -> list[OperatorMatrix]:

@@ -102,12 +102,16 @@ def emit_plot_script(summary_path) -> Path:
     """Write plot.gp next to the summary; one stanza per diagnostic curve.
 
     The script reads the CSV mirrors named in the summary's "files" block.
-    A missing mirror is reported, by path, before anything is written.
+    A summary that is not an object, or whose "files" is not an object of
+    file names, is a ParseError; a missing mirror is reported, by path.
+    Both are raised before anything is written.
     """
     summary_path = Path(summary_path)
     summary = load_json(summary_path)
     out_dir = summary_path.parent
-    files = summary.get("files", {})
+    files = summary.get("files", {}) if isinstance(summary, dict) else None
+    if not (isinstance(files, dict) and all(isinstance(v, str) for v in files.values())):
+        raise ParseError(f"{summary_path}: not a summary with a \"files\" object of file names")
 
     stanzas = []
     traj = files.get("trajectory_csv")

@@ -525,3 +525,48 @@ def test_error_contract_corpus(tmp_path, files, overrides, code, fragment):
     assert fragment in proc.stderr
     assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
     assert sorted(tmp_path.iterdir()) == before
+
+
+def _stepping_config(method="magnus2", dt=0.1, t1=1.0, coefficient=None):
+    cfg = _base_config(integrator={"method": method, "dt": dt},
+                       time={"t0": 0.0, "t1": t1, "stride": 1})
+    cfg["hamiltonian"] = [{"operator": "x2",
+                           "coefficient": coefficient or {"kind": "constant", "c": 0.5}}]
+    return cfg
+
+
+# (id, config, stderr fragment); every one must stop before it writes anything
+_STEPPING_ESCAPES = [
+    ("magnus2_step_overflows", _stepping_config("magnus2", 1e308, 1.5e308), "magnus2 step"),
+    ("exact_eig_step_overflows", _stepping_config("exact_eig", 1e308, 1.5e308), "exact_eig step"),
+    ("cayley2_step_overflows", _stepping_config("cayley2", 1e308, 1.5e308), "cayley2 step"),
+    ("sinusoid_argument_overflows",
+     _stepping_config(t1=3.0, coefficient={"kind": "sinusoid", "a": 1.0, "omega": 1e308}),
+     "sinusoid argument"),
+    ("grid_beyond_max_steps", _stepping_config(dt=1e-3, t1=1e300), "MAX_STEPS"),
+]
+
+
+@pytest.mark.parametrize("cfg,fragment", [case[1:] for case in _STEPPING_ESCAPES],
+                         ids=[case[0] for case in _STEPPING_ESCAPES])
+def test_stepping_escapes_are_numeric_errors(tmp_path, cfg, fragment):
+    """Overflow inside any integrator's step, a sinusoid whose argument is
+    not finite and a grid above MAX_STEPS all exit 2 with one clean line."""
+    config_path = _write_config(tmp_path, cfg)
+    proc = _run_cli("simulate", "--config", str(config_path), "--out", str(tmp_path / "o"))
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("numeric error:") and fragment in proc.stderr
+    assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("summary", [[1], {"files": 3}, {"files": {"trajectory_csv": 5}}],
+                         ids=["array", "files_not_object", "file_name_not_string"])
+def test_malformed_summary_is_1(tmp_path, summary):
+    path = tmp_path / "summary.json"
+    path.write_text(json.dumps(summary), encoding="utf-8")
+    proc = _run_cli("plot", "--summary", str(path))
+    assert proc.returncode == 1, proc.stderr
+    assert "summary.json" in proc.stderr
+    assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+    assert sorted(tmp_path.iterdir()) == [path]

@@ -1,5 +1,7 @@
 """Coefficient functions, Hamiltonian assembly, and the three integrators."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -7,12 +9,14 @@ from hypothesis import strategies as st
 from numpy.polynomial import polynomial as P
 
 import oracles
-from geoschro.errors import BasisMismatch, IntegratorMismatch, NotHermitian
+from geoschro import dynamics
+from geoschro.errors import BasisMismatch, IntegratorMismatch, NotHermitian, NumericError
 from geoschro.dynamics import (
     CoefficientFn,
     IntegratorSpec,
     TDepHamiltonian,
     _step_operators,
+    _time_grid,
     assemble,
     average_value,
     differential_of_average,
@@ -336,3 +340,35 @@ class TestSymplecticPreservation:
         drift = symplectic_preservation_check(H, u, v, IntegratorSpec("exact_eig", 0.1),
                                               0.0, 1.0)
         assert drift < 1e-14
+
+
+class TestStepBudget:
+    def test_grid_beyond_max_steps_is_numeric_error(self):
+        with pytest.raises(NumericError, match="MAX_STEPS"):
+            _time_grid(0.0, 1e300, 1e-3)
+
+    def test_budget_counts_every_segment(self, monkeypatch):
+        monkeypatch.setattr(dynamics, "MAX_STEPS", 10)
+        assert _time_grid(0.0, 10.0, 1.0, knots=(4.0,)) == [float(k) for k in range(11)]
+        with pytest.raises(NumericError, match="needs 7 more steps, only 6"):
+            _time_grid(0.0, 11.0, 1.0, knots=(4.0,))
+
+    def test_sinusoid_with_overflowing_argument_is_numeric_error(self):
+        f = CoefficientFn.sinusoid(1.0, 1e308)
+        assert f(1.0) == math.sin(1e308)
+        with pytest.raises(NumericError, match="not finite"):
+            f(2.0)
+
+    def test_largest_grid_in_use_is_accepted(self):
+        assert len(_time_grid(0.0, 5.0, 2.5e-4)) == 20001
+
+
+class TestDtypeOfH:
+    def test_mixed_terms_assemble_to_the_complex_sum(self):
+        basis = BasisSpec.hermite(10)
+        p, x2 = build_named("p", basis), build_named("x2", basis)
+        H = TDepHamiltonian(((CoefficientFn.constant(1.0), p, "p"),
+                             (CoefficientFn.constant(0.5), x2, "x2")))
+        got = assemble(H, 0.3)
+        assert got.dtype == np.complex128
+        assert np.array_equal(got, p.matrix + 0.5 * x2.matrix)

@@ -329,3 +329,43 @@ class TestAnalyticCertificate:
         basis = BasisSpec.hermite(8)
         with pytest.raises(UnsafeSubspace):
             analytic_certificate(build_position(basis), _basis_state(basis, 5), 4)
+
+
+class TestDtypeRule:
+    """The operator decides its own dtype: real when every entry is real."""
+
+    @pytest.mark.parametrize("name,dtype", [
+        ("x", np.float64), ("x2", np.float64), ("p2", np.float64), ("id", np.float64),
+        ("fourier_p2", np.float64), ("p", np.complex128), ("xp_px", np.complex128),
+        ("Lx", np.complex128), ("Ly", np.complex128), ("Lz", np.complex128),
+    ])
+    def test_builtin_dtype_and_layout(self, name, dtype):
+        if name in ("Lx", "Ly", "Lz"):
+            basis = BasisSpec.hermite3d(3)
+        elif name == "fourier_p2":
+            basis = BasisSpec.fourier(8, 1.5)
+        else:
+            basis = BasisSpec.hermite(8)
+        M = build_named(name, basis).matrix
+        assert M.dtype == dtype
+        assert M.flags.c_contiguous
+
+    def test_probabilist_derivative_is_real(self):
+        assert build_derivative_probabilist(BasisSpec.probabilist(6)).matrix.dtype == np.float64
+
+    def test_operator_file_with_zero_imaginary_part_loads_real(self):
+        x = build_position(BasisSpec.hermite(6))
+        d = x.to_json_dict()
+        assert d["im"] == np.zeros((6, 6)).tolist()
+        back = OperatorMatrix.from_json_dict(d)
+        assert back.matrix.dtype == np.float64 and back.matrix.flags.c_contiguous
+        assert np.array_equal(back.matrix, x.matrix)
+        assert back.to_json_dict() == d
+
+    def test_scaled_follows_the_factor(self):
+        x = build_position(BasisSpec.hermite(6))
+        assert x.scaled(2.0).matrix.dtype == np.float64
+        assert np.array_equal(x.scaled(2.0).matrix, 2.0 * x.matrix)
+        ix = x.scaled(1j)
+        assert ix.matrix.dtype == np.complex128
+        assert np.array_equal(ix.matrix, 1j * x.matrix)
