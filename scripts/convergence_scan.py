@@ -35,14 +35,13 @@ def main(argv=None) -> int:
     psi0 = coherent_state(args.alpha, args.size)
     dts = [args.dt0 / 2 ** k for k in range(args.levels)]
 
+    methods = ("magnus2", "cayley2")
     if args.driven:
-        methods = ("magnus2", "cayley2")
         fine = final_state(H, psi0, "magnus2", dts[-1] / 4, args.t1)
         finer = final_state(H, psi0, "magnus2", dts[-1] / 8, args.t1)
         reference = (4.0 * finer - fine) / 3.0
         print(f"driven, Richardson reference from dt = {dts[-1] / 8:g}")
     else:
-        methods = ("magnus2", "cayley2")
         reference = final_state(H, psi0, "exact_eig", args.t1, args.t1)
         print("autonomous, exact_eig reference")
 

@@ -9,6 +9,7 @@ any numerics; schema failures carry the JSON pointer of the offending field.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf, sqrt
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +25,7 @@ from .errors import NumericError, SchemaError, UnknownOperator
 from .hilbert import BASIS_KINDS, BasisSpec, StateVector, coherent_state
 from .operators import BUILTIN_OPERATORS, OperatorMatrix, build_named
 from .serialize import load_json
+from .tolerances import DEFAULT
 
 INITIAL_STATE_KINDS = ("basis_vector", "coherent", "coefficients_file")
 
@@ -217,6 +219,10 @@ def _parse_reduction(d, pointer: str) -> ReductionConfig:
     mu = _number(_need(d, "mu", pointer), f"{pointer}/mu")
     if not mu < 0:
         raise SchemaError(f"{pointer}/mu", "mu must be negative")
+    norm = sqrt(-2.0 * mu)  # the norm of every state on the level set J = mu
+    if not DEFAULT.zero_vector < norm < inf:
+        raise SchemaError(f"{pointer}/mu", f"the level-set norm sqrt(-2*mu) = {norm!r} must be"
+                                           f" finite and above {DEFAULT.zero_vector!r}")
     dt_reduced = _number(_need(d, "dt_reduced", pointer), f"{pointer}/dt_reduced")
     if not dt_reduced > 0:
         raise SchemaError(f"{pointer}/dt_reduced", "dt_reduced must be positive")

@@ -6,7 +6,7 @@ psi -> -i H(t) psi; its Hamiltonian function is (1/2)<psi|H psi>, whose
 differential along phi is 2 Re<phi|H psi> -- hamiltonian_field_residual
 measures that identity through two independent code paths.
 
-Integrators:
+Integrators, each a step that ``_advance`` walks over a grid under one guard:
 
 * ``exact_eig``  -- autonomous only; evaluates U(t) = V e^{-i t L} V^H
   directly at sample times from one eigendecomposition.
@@ -347,23 +347,20 @@ def _step_operators(H: TDepHamiltonian, spec: IntegratorSpec, tol: Tolerances):
     return step
 
 
-def _advance(H: TDepHamiltonian, spec: IntegratorSpec, times: list[float],
-             vec0: np.ndarray, tol: Tolerances):
-    """Yield (k, vec at times[k]) for k = 1, 2, ... .  exact_eig evaluates
-    every point from the origin; the stepped methods chain step to step.  A
-    step that overflows raises NumericError naming the time it steps to."""
-    step = _step_operators(H, spec, tol)
-    current = vec0
+def _advance(step, times: list[float], vec0: np.ndarray, what: str, from_origin: bool = False):
+    """Yield (k, vec at times[k]) for k >= 1 via step(t, tau, vec): from times[0]
+    and vec0 if ``from_origin``, else chained, dropping vec0.  Steps run under one
+    overflow guard, left before each yield; a trip names ``what`` and times[k]."""
+    current, vec0 = vec0, (vec0 if from_origin else None)  # a chain holds vec0 one step only
     for k in range(1, len(times)):
         try:
-            # the guard is left before the yield, so callers run without it
             with np.errstate(over="raise", invalid="raise"):
-                if spec.method == "exact_eig":
+                if from_origin:
                     current = step(times[0], times[k] - times[0], vec0)
                 else:
                     current = step(times[k - 1], times[k] - times[k - 1], current)
         except FloatingPointError as exc:
-            raise NumericError(f"{spec.method} step overflowed at t={times[k]!r}") from exc
+            raise NumericError(f"{what} overflowed at t={times[k]!r}") from exc
         yield k, current
 
 
@@ -378,7 +375,8 @@ def propagate(H: TDepHamiltonian, psi0: StateVector, spec: IntegratorSpec,
     times = _time_grid(t0, t1, spec.dt)
     flags = _record_flags(times, stride)
     records = [_record(H, t0, psi0.coefficients)]
-    for k, current in _advance(H, spec, times, psi0.coefficients, tol):
+    for k, current in _advance(_step_operators(H, spec, tol), times, psi0.coefficients,
+                               f"{spec.method} step", from_origin=spec.method == "exact_eig"):
         if flags[k]:
             records.append(_record(H, times[k], current))
     return records
@@ -392,8 +390,10 @@ def symplectic_preservation_check(H: TDepHamiltonian, u: TangentVector, v: Tange
         raise BasisMismatch("tangent directions must live in the Hamiltonian basis")
     pair = np.column_stack([u.direction.coefficients, v.direction.coefficients])
     before = complex(np.vdot(pair[:, 0], pair[:, 1])).imag
+    times = _time_grid(t0, t1, spec.dt)
     final = pair
-    for _, final in _advance(H, spec, _time_grid(t0, t1, spec.dt), pair, tol):
+    for _, final in _advance(_step_operators(H, spec, tol), times, pair,
+                             f"{spec.method} step", from_origin=spec.method == "exact_eig"):
         pass
     after = complex(np.vdot(final[:, 0], final[:, 1])).imag
     return abs(after - before)

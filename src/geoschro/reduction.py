@@ -7,11 +7,11 @@ canonically phased unit vector (first coefficient above the phase floor made
 real and positive).
 
 Downstairs dynamics is integrated on rank-one projectors, dP/dt = -i[H(t),P],
-with classical RK4 plus two drift corrections: re-symmetrization every step
-and re-projection onto the dominant eigenprojector every ``reproject_every``
-steps.  paired_records runs that flow and the upstairs unitary flow once
-each, recording both at shared sample times, and diagram_residuals compares
-the projection of the one against the other there.
+by a step of classical RK4, re-symmetrization and, every ``reproject_every``
+steps, re-projection onto the dominant eigenprojector; dynamics._advance walks
+it under the unitary steps' overflow guard.  paired_records runs that flow and
+the upstairs unitary flow once each, recording both at shared sample times,
+and diagram_residuals compares the projection of the one against the other.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from .errors import (
 from .dynamics import (
     IntegratorSpec,
     TDepHamiltonian,
+    _advance,
     _record_flags,
     _time_grid,
     assemble,
@@ -270,26 +271,25 @@ def reduced_propagate(H: TDepHamiltonian, ray0: Ray, dt: float, t0: float, t1: f
         raise BasisMismatch("initial ray basis does not match the Hamiltonian")
     times = _time_grid(t0, t1, dt, record_times or ())
     flags = _record_flags(times, stride, record_times)
-    P = projector_of(ray0).matrix
     drifts = {"trace": 0.0, "hermiticity": 0.0, "idempotency": 0.0}
-    records = []
-    if flags[0]:
-        records.append(ReducedRecord(times[0], ray0, 0.0))
-    for k in range(1, len(times)):
-        h = times[k] - times[k - 1]
-        try:
-            with np.errstate(over="raise", invalid="raise"):
-                P = _rk4_projector_step(H, times[k - 1], h, P)
-                state = ProjectorState(H.basis, P).drift()
-        except FloatingPointError as exc:
-            raise NumericError(f"projector flow overflowed at t={times[k]!r}") from exc
+    ks = iter(range(1, len(times)))  # the k-th call steps to times[k]
+
+    def step(t, h, P):
+        k = next(ks)
+        P = _rk4_projector_step(H, t, h, P)
+        state = ProjectorState(H.basis, P).drift()
         if not np.all(np.isfinite(list(state.values()))):
             raise NumericError(f"non-finite projector drift at t={times[k]!r}")
         for key in drifts:
             drifts[key] = max(drifts[key], state[key])
-        P = 0.5 * (P + P.conj().T)
+        P += P.conj().T  # in place: the loop still holds this step's input
+        P *= 0.5
         if k % reproject_every == 0:
             P = projector_of(dominant_ray(ProjectorState(H.basis, P), tol)).matrix
+        return P
+
+    records = [ReducedRecord(times[0], ray0, 0.0)] if flags[0] else []
+    for k, P in _advance(step, times, projector_of(ray0).matrix, "projector flow"):
         if flags[k]:
             ray = dominant_ray(ProjectorState(H.basis, P), tol)
             records.append(ReducedRecord(times[k], ray, fubini_study_distance(ray, ray0)))

@@ -21,7 +21,7 @@ from .dynamics import (
     oscillator_hamiltonian,
     propagate,
 )
-from .errors import UnknownSuite
+from .errors import ParseError, UnknownSuite
 from .hilbert import (
     BasisSpec,
     StateVector,
@@ -91,7 +91,15 @@ def _draw(rng: np.random.Generator, basis: BasisSpec, unit: bool = False) -> Sta
     return StateVector(basis, c)
 
 
+def _require_size(suite: str, size: int, least: int) -> None:
+    """ParseError unless ``size`` reaches ``least``, the smallest basis on
+    which every case of ``suite`` is defined."""
+    if size < least:
+        raise ParseError(f"verify --suite {suite} needs --size >= {least}, got {size}")
+
+
 def suite_symplectic(size: int, seed: int, tol: Tolerances) -> list[VerifyCase]:
+    _require_size("symplectic", size, 1)
     basis = BasisSpec.hermite(size)
     rng = _rng(seed, 1)
     anti = coord = isom = oneform = nondeg = 0.0
@@ -138,6 +146,7 @@ def _interior_block(M: np.ndarray, width: int) -> np.ndarray:
 
 
 def suite_operators(size: int, seed: int, tol: Tolerances) -> list[VerifyCase]:
+    _require_size("operators", size, 11)
     basis = BasisSpec.hermite(size)
     H = metaplectic_set(basis)
     rng = _rng(seed, 2)
@@ -205,6 +214,7 @@ def suite_operators(size: int, seed: int, tol: Tolerances) -> list[VerifyCase]:
 
 
 def suite_analytic(size: int, seed: int, tol: Tolerances) -> list[VerifyCase]:
+    _require_size("analytic", size, 12)
     basis = BasisSpec.hermite(size)
     ops = {"p": build_named("p", basis), "x": build_named("x", basis),
            "id": build_named("id", basis)}
@@ -219,6 +229,7 @@ def suite_analytic(size: int, seed: int, tol: Tolerances) -> list[VerifyCase]:
 
 
 def suite_dynamics(size: int, seed: int, tol: Tolerances) -> list[VerifyCase]:
+    _require_size("dynamics", size, 3)
     basis = BasisSpec.hermite(size)
     driven = oscillator_hamiltonian(size, drive=0.05)
     osc = oscillator_hamiltonian(size)
@@ -267,10 +278,9 @@ def suite_dynamics(size: int, seed: int, tol: Tolerances) -> list[VerifyCase]:
     two[1] = np.exp(1j * pi / 4) / sqrt(2)
     psi0 = StateVector(basis, two)
     x_op = build_named("x", basis)
-    es = hermitian_eigendecompose(0.5 * (build_named("p2", basis).matrix
-                                         + build_named("x2", basis).matrix), tol)
-    gen = StateVector(basis, -1j * (0.5 * (build_named("p2", basis).matrix
-                                           + build_named("x2", basis).matrix) @ two))
+    h0 = 0.5 * (build_named("p2", basis).matrix + build_named("x2", basis).matrix)
+    es = hermitian_eigendecompose(h0, tol)
+    gen = StateVector(basis, -1j * (h0 @ two))
     exact = differential_of_average(x_op, psi0, TangentVector(psi0, gen))
 
     def big_c(t: float) -> float:
@@ -293,6 +303,7 @@ def suite_dynamics(size: int, seed: int, tol: Tolerances) -> list[VerifyCase]:
 
 
 def suite_reduction(size: int, seed: int, tol: Tolerances) -> list[VerifyCase]:
+    _require_size("reduction", size, 3)
     basis = BasisSpec.hermite(size)
     driven = oscillator_hamiltonian(size, drive=0.05)
     low = coherent_state(0.5, size)
@@ -382,6 +393,8 @@ def run_verify(suite: str, size: int, seed: int, tol: Tolerances = DEFAULT) -> d
     """Run one suite (or all of them) and return the report dict."""
     if suite != "all" and suite not in SUITES:
         raise UnknownSuite(f"unknown suite {suite!r}; choose from {SUITE_NAMES + ('all',)}")
+    if seed < 0:
+        raise ParseError(f"verify --seed must be >= 0, got {seed}")
     start = time.perf_counter()
     names = SUITE_NAMES if suite == "all" else (suite,)
     cases = [case for name in names for case in SUITES[name](size, seed, tol)]

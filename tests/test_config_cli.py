@@ -501,6 +501,10 @@ _ERROR_CORPUS = [
     ("op_not_utf8", {"op.json": b"\xff\xfe" + json.dumps(_x_file(8)).encode()}, _OP_TERM, 3,
      "op.json"),
     ("summary_not_utf8", {"summary.json": b'\xff{"files": {}}'}, None, 3, "summary.json"),
+    ("mu_level_norm_overflows", {}, {"reduction": {"mu": -1e308, "dt_reduced": 1e-3}}, 1,
+     "/reduction/mu"),
+    ("mu_level_norm_below_zero_floor", {}, {"reduction": {"mu": -1e-30, "dt_reduced": 1e-3}}, 1,
+     "/reduction/mu"),
 ]
 
 
@@ -570,3 +574,24 @@ def test_malformed_summary_is_1(tmp_path, summary):
     assert "summary.json" in proc.stderr
     assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
     assert sorted(tmp_path.iterdir()) == [path]
+
+
+# (id, suite, size, seed, stderr fragment)
+_BAD_VERIFY_ARGS = [
+    ("all_size_0", "all", 0, 1, "--size >= 1"),
+    ("operators_size_10", "operators", 10, 1, "--size >= 11"),
+    ("dynamics_size_2", "dynamics", 2, 1, "--size >= 3"),
+    ("seed_-1", "symplectic", 4, -1, "--seed"),
+]
+
+
+@pytest.mark.parametrize("suite,size,seed,fragment", [case[1:] for case in _BAD_VERIFY_ARGS],
+                         ids=[case[0] for case in _BAD_VERIFY_ARGS])
+def test_bad_verify_size_or_seed_is_1(tmp_path, suite, size, seed, fragment):
+    """A --size below a suite's minimum or a negative --seed exits 1 with one
+    line on stderr and writes no report."""
+    proc = _run_cli("verify", "--suite", suite, "--size", str(size), "--seed", str(seed),
+                    "--out", str(tmp_path / "report.json"))
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.count("\n") == 1 and fragment in proc.stderr
+    assert not any(tmp_path.iterdir())

@@ -5,7 +5,7 @@ import pytest
 import geoschro.dynamics as dynamics
 import geoschro.reduction as reduction
 import geoschro.verify as verify
-from geoschro.errors import UnknownSuite
+from geoschro.errors import ParseError, UnknownSuite
 from geoschro.tolerances import DEFAULT
 from geoschro.verify import SUITE_NAMES, VerifyCase, run_verify
 
@@ -64,3 +64,18 @@ def test_reduction_suite_integrates_each_flow_once(monkeypatch):
     cases = verify.suite_reduction(16, 1, DEFAULT)
     assert calls == {"propagate": 1, "reduced_propagate": 1}
     assert len(cases) == 10 and all(c.passed for c in cases)
+
+
+@pytest.mark.parametrize("suite,least", [("symplectic", 1), ("operators", 11), ("analytic", 12),
+                                         ("dynamics", 3), ("reduction", 3)])
+def test_suite_rejects_size_below_its_minimum(suite, least):
+    with pytest.raises(ParseError, match=f"--suite {suite} needs --size >= {least}"):
+        run_verify(suite, least - 1, 1)
+
+
+def test_negative_seed_is_rejected_before_any_suite(monkeypatch):
+    ran = []
+    monkeypatch.setattr(verify, "SUITES", {n: lambda *a: ran.append(a) or [] for n in SUITE_NAMES})
+    with pytest.raises(ParseError, match="--seed"):
+        run_verify("all", 16, -1)
+    assert ran == []
