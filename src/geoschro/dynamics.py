@@ -269,46 +269,44 @@ class TrajectoryRecord:
         return out
 
 
-def _time_grid(t0: float, t1: float, dt: float, knots=()) -> list[float]:
-    """Closed grid t0, t0+dt, ... with the final step shortened onto t1.
+def _time_grid(t0: float, t1: float, dt: float, knots=()):
+    """Closed grid t0, t0+dt, ... with the final step shortened onto t1, as a
+    generator of its points.
 
     The grid restarts at every knot strictly inside (t0, t1), so it passes
-    exactly through each of them.  A grid that would need more than
-    MAX_STEPS steps is a NumericError, raised before it is built.
+    exactly through each of them.  A grid that would need more than MAX_STEPS
+    steps is a NumericError, raised here, before the first point.
     """
     if not dt > 0:
         raise ValueError("dt must be positive")
     if t1 < t0:
         raise ValueError("t1 must not precede t0")
-    bounds = [t0] + sorted({float(k) for k in knots if t0 < k < t1}) + [t1]
-    times = [t0]
-    for a, b in zip(bounds[:-1], bounds[1:]):
+    ends = sorted({float(k) for k in knots if t0 < k < t1}) + [t1] if t1 > t0 else []
+    segments, used = [], 0  # (start, end, points strictly inside), steps so far
+    for a, b in zip([t0] + ends, ends):
         steps = (float(b) - float(a)) / dt
-        left = MAX_STEPS - (len(times) - 1)
+        left = MAX_STEPS - used
         if steps > left:
             raise NumericError(f"time grid needs {steps:.6g} more steps, "
                                f"only {left} of MAX_STEPS={MAX_STEPS} are left")
         # tolerate 1-ulp-scale misfits so dt that "divides" (b-a) lands exactly
-        slack = 64.0 * np.finfo(float).eps * max(1.0, abs(b), abs(a))
-        k = 1
-        while a + k * dt < b - slack:
-            times.append(a + k * dt)
-            k += 1
-        if b > a:
-            times.append(b)
-    return times
+        below = b - 64.0 * np.finfo(float).eps * max(1.0, abs(b), abs(a))
+        # a + k*dt grows with k: the inside points are k = 1..n, n close to steps
+        n = int(steps) if steps >= 1 else 0
+        while n > 0 and not a + n * dt < below:
+            n -= 1
+        while a + (n + 1) * dt < below:
+            n += 1
+        segments.append((a, b, n))
+        used += n + 1
 
+    def points():
+        yield t0
+        for a, b, n in segments:
+            yield from (a + k * dt for k in range(1, n + 1))
+            yield b
 
-def _record_flags(times: list[float], stride: int, record_times=None) -> list[bool]:
-    """Which grid points to record: exactly ``record_times`` when given,
-    otherwise the first point, every stride-th step and the last point."""
-    if stride < 1:
-        raise ValueError("stride must be >= 1")
-    if record_times is not None:
-        wanted = {float(t) for t in record_times}
-        return [t in wanted for t in times]
-    last = len(times) - 1
-    return [k == 0 or k % stride == 0 or k == last for k in range(len(times))]
+    return points()
 
 
 def _record(H: TDepHamiltonian, t: float, coeffs: np.ndarray) -> TrajectoryRecord:
@@ -318,27 +316,31 @@ def _record(H: TDepHamiltonian, t: float, coeffs: np.ndarray) -> TrajectoryRecor
     return TrajectoryRecord(t, nrm, -0.5 * nrm * nrm, energy, psi)
 
 
-def _step_operators(H: TDepHamiltonian, spec: IntegratorSpec, tol: Tolerances):
-    """Returns step(t, tau, vec) advancing vec from t to t+tau."""
+def _step_operators(H: TDepHamiltonian, spec: IntegratorSpec, tol: Tolerances,
+                    t0: float, vec0: np.ndarray):
+    """Returns step(t, t_next, vec) advancing vec from t to t_next; the exact_eig
+    step ignores vec and evaluates U(t_next - t0) on vec0, the state at t0."""
     if spec.method == "exact_eig":
         if not H.is_autonomous:
             raise IntegratorMismatch("exact_eig requires constant coefficients")
         es = hermitian_eigendecompose(assemble(H, 0.0), tol, H.blocks)
 
-        def step(t, tau, vec):
-            return apply_exp_step(es, tau, vec)
+        def step(t, t_next, vec):
+            return apply_exp_step(es, t_next - t0, vec0)
 
         return step
 
     if spec.method == "magnus2":
 
-        def step(t, tau, vec):
+        def step(t, t_next, vec):
+            tau = t_next - t
             es = hermitian_eigendecompose(assemble(H, t + tau / 2.0), tol, H.blocks)
             return apply_exp_step(es, tau, vec)
 
         return step
 
-    def step(t, tau, vec):  # cayley2
+    def step(t, t_next, vec):  # cayley2
+        tau = t_next - t
         M = assemble(H, t + tau / 2.0)
         n = M.shape[0]
         eye = np.eye(n, dtype=np.complex128)
@@ -347,21 +349,27 @@ def _step_operators(H: TDepHamiltonian, spec: IntegratorSpec, tol: Tolerances):
     return step
 
 
-def _advance(step, times: list[float], vec0: np.ndarray, what: str, from_origin: bool = False):
-    """Yield (k, vec at times[k]) for k >= 1 via step(t, tau, vec): from times[0]
-    and vec0 if ``from_origin``, else chained, dropping vec0.  Steps run under one
-    overflow guard, left before each yield; a trip names ``what`` and times[k]."""
-    current, vec0 = vec0, (vec0 if from_origin else None)  # a chain holds vec0 one step only
-    for k in range(1, len(times)):
-        try:
-            with np.errstate(over="raise", invalid="raise"):
-                if from_origin:
-                    current = step(times[0], times[k] - times[0], vec0)
-                else:
-                    current = step(times[k - 1], times[k] - times[k - 1], current)
-        except FloatingPointError as exc:
-            raise NumericError(f"{what} overflowed at t={times[k]!r}") from exc
-        yield k, current
+def _walk(step, vec0: np.ndarray, what: str, t0: float, t1: float, dt: float,
+          stride: int = 1, record_times=None):
+    """Chain vec = step(t, t_next, vec) from vec0 over the grid from t0 to t1 and
+    yield (t, vec) at exactly ``record_times`` (also the grid's knots) when given,
+    else at t0, every stride-th step and t1.  Steps run under one overflow guard,
+    left before each yield; a trip names ``what`` and t_next."""
+    times = _time_grid(t0, t1, dt, record_times or ())
+    if stride < 1:
+        raise ValueError("stride must be >= 1")
+    wanted = None if record_times is None else {float(t) for t in record_times}
+    vec, vec0 = vec0, None  # the chain holds its start for one step only
+    for k, t_next in enumerate(times):
+        if k:
+            try:
+                with np.errstate(over="raise", invalid="raise"):
+                    vec = step(t, t_next, vec)
+            except FloatingPointError as exc:
+                raise NumericError(f"{what} overflowed at t={t_next!r}") from exc
+        t = t_next
+        if (t in wanted) if wanted is not None else (k % stride == 0 or t == t1):
+            yield t, vec
 
 
 def propagate(H: TDepHamiltonian, psi0: StateVector, spec: IntegratorSpec,
@@ -372,14 +380,9 @@ def propagate(H: TDepHamiltonian, psi0: StateVector, spec: IntegratorSpec,
     shortened to land exactly on t1."""
     if psi0.basis != H.basis:
         raise BasisMismatch("initial state basis does not match the Hamiltonian")
-    times = _time_grid(t0, t1, spec.dt)
-    flags = _record_flags(times, stride)
-    records = [_record(H, t0, psi0.coefficients)]
-    for k, current in _advance(_step_operators(H, spec, tol), times, psi0.coefficients,
-                               f"{spec.method} step", from_origin=spec.method == "exact_eig"):
-        if flags[k]:
-            records.append(_record(H, times[k], current))
-    return records
+    step = _step_operators(H, spec, tol, t0, psi0.coefficients)
+    return [_record(H, t, vec) for t, vec in _walk(step, psi0.coefficients, f"{spec.method} step",
+                                                   t0, t1, spec.dt, stride)]
 
 
 def symplectic_preservation_check(H: TDepHamiltonian, u: TangentVector, v: TangentVector,
@@ -390,10 +393,8 @@ def symplectic_preservation_check(H: TDepHamiltonian, u: TangentVector, v: Tange
         raise BasisMismatch("tangent directions must live in the Hamiltonian basis")
     pair = np.column_stack([u.direction.coefficients, v.direction.coefficients])
     before = complex(np.vdot(pair[:, 0], pair[:, 1])).imag
-    times = _time_grid(t0, t1, spec.dt)
-    final = pair
-    for _, final in _advance(_step_operators(H, spec, tol), times, pair,
-                             f"{spec.method} step", from_origin=spec.method == "exact_eig"):
-        pass
+    step = _step_operators(H, spec, tol, t0, pair)
+    for _, final in _walk(step, pair, f"{spec.method} step", t0, t1, spec.dt):
+        pass  # the walk ends at t1
     after = complex(np.vdot(final[:, 0], final[:, 1])).imag
     return abs(after - before)

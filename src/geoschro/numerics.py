@@ -165,14 +165,6 @@ def _check_eigensystem(H: np.ndarray, w: np.ndarray, V: np.ndarray, scale: float
         raise ConvergenceFailure(f"eigen residual {recon:.3e} vs scale {scale:.3e}")
 
 
-def unitary_exp_step(H: np.ndarray, tau: float, tol: Tolerances = DEFAULT) -> np.ndarray:
-    """U = V exp(-i tau Lambda) V^H, unitary by construction."""
-    es = hermitian_eigendecompose(H, tol)
-    phases = np.exp(-1j * tau * es.eigenvalues)
-    V = es.eigenvectors
-    return (V * phases) @ V.conj().T
-
-
 def apply_exp_step(es: EigenSystem, tau: float, vec: np.ndarray) -> np.ndarray:
     """Apply exp(-i tau H) through a precomputed eigensystem (works on
     column-stacked matrices too)."""

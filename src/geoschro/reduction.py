@@ -8,7 +8,7 @@ real and positive).
 
 Downstairs dynamics is integrated on rank-one projectors, dP/dt = -i[H(t),P],
 by a step of classical RK4, re-symmetrization and, every ``reproject_every``
-steps, re-projection onto the dominant eigenprojector; dynamics._advance walks
+steps, re-projection onto the dominant eigenprojector; dynamics._walk walks
 it under the unitary steps' overflow guard.  paired_records runs that flow and
 the upstairs unitary flow once each, recording both at shared sample times,
 and diagram_residuals compares the projection of the one against the other.
@@ -32,9 +32,7 @@ from .errors import (
 from .dynamics import (
     IntegratorSpec,
     TDepHamiltonian,
-    _advance,
-    _record_flags,
-    _time_grid,
+    _walk,
     assemble,
     average_value,
     propagate,
@@ -269,30 +267,30 @@ def reduced_propagate(H: TDepHamiltonian, ray0: Ray, dt: float, t0: float, t1: f
     """
     if ray0.representative.basis != H.basis:
         raise BasisMismatch("initial ray basis does not match the Hamiltonian")
-    times = _time_grid(t0, t1, dt, record_times or ())
-    flags = _record_flags(times, stride, record_times)
     drifts = {"trace": 0.0, "hermiticity": 0.0, "idempotency": 0.0}
-    ks = iter(range(1, len(times)))  # the k-th call steps to times[k]
+    taken = 0  # steps so far
 
-    def step(t, h, P):
-        k = next(ks)
-        P = _rk4_projector_step(H, t, h, P)
+    def step(t, t_next, P):
+        nonlocal taken
+        taken += 1
+        P = _rk4_projector_step(H, t, t_next - t, P)
         state = ProjectorState(H.basis, P).drift()
         if not np.all(np.isfinite(list(state.values()))):
-            raise NumericError(f"non-finite projector drift at t={times[k]!r}")
+            raise NumericError(f"non-finite projector drift at t={t_next!r}")
         for key in drifts:
             drifts[key] = max(drifts[key], state[key])
-        P += P.conj().T  # in place: the loop still holds this step's input
+        P += P.conj().T  # in place: the walk still holds this step's input
         P *= 0.5
-        if k % reproject_every == 0:
+        if taken % reproject_every == 0:
             P = projector_of(dominant_ray(ProjectorState(H.basis, P), tol)).matrix
         return P
 
-    records = [ReducedRecord(times[0], ray0, 0.0)] if flags[0] else []
-    for k, P in _advance(step, times, projector_of(ray0).matrix, "projector flow"):
-        if flags[k]:
-            ray = dominant_ray(ProjectorState(H.basis, P), tol)
-            records.append(ReducedRecord(times[k], ray, fubini_study_distance(ray, ray0)))
+    records = []
+    for t, P in _walk(step, projector_of(ray0).matrix, "projector flow", t0, t1, dt, stride,
+                      record_times):
+        ray = dominant_ray(ProjectorState(H.basis, P), tol) if taken else ray0
+        del P  # the walk steps on to the next record; hold no projector meanwhile
+        records.append(ReducedRecord(t, ray, fubini_study_distance(ray, ray0) if taken else 0.0))
     return records, drifts
 
 

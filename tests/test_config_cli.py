@@ -505,6 +505,8 @@ _ERROR_CORPUS = [
      "/reduction/mu"),
     ("mu_level_norm_below_zero_floor", {}, {"reduction": {"mu": -1e-30, "dt_reduced": 1e-3}}, 1,
      "/reduction/mu"),
+    ("basis_too_large_to_allocate", {}, {"basis": {"kind": "hermite1d_orthonormal",
+                                                   "size": 10**6}}, 1, "/basis/size"),
 ]
 
 
@@ -582,6 +584,7 @@ _BAD_VERIFY_ARGS = [
     ("operators_size_10", "operators", 10, 1, "--size >= 11"),
     ("dynamics_size_2", "dynamics", 2, 1, "--size >= 3"),
     ("seed_-1", "symplectic", 4, -1, "--seed"),
+    ("size_too_large_to_allocate", "symplectic", 10**11, 1, "--size 100000000000 is too large"),
 ]
 
 

@@ -1,6 +1,8 @@
 """Coefficient functions, Hamiltonian assembly, and the three integrators."""
 
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -135,7 +137,7 @@ class TestHamiltonianAssembly:
         H = _driven(32, amplitude=0.3)
         psi = coherent_state(0.8, 32).coefficients
         t, dt = 0.4, 0.02
-        got = _step_operators(H, IntegratorSpec("magnus2", dt), DEFAULT)(t, dt, psi)
+        got = _step_operators(H, IntegratorSpec("magnus2", dt), DEFAULT, t, psi)(t, t + dt, psi)
         M = assemble(H, t + dt / 2).astype(np.complex128)
         want = apply_exp_step(hermitian_eigendecompose(M), dt, psi)
         assert np.max(np.abs(got - want)) <= 1e-13
@@ -266,15 +268,15 @@ class TestSteppedIntegrators:
     def test_blocked_magnus2_step_matches_dense_step(self, size):
         H = _driven(size, amplitude=0.3)
         assert not H.blocks.whole
-        step = _step_operators(H, IntegratorSpec("magnus2", 1e-2), DEFAULT)
         pair = np.column_stack([random_state(size, 4).coefficients,
                                 random_state(size, 5).coefficients])
+        step = _step_operators(H, IntegratorSpec("magnus2", 1e-2), DEFAULT, 0.0, pair)
         for t, tau in ((0.0, 1e-2), (1.3, 0.25)):
             dense = hermitian_eigendecompose(assemble(H, t + tau / 2.0))
             want = apply_exp_step(dense, tau, pair)
-            got = step(t, tau, pair)
+            got = step(t, t + tau, pair)
             assert np.max(np.abs(got - want)) <= 1e-13
-            assert np.max(np.abs(step(t, tau, pair[:, 0]) - want[:, 0])) <= 1e-13
+            assert np.max(np.abs(step(t, t + tau, pair[:, 0]) - want[:, 0])) <= 1e-13
 
 
 class TestRecordGrid:
@@ -345,13 +347,13 @@ class TestSymplecticPreservation:
 class TestStepBudget:
     def test_grid_beyond_max_steps_is_numeric_error(self):
         with pytest.raises(NumericError, match="MAX_STEPS"):
-            _time_grid(0.0, 1e300, 1e-3)
+            list(_time_grid(0.0, 1e300, 1e-3))
 
     def test_budget_counts_every_segment(self, monkeypatch):
         monkeypatch.setattr(dynamics, "MAX_STEPS", 10)
-        assert _time_grid(0.0, 10.0, 1.0, knots=(4.0,)) == [float(k) for k in range(11)]
+        assert list(_time_grid(0.0, 10.0, 1.0, knots=(4.0,))) == [float(k) for k in range(11)]
         with pytest.raises(NumericError, match="needs 7 more steps, only 6"):
-            _time_grid(0.0, 11.0, 1.0, knots=(4.0,))
+            list(_time_grid(0.0, 11.0, 1.0, knots=(4.0,)))
 
     def test_sinusoid_with_overflowing_argument_is_numeric_error(self):
         f = CoefficientFn.sinusoid(1.0, 1e308)
@@ -360,7 +362,17 @@ class TestStepBudget:
             f(2.0)
 
     def test_largest_grid_in_use_is_accepted(self):
-        assert len(_time_grid(0.0, 5.0, 2.5e-4)) == 20001
+        assert len(list(_time_grid(0.0, 5.0, 2.5e-4))) == 20001
+
+    def test_grid_is_generated_point_by_point(self):
+        tracemalloc.start()
+        try:
+            head = list(itertools.islice(_time_grid(0.0, 1e3, 1e-3), 1000))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert head[:3] == [0.0, 1e-3, 2e-3] and len(head) == 1000
+        assert peak < 2**20  # the whole 10**6-step grid as a list takes ~39 MiB
 
 
 class TestDtypeOfH:

@@ -15,7 +15,6 @@ from geoschro.numerics import (
     matmul,
     random_state,
     require_hermitian,
-    unitary_exp_step,
 )
 from geoschro.operators import build_angular_momentum, build_named
 from geoschro.tolerances import DEFAULT
@@ -27,6 +26,11 @@ SIGMA_Y = np.array([[0, -1j], [1j, 0]])
 def _random_hermitian(rng, n):
     A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     return (A + A.conj().T) / 2
+
+
+def _exp_step(H, t):
+    """U = exp(-i t H) as the steps build it: apply_exp_step on the identity."""
+    return apply_exp_step(hermitian_eigendecompose(H), t, np.eye(H.shape[0]))
 
 
 def test_require_hermitian_accepts_and_rejects():
@@ -87,14 +91,14 @@ def test_eigendecompose_reconstructs():
 def test_exp_step_pauli_x_closed_form():
     # exp(-i t sigma_x) = cos(t) I - i sin(t) sigma_x
     t = 0.7
-    U = unitary_exp_step(SIGMA_X, t)
+    U = _exp_step(SIGMA_X, t)
     expected = np.cos(t) * np.eye(2) - 1j * np.sin(t) * SIGMA_X
     assert np.max(np.abs(U - expected)) < 1e-15
 
 
 def test_exp_step_pauli_y_closed_form():
     t = -1.3
-    U = unitary_exp_step(SIGMA_Y, t)
+    U = _exp_step(SIGMA_Y, t)
     expected = np.cos(t) * np.eye(2) - 1j * np.sin(t) * SIGMA_Y
     assert np.max(np.abs(U - expected)) < 1e-15
 
@@ -103,22 +107,22 @@ def test_exp_step_pauli_y_closed_form():
 def test_exp_step_unitary_to_roundoff(seed):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(2, 16))
-    U = unitary_exp_step(_random_hermitian(rng, n), float(rng.uniform(-2, 2)))
+    U = _exp_step(_random_hermitian(rng, n), float(rng.uniform(-2, 2)))
     assert np.max(np.abs(U.conj().T @ U - np.eye(n))) < 1e-12
 
 
 def test_exp_step_group_property():
     rng = np.random.default_rng(3)
     H = _random_hermitian(rng, 8)
-    U = unitary_exp_step(H, 0.3) @ unitary_exp_step(H, 0.5)
-    assert np.max(np.abs(U - unitary_exp_step(H, 0.8))) < 1e-11
+    U = _exp_step(H, 0.3) @ _exp_step(H, 0.5)
+    assert np.max(np.abs(U - _exp_step(H, 0.8))) < 1e-11
 
 
 def test_apply_exp_step_matches_matrix_and_handles_stacks():
     rng = np.random.default_rng(4)
     H = _random_hermitian(rng, 10)
     es = hermitian_eigendecompose(H)
-    U = unitary_exp_step(H, 0.45)
+    U = _exp_step(H, 0.45)
     v = rng.standard_normal(10) + 1j * rng.standard_normal(10)
     assert np.max(np.abs(apply_exp_step(es, 0.45, v) - U @ v)) < 1e-12
     pair = np.column_stack([v, 1j * v])

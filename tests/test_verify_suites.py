@@ -66,6 +66,19 @@ def test_reduction_suite_integrates_each_flow_once(monkeypatch):
     assert len(cases) == 10 and all(c.passed for c in cases)
 
 
+def test_dynamics_suite_integrates_the_driven_dt_1e3_flow_once(monkeypatch):
+    runs = []
+
+    def counted(H, psi0, spec, *args, **kwargs):
+        runs.append((H.is_autonomous, spec.method, spec.dt))
+        return dynamics.propagate(H, psi0, spec, *args, **kwargs)
+
+    monkeypatch.setattr(verify, "propagate", counted)
+    cases = verify.suite_dynamics(16, 1, DEFAULT)
+    assert runs.count((False, "magnus2", 1e-3)) == 1
+    assert len(cases) == 8 and all(c.passed for c in cases)
+
+
 @pytest.mark.parametrize("suite,least", [("symplectic", 1), ("operators", 11), ("analytic", 12),
                                          ("dynamics", 3), ("reduction", 3)])
 def test_suite_rejects_size_below_its_minimum(suite, least):
