@@ -24,7 +24,7 @@ from .dynamics import (
 from .errors import NumericError, SchemaError, UnknownOperator
 from .hilbert import BASIS_KINDS, BasisSpec, StateVector, coherent_state
 from .operators import BUILTIN_OPERATORS, OperatorMatrix, build_named
-from .serialize import load_json
+from .serialize import json_integer, json_number, load_json
 from .tolerances import DEFAULT
 
 INITIAL_STATE_KINDS = ("basis_vector", "coherent", "coefficients_file")
@@ -85,18 +85,6 @@ def _need(d: dict, key: str, pointer: str):
     return d[key]
 
 
-def _number(value, pointer: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SchemaError(pointer, f"expected a number, got {type(value).__name__}")
-    return float(value)
-
-
-def _integer(value, pointer: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise SchemaError(pointer, f"expected an integer, got {type(value).__name__}")
-    return value
-
-
 def _object(value, pointer: str) -> dict:
     if not isinstance(value, dict):
         raise SchemaError(pointer, f"expected an object, got {type(value).__name__}")
@@ -113,6 +101,14 @@ def _built(pointer: str, make, *args):
         raise SchemaError(pointer, str(exc)) from exc
 
 
+def _number(value, pointer: str) -> float:
+    return _built(pointer, json_number, value)
+
+
+def _integer(value, pointer: str) -> int:
+    return _built(pointer, json_integer, value)
+
+
 def _from_file(pointer: str, cls, path: Path, basis: BasisSpec):
     """cls.from_json_dict of the file at path, which must be on basis."""
     obj = _built(pointer, cls.from_json_dict, _object(load_json(path), pointer))
@@ -127,14 +123,24 @@ def _parse_basis(d, pointer: str) -> BasisSpec:
     kind = _need(d, "kind", pointer)
     if kind not in BASIS_KINDS:
         raise SchemaError(f"{pointer}/kind", f"unknown basis kind {kind!r}")
-    if kind == "hermite1d_probabilist":
-        # norm and J are taken from raw coefficients, which is the L2 norm
-        # only in an orthonormal basis
-        raise SchemaError(f"{pointer}/kind", "simulate and reduce need an orthonormal basis")
     size = _integer(_need(d, "size", pointer), f"{pointer}/size")
     if size < 1:
         raise SchemaError(f"{pointer}/size", "size must be positive")
     return _built(pointer, BasisSpec.from_json_dict, d)
+
+
+# the fields of each coefficient kind that hold numbers or arrays of them
+_COEFFICIENT_NUMBERS = {"constant": ("c",), "sinusoid": ("a", "omega", "phase"),
+                        "polynomial": ("coeffs",), "table": ("points",)}
+
+
+def _numbers(value, pointer: str):
+    """Every leaf of value, a number or nested arrays of them, is a number."""
+    if isinstance(value, list):
+        for k, item in enumerate(value):
+            _numbers(item, f"{pointer}/{k}")
+    else:
+        _number(value, pointer)
 
 
 def _parse_coefficient(d, pointer: str) -> CoefficientFn:
@@ -142,6 +148,9 @@ def _parse_coefficient(d, pointer: str) -> CoefficientFn:
     kind = _need(d, "kind", pointer)
     if kind not in COEFFICIENT_KINDS:
         raise SchemaError(f"{pointer}/kind", f"unknown coefficient kind {kind!r}")
+    for key in _COEFFICIENT_NUMBERS[kind]:
+        if key in d:
+            _numbers(d[key], f"{pointer}/{key}")
     return _built(pointer, CoefficientFn.from_json_dict, d)
 
 

@@ -6,16 +6,15 @@ directions, and the tautological one-form theta = sum_j p_j dq^j satisfies
 d(theta) = -omega.  All truncations are finite-dimensional, so the symplectic
 form is strong; no weak-form handling is needed.
 
-Basis enumeration orders (frozen; all file formats reference them):
+Every basis is orthonormal in L^2, so the Hermitian product of coefficient
+vectors is the Hilbert-space product.  Basis enumeration orders (frozen; all
+file formats reference them):
 
 * ``hermite1d_orthonormal``: phi_n(x) = H_n(x) exp(-x^2/2) / (pi^(1/4) 2^(n/2)
   sqrt(n!)), n = 0..N-1.
-* ``hermite1d_probabilist``: chi_n(x) = He_n(x) exp(-x^2/2), n = 0..N-1.
-  These are NOT orthonormal in L^2; inner products convert to the orthonormal
-  basis first through the change-of-basis matrix (chi_n = sum_m C[m,n] phi_m).
 * ``fourier_interval``: on [-l, l], index 2k is (1/sqrt(l)) sin(pi(k+1)x/l)
-  and index 2k+1 is (1/sqrt(l)) cos(pi k x / l), k = 0, 1, ...  Coefficient
-  space carries the standard Hermitian product.
+  and index 2k+1 is (1/sqrt(l)) cos(pi k x / l), k = 0, 1, ..., except index
+  1 (k = 0), the constant 1/sqrt(2l).
 * ``hermite3d_degree``: tensor products phi_{n1} phi_{n2} phi_{n3} with
   n1+n2+n3 <= d, ordered by total degree and then ascending lexicographically
   in (n1, n2, n3); N = C(d+3, 3).
@@ -30,10 +29,10 @@ from math import comb, factorial, sqrt
 import numpy as np
 
 from .errors import BasisMismatch, LengthMismatch, UnsupportedBasis, ZeroVector
+from .serialize import json_integer, json_number
 
 BASIS_KINDS = (
     "hermite1d_orthonormal",
-    "hermite1d_probabilist",
     "fourier_interval",
     "hermite3d_degree",
 )
@@ -65,10 +64,6 @@ class BasisSpec:
         return BasisSpec("hermite1d_orthonormal", size)
 
     @staticmethod
-    def probabilist(size: int) -> "BasisSpec":
-        return BasisSpec("hermite1d_probabilist", size)
-
-    @staticmethod
     def fourier(size: int, halflength: float) -> "BasisSpec":
         return BasisSpec("fourier_interval", size, interval_halflength=float(halflength))
 
@@ -86,11 +81,16 @@ class BasisSpec:
 
     @staticmethod
     def from_json_dict(d: dict) -> "BasisSpec":
+        """size and degree must be JSON integers, interval_halflength a JSON
+        number; each is kept as written."""
+        halflength, degree = d.get("interval_halflength"), d.get("degree")
+        if halflength is not None:
+            json_number(halflength, "interval_halflength")
         return BasisSpec(
             kind=d["kind"],
-            size=int(d["size"]),
-            interval_halflength=d.get("interval_halflength"),
-            degree=d.get("degree"),
+            size=json_integer(d["size"], "size"),
+            interval_halflength=halflength,
+            degree=None if degree is None else json_integer(degree, "degree"),
         )
 
 
@@ -103,28 +103,6 @@ def hermite3d_index_tuples(degree: int) -> tuple[tuple[int, int, int], ...]:
             for n2 in range(total - n1 + 1):
                 out.append((n1, n2, total - n1 - n2))
     return tuple(sorted(out, key=lambda t: (sum(t), t)))
-
-
-@lru_cache(maxsize=32)
-def probabilist_change_of_basis(size: int) -> np.ndarray:
-    """C with chi_n = sum_m C[m, n] phi_m (columns expand He_n e^{-x^2/2}).
-
-    He_n is rewritten in physicists' Hermite polynomials; H_m e^{-x^2/2}
-    equals pi^(1/4) 2^(m/2) sqrt(m!) phi_m, which fixes each column.
-    """
-    from numpy.polynomial import hermite as H
-    from numpy.polynomial import hermite_e as He
-
-    C = np.zeros((size, size))
-    factors = np.array(
-        [np.pi ** 0.25 * 2 ** (m / 2.0) * sqrt(float(factorial(m))) for m in range(size)]
-    )
-    for n in range(size):
-        e = np.zeros(n + 1)
-        e[n] = 1.0
-        d = H.poly2herm(He.herme2poly(e))
-        C[: len(d), n] = d * factors[: len(d)]
-    return C
 
 
 @dataclass(frozen=True)
@@ -187,22 +165,15 @@ class TangentVector:
             raise BasisMismatch("tangent direction must share the base-point basis")
 
 
-def _orthonormal_coefficients(psi: StateVector) -> np.ndarray:
-    if psi.basis.kind == "hermite1d_probabilist":
-        C = probabilist_change_of_basis(psi.basis.size)
-        return C @ psi.coefficients
-    return psi.coefficients
-
-
 def inner(psi: StateVector, phi: StateVector) -> complex:
     """Hermitian product <psi|phi>, antilinear in the first argument."""
     if psi.basis != phi.basis:
         raise BasisMismatch("inner product requires matching bases")
-    return complex(np.vdot(_orthonormal_coefficients(psi), _orthonormal_coefficients(phi)))
+    return complex(np.vdot(psi.coefficients, phi.coefficients))
 
 
 def norm(psi: StateVector) -> float:
-    return float(np.linalg.norm(_orthonormal_coefficients(psi)))
+    return float(np.linalg.norm(psi.coefficients))
 
 
 def symplectic_form(u: TangentVector, v: TangentVector) -> float:
@@ -215,11 +186,8 @@ def symplectic_form(u: TangentVector, v: TangentVector) -> float:
 
 
 def to_real_chart(psi: StateVector) -> RealChartPoint:
-    """Coefficient chart q_j = Re c_j, p_j = Im c_j.
-
-    For orthonormal bases this is the isometric chart; for the probabilists'
-    basis it is the raw coefficient chart (no isometry claim).
-    """
+    """Coefficient chart q_j = Re c_j, p_j = Im c_j: isometric, as every basis
+    is orthonormal."""
     c = psi.coefficients
     return RealChartPoint(c.real.copy(), c.imag.copy())
 

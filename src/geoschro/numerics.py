@@ -80,11 +80,6 @@ class InvariantBlocks:
         object.__setattr__(self, "flat", tuple(
             (idx[:, :, None] * n + idx[:, None, :]).reshape(-1) for idx in self.groups))
 
-    @property
-    def whole(self) -> bool:
-        """One block spanning every index: nothing to split."""
-        return len(self.groups) == 1 and self.groups[0].shape[0] == 1
-
 
 def invariant_blocks(matrices) -> InvariantBlocks:
     """The connected components of the union of the matrices' nonzero

@@ -27,6 +27,7 @@ from .errors import (
 )
 from .hilbert import BasisSpec, StateVector, hermite3d_index_tuples, norm
 from .numerics import hermitian_eigendecompose, apply_exp_step
+from .serialize import json_integer
 from .tolerances import DEFAULT, Tolerances
 
 SYMMETRIES = ("hermitian", "skew_hermitian", "none")
@@ -123,7 +124,8 @@ class OperatorMatrix:
     def from_json_dict(d: dict) -> "OperatorMatrix":
         basis = BasisSpec.from_json_dict(d["basis"])
         M = np.asarray(d["re"], dtype=float) + 1j * np.asarray(d["im"], dtype=float)
-        return OperatorMatrix(basis, M, d["symmetry"], int(d["raise_band"]), int(d["lower_band"]))
+        return OperatorMatrix(basis, M, d["symmetry"], json_integer(d["raise_band"], "raise_band"),
+                              json_integer(d["lower_band"], "lower_band"))
 
 
 @dataclass(frozen=True)
@@ -214,15 +216,6 @@ def build_quadratics(basis: BasisSpec) -> tuple[OperatorMatrix, OperatorMatrix, 
 
 def build_identity(basis: BasisSpec) -> OperatorMatrix:
     return OperatorMatrix(basis, np.eye(basis.size), "hermitian", 0, 0)
-
-
-def build_derivative_probabilist(basis: BasisSpec) -> OperatorMatrix:
-    """d/dx on He_n(x)e^{-x^2/2}: maps basis element n to -(element n+1)."""
-    _require_kind(basis, "hermite1d_probabilist")
-    n = basis.size
-    M = np.zeros((n, n))
-    M[np.arange(1, n), np.arange(n - 1)] = -1.0
-    return OperatorMatrix(basis, M, "none", 1, 0)
 
 
 def build_angular_momentum(basis: BasisSpec) -> tuple[OperatorMatrix, OperatorMatrix, OperatorMatrix]:

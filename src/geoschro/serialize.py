@@ -37,6 +37,22 @@ def _finite_float(token: str) -> float:
     return value
 
 
+def json_number(value, name: str = "value") -> float:
+    """value as a float when it is a JSON number; a bool, a string or any
+    other type is a TypeError naming the field."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{name} must be a number, got {type(value).__name__}")
+    return float(value)
+
+
+def json_integer(value, name: str = "value") -> int:
+    """value when it is a JSON integer; a bool, a float or a string is a
+    TypeError naming the field."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{name} must be an integer, got {type(value).__name__}")
+    return value
+
+
 def load_json(path) -> object:
     """The JSON value in the file at path.  A missing or non-UTF-8 file is
     MissingInput; bad JSON, or NaN or Infinity spelled out or overflowed, is a

@@ -91,6 +91,72 @@ def probabilist_gram_quadrature(size: int) -> np.ndarray:
     return np.einsum("mi,i,ni->mn", vals, w, vals)
 
 
+def probabilist_change_of_basis(size: int) -> np.ndarray:
+    """C with chi_n = sum_m C[m, n] phi_m, chi_n = He_n(x) e^{-x^2/2}.
+
+    He_n is rewritten in physicists' Hermite polynomials; H_m e^{-x^2/2}
+    equals pi^(1/4) 2^(m/2) sqrt(m!) phi_m, which fixes each column.
+    """
+    from numpy.polynomial import hermite_e as He
+
+    C = np.zeros((size, size))
+    for n in range(size):
+        e = np.zeros(n + 1)
+        e[n] = 1.0
+        d = H.poly2herm(He.herme2poly(e))
+        C[: len(d), n] = d * np.array([_norm_const(m) for m in range(len(d))])
+    return C
+
+
+def probabilist_derivative_matrix(size: int) -> np.ndarray:
+    """d/dx on chi_n: (He_n e^{-x^2/2})' = -He_{n+1} e^{-x^2/2}, so chi_n maps
+    to -chi_{n+1}."""
+    return -np.eye(size, k=-1)
+
+
+def _fourier_values(size: int, halflength: float, x: np.ndarray) -> np.ndarray:
+    """Rows: the documented fourier_interval functions at x.  Index 2k is
+    sin(pi(k+1)x/l)/sqrt(l), index 2k+1 is cos(pi k x/l)/sqrt(l), except
+    index 1, the constant 1/sqrt(2l)."""
+    out = np.zeros((size, x.size))
+    for j in range(size):
+        k = j // 2
+        if j == 1:
+            out[j] = 1.0 / sqrt(2.0 * halflength)
+        elif j % 2 == 0:
+            out[j] = np.sin(pi * (k + 1) * x / halflength) / sqrt(halflength)
+        else:
+            out[j] = np.cos(pi * k * x / halflength) / sqrt(halflength)
+    return out
+
+
+def gram_matrix_quadrature(basis) -> np.ndarray:
+    """<b_m|b_n> in L^2 of the documented functions of basis, by quadrature:
+    Gauss-Hermite for the 1-d Hermite functions, Gauss-Legendre on [-l, l]
+    for the Fourier modes, and a tensor Gauss-Hermite grid for the 3-d
+    Hermite products (enumerated here without the library's ordering)."""
+    if basis.kind == "hermite1d_orthonormal":
+        x, w = H.hermgauss(2 * basis.size + 8)
+        phi = _hermite_poly_values(basis.size, x)
+        return np.einsum("mi,i,ni->mn", phi, w, phi)
+    if basis.kind == "fourier_interval":
+        l = basis.interval_halflength
+        t, w = np.polynomial.legendre.leggauss(4 * basis.size + 40)
+        f = _fourier_values(basis.size, l, l * t)
+        return np.einsum("mi,i,ni->mn", f, l * w, f)
+    if basis.kind == "hermite3d_degree":
+        d = basis.degree
+        x, w = H.hermgauss(2 * d + 8)
+        phi = _hermite_poly_values(d + 1, x)
+        triples = [(a, b, c) for a in range(d + 1) for b in range(d + 1) for c in range(d + 1)
+                   if a + b + c <= d]
+        vals = np.array([np.einsum("i,j,k->ijk", phi[a], phi[b], phi[c]).ravel()
+                         for a, b, c in triples])
+        weights = np.einsum("i,j,k->ijk", w, w, w).ravel()
+        return np.einsum("mi,i,ni->mn", vals, weights, vals)
+    raise ValueError(f"no quadrature for basis kind {basis.kind!r}")
+
+
 def orthonormal_derivative_matrix(size: int) -> np.ndarray:
     """d/dx on phi_n: entries (n-1,n) = sqrt(n/2), (n+1,n) = -sqrt((n+1)/2),
     from the classical recurrences (independent of the library builders)."""

@@ -1,5 +1,6 @@
 """Config schema, scenario construction, file outputs, and CLI exit codes."""
 
+import copy
 import json
 import os
 import subprocess
@@ -40,6 +41,15 @@ def _base_config(**overrides):
     }
     cfg.update(overrides)
     return cfg
+
+
+def _number_leaves(node, keys=()):
+    """The key path of every number below node (a bool is not a number)."""
+    if isinstance(node, (dict, list)):
+        for key, child in (node.items() if isinstance(node, dict) else enumerate(node)):
+            yield from _number_leaves(child, keys + (key,))
+    elif isinstance(node, (int, float)) and not isinstance(node, bool):
+        yield keys
 
 
 def _run_cli(*args):
@@ -148,6 +158,34 @@ class TestSchema:
         cfg = _base_config(time={"t0": True, "t1": 1.0})
         with pytest.raises(SchemaError):
             parse_config_dict(cfg, Path("."))
+
+    @pytest.mark.parametrize("path", GOLDEN, ids=lambda path: path.stem)
+    def test_numeric_leaves_reject_bool_and_string(self, path):
+        cfg = json.loads(path.read_text(encoding="utf-8"))
+        leaves = list(_number_leaves(cfg))
+        assert leaves
+        for keys in leaves:
+            for bad in (True, "1"):
+                mutated = copy.deepcopy(cfg)
+                parent = mutated
+                for key in keys[:-1]:
+                    parent = parent[key]
+                parent[keys[-1]] = bad
+                with pytest.raises(SchemaError) as err:
+                    parse_config_dict(mutated, path.parent)
+                assert err.value.pointer == "/" + "/".join(map(str, keys)), bad
+
+    @pytest.mark.parametrize("basis,field", [
+        ({"kind": "hermite3d_degree", "size": 10, "degree": 2}, "degree"),
+        ({"kind": "fourier_interval", "size": 8, "interval_halflength": 2.0},
+         "interval_halflength"),
+    ])
+    def test_basis_fields_reject_bool_and_string(self, basis, field):
+        assert parse_config_dict(_base_config(basis=basis), Path(".")).basis.size == basis["size"]
+        for bad in (True, "2"):
+            with pytest.raises(SchemaError, match=field) as err:
+                parse_config_dict(_base_config(basis=dict(basis, **{field: bad})), Path("."))
+            assert err.value.pointer == "/basis"
 
     def test_file_errors(self, tmp_path):
         with pytest.raises(MissingInput):
@@ -484,6 +522,8 @@ _ERROR_CORPUS = [
     ("op_hermitian_flag_violated", {"op.json": _edited(_x_file(8), re=np.eye(8, k=1).tolist())},
      _OP_TERM, 1, _OP_AT),
     ("op_bands_too_narrow", {"op.json": _edited(_x_file(8), raise_band=0)}, _OP_TERM, 1, _OP_AT),
+    ("op_band_is_a_float", {"op.json": _edited(_x_file(8), raise_band=2.9)}, _OP_TERM, 1, _OP_AT),
+    ("op_band_is_a_bool", {"op.json": _edited(_x_file(8), raise_band=True)}, _OP_TERM, 1, _OP_AT),
     ("op_unknown_basis_kind",
      {"op.json": _edited(_x_file(8), basis={"kind": "laguerre", "size": 8})}, _OP_TERM, 1, _OP_AT),
     ("op_not_flagged_hermitian", {"op.json": _edited(_x_file(8), symmetry="none")}, _OP_TERM, 1,
@@ -491,6 +531,9 @@ _ERROR_CORPUS = [
     ("op_on_smaller_basis", {"op.json": _x_file(4)}, _OP_TERM, 1, _OP_AT),
     ("psi_without_im", {"psi.json": _edited(_psi_file(8), im=None)}, _PSI_STATE, 1, _PSI_AT),
     ("psi_on_smaller_basis", {"psi.json": _psi_file(4)}, _PSI_STATE, 1, _PSI_AT),
+    ("psi_basis_size_is_a_string",
+     {"psi.json": _edited(_psi_file(8), basis={"kind": "hermite1d_orthonormal", "size": "8"})},
+     _PSI_STATE, 1, _PSI_AT),
     ("psi_zero_vector", {"psi.json": _edited(_psi_file(8), re=[0.0] * 8)}, _PSI_STATE, 1, _PSI_AT),
     ("psi_norm_overflows", {"psi.json": _edited(_psi_file(8), re=[1e200] * 8)}, _PSI_STATE, 1,
      _PSI_AT),
@@ -505,6 +548,8 @@ _ERROR_CORPUS = [
      "/reduction/mu"),
     ("mu_level_norm_below_zero_floor", {}, {"reduction": {"mu": -1e-30, "dt_reduced": 1e-3}}, 1,
      "/reduction/mu"),
+    ("integer_dt_beyond_float_range", {}, {"integrator": {"method": "exact_eig", "dt": 10**400}},
+     1, "/integrator/dt"),
     ("basis_too_large_to_allocate", {}, {"basis": {"kind": "hermite1d_orthonormal",
                                                    "size": 10**6}}, 1, "/basis/size"),
 ]

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import oracles
 from geoschro.errors import BasisMismatch, LengthMismatch, UnsupportedBasis, ZeroVector
 from geoschro.hilbert import (
+    BASIS_KINDS,
     BasisSpec,
     RealChartPoint,
     StateVector,
@@ -19,7 +20,6 @@ from geoschro.hilbert import (
     inner,
     monomial_gaussian_state,
     norm,
-    probabilist_change_of_basis,
     symplectic_form,
     tautological_one_form,
     to_real_chart,
@@ -39,9 +39,19 @@ def _rand(rng, basis, unit=False):
 
 class TestBasisSpec:
     def test_kinds_and_json_round_trip(self):
-        for spec in (BasisSpec.hermite(8), BasisSpec.probabilist(5),
-                     BasisSpec.fourier(6, 2.0), BasisSpec.hermite3d(3)):
+        for spec in (BasisSpec.hermite(8), BasisSpec.fourier(6, 2.0), BasisSpec.hermite3d(3)):
             assert BasisSpec.from_json_dict(spec.to_json_dict()) == spec
+
+    def test_every_kind_is_orthonormal(self):
+        # inner and norm read raw coefficients, which is the L2 product only
+        # in an orthonormal basis
+        examples = {"hermite1d_orthonormal": BasisSpec.hermite(12),
+                    "fourier_interval": BasisSpec.fourier(9, 1.7),
+                    "hermite3d_degree": BasisSpec.hermite3d(2)}
+        assert set(BASIS_KINDS) == set(examples)
+        for kind, basis in examples.items():
+            gram = oracles.gram_matrix_quadrature(basis)
+            assert np.max(np.abs(gram - np.eye(basis.size))) <= 1e-12, kind
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(UnsupportedBasis):
@@ -93,23 +103,19 @@ class TestInnerProduct:
     def test_basis_mismatch(self):
         with pytest.raises(BasisMismatch):
             inner(_state(BasisSpec.hermite(2), [1, 0]),
-                  _state(BasisSpec.probabilist(2), [1, 0]))
+                  _state(BasisSpec.fourier(2, 1.0), [1, 0]))
 
     def test_probabilist_inner_products_convert_first(self):
-        # dual route: the Gram matrix of chi_n from quadrature
+        # <chi_m|chi_n> taken on the orthonormal coefficients C e_m, C e_n of
+        # the oracle's change of basis; dual route: chi_n's Gram matrix from
+        # quadrature
         size = 6
-        basis = BasisSpec.probabilist(size)
+        C = oracles.probabilist_change_of_basis(size)
         gram = oracles.probabilist_gram_quadrature(size)
-        for m in range(size):
-            for n in range(size):
-                em = np.zeros(size)
-                en = np.zeros(size)
-                em[m] = en[n] = 1.0
-                got = inner(_state(basis, em), _state(basis, en))
-                assert got == pytest.approx(gram[m, n], abs=1e-10)
+        assert np.max(np.abs(C.T @ C - gram)) <= 1e-10
 
     def test_change_of_basis_structure(self):
-        C = probabilist_change_of_basis(6)
+        C = oracles.probabilist_change_of_basis(6)
         # chi_0 = e^{-x^2/2} = pi^{1/4} phi_0
         assert C[0, 0] == pytest.approx(np.pi ** 0.25, abs=1e-15)
         assert np.allclose(C, np.triu(C))  # He_n has degree n

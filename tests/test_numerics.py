@@ -147,7 +147,7 @@ def _shapes(blocks):
 
 def test_oscillator_blocks_split_by_parity():
     blocks = oscillator_hamiltonian(64, drive=0.05).blocks
-    assert _shapes(blocks) == [(2, 32)] and not blocks.whole
+    assert _shapes(blocks) == [(2, 32)]
     assert np.array_equal(blocks.groups[0], [np.arange(0, 64, 2), np.arange(1, 64, 2)])
     odd = oscillator_hamiltonian(65).blocks
     assert _shapes(odd) == [(1, 32), (1, 33)]
@@ -159,7 +159,7 @@ def test_coupling_terms_give_one_whole_block():
     basis = BasisSpec.hermite(12)
     for names in (("p",), ("x",), ("x2", "x")):
         blocks = invariant_blocks([build_named(n, basis).matrix for n in names])
-        assert _shapes(blocks) == [(1, 12)] and blocks.whole
+        assert _shapes(blocks) == [(1, 12)]
     blocks = invariant_blocks([build_named("id", basis).matrix])
     assert _shapes(blocks) == [(12, 1)]
 
@@ -196,7 +196,6 @@ def test_invariant_blocks_match_breadth_first_components(seed):
     got = sorted(list(map(int, row)) for idx in blocks.groups for row in idx)
     assert got == sorted(_components(pattern))
     assert [idx.shape[1] for idx in blocks.groups] == sorted({len(c) for c in got})
-    assert blocks.whole == (len(got) == 1)
 
 
 def test_angular_momentum_blocks_are_degree_shells():

@@ -13,13 +13,12 @@ from geoschro.errors import (
     UnsafeSubspace,
     UnsupportedBasis,
 )
-from geoschro.hilbert import BasisSpec, StateVector, probabilist_change_of_basis
+from geoschro.hilbert import BasisSpec, StateVector
 from geoschro.operators import (
     BUILTIN_OPERATORS,
     OperatorMatrix,
     analytic_certificate,
     build_angular_momentum,
-    build_derivative_probabilist,
     build_fourier_p_squared,
     build_identity,
     build_momentum,
@@ -83,21 +82,12 @@ class TestLadderBuilders:
 
 
 class TestProbabilistDerivative:
-    def test_action_is_negative_shift(self):
-        basis = BasisSpec.probabilist(6)
-        D = build_derivative_probabilist(basis)
-        # (He_n e^{-x^2/2})' = -He_{n+1} e^{-x^2/2}
-        out = D.apply(_basis_state(basis, 2))
-        expected = np.zeros(6)
-        expected[3] = -1.0
-        assert np.array_equal(out.coefficients, expected.astype(complex))
-
     def test_conjugation_to_orthonormal_derivative(self):
         # C D_prob C^{-1} must equal d/dx written in the orthonormal basis,
         # away from the rows the truncation corrupts
         size = 10
-        C = probabilist_change_of_basis(size)
-        Dp = build_derivative_probabilist(BasisSpec.probabilist(size)).matrix
+        C = oracles.probabilist_change_of_basis(size)
+        Dp = oracles.probabilist_derivative_matrix(size)
         Do = oracles.orthonormal_derivative_matrix(size)
         conj = C @ Dp @ np.linalg.inv(C)
         assert np.max(np.abs(conj[:, : size - 1] - Do[:, : size - 1])) < 1e-12
@@ -206,8 +196,6 @@ class TestBuiltins:
                 basis = BasisSpec.hermite3d(2)
             elif name == "fourier_p2":
                 basis = BasisSpec.fourier(8, 1.5)
-            elif name == "d_dx_prob":
-                basis = BasisSpec.probabilist(8)
             else:
                 basis = BasisSpec.hermite(8)
             assert build_named(name, basis).basis == basis
@@ -349,9 +337,6 @@ class TestDtypeRule:
         M = build_named(name, basis).matrix
         assert M.dtype == dtype
         assert M.flags.c_contiguous
-
-    def test_probabilist_derivative_is_real(self):
-        assert build_derivative_probabilist(BasisSpec.probabilist(6)).matrix.dtype == np.float64
 
     def test_operator_file_with_zero_imaginary_part_loads_real(self):
         x = build_position(BasisSpec.hermite(6))
