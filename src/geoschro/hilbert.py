@@ -29,7 +29,7 @@ from math import comb, factorial, sqrt
 import numpy as np
 
 from .errors import BasisMismatch, LengthMismatch, UnsupportedBasis, ZeroVector
-from .serialize import json_integer, json_number
+from .serialize import json_integer, json_number, json_numbers
 
 BASIS_KINDS = (
     "hermite1d_orthonormal",
@@ -132,8 +132,8 @@ class StateVector:
     @staticmethod
     def from_json_dict(d: dict) -> "StateVector":
         basis = BasisSpec.from_json_dict(d["basis"])
-        re = np.asarray(d["re"], dtype=float)
-        im = np.asarray(d["im"], dtype=float)
+        re = json_numbers(d["re"], "re")
+        im = json_numbers(d["im"], "im")
         if re.shape != im.shape:
             raise LengthMismatch("re/im arrays differ in length")
         return StateVector(basis, re + 1j * im)

@@ -27,7 +27,7 @@ from .errors import (
 )
 from .hilbert import BasisSpec, StateVector, hermite3d_index_tuples, norm
 from .numerics import hermitian_eigendecompose, apply_exp_step
-from .serialize import json_integer
+from .serialize import json_integer, json_numbers
 from .tolerances import DEFAULT, Tolerances
 
 SYMMETRIES = ("hermitian", "skew_hermitian", "none")
@@ -123,7 +123,7 @@ class OperatorMatrix:
     @staticmethod
     def from_json_dict(d: dict) -> "OperatorMatrix":
         basis = BasisSpec.from_json_dict(d["basis"])
-        M = np.asarray(d["re"], dtype=float) + 1j * np.asarray(d["im"], dtype=float)
+        M = json_numbers(d["re"], "re") + 1j * json_numbers(d["im"], "im")
         return OperatorMatrix(basis, M, d["symmetry"], json_integer(d["raise_band"], "raise_band"),
                               json_integer(d["lower_band"], "lower_band"))
 

@@ -12,6 +12,8 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
+
 from .errors import MissingInput, NumericError, ParseError
 
 TRAJECTORY_CSV_HEADER = "# t,norm,norm_drift,J,energy"
@@ -43,6 +45,16 @@ def json_number(value, name: str = "value") -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise TypeError(f"{name} must be a number, got {type(value).__name__}")
     return float(value)
+
+
+def json_numbers(value, name: str = "value") -> np.ndarray:
+    """value as a float64 array when it is a JSON array, nested to any depth,
+    of JSON numbers; a bool, a string or any other element is a TypeError
+    naming the field."""
+    items = np.asarray(value, dtype=object)
+    for item in items.flat:
+        json_number(item, f"{name} element")
+    return items.astype(np.float64)
 
 
 def json_integer(value, name: str = "value") -> int:

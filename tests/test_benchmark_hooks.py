@@ -3,6 +3,10 @@ name and reads the step-grid arguments of the two grid roots; a rename here
 would break it, so the names it binds are checked against the package."""
 
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 from geoschro import dynamics, reduction
@@ -43,3 +47,44 @@ def test_grid_roots_bind_the_arguments_the_hooks_read():
         {"kind": "reduced", "dt": 0.1, "t0": 0.0, "t1": 0.2, "stride": 1,
          "reproject_every": 100, "record_times": [0.0, 0.2]},
     ]
+
+
+def _load_spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", TRACED.parent / "spans.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up by name
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_reduce_meets_the_count_rule(tmp_path):
+    """A traced reduce run long enough to re-project shows exactly the calls
+    spans.predict expects below each grid root: one eigendecomposition per
+    dominant_ray, one drift measurement per RK4 step."""
+    cfg = {
+        "basis": {"kind": "hermite1d_orthonormal", "size": 8},
+        "hamiltonian": [
+            {"operator": "p2", "coefficient": {"kind": "constant", "c": 0.5}},
+            {"operator": "x2", "coefficient": {"kind": "constant", "c": 0.5}},
+            {"operator": "x2",
+             "coefficient": {"kind": "sinusoid", "a": 0.05, "omega": 1.0, "phase": 0.0}},
+        ],
+        "initial_state": {"kind": "coherent", "alpha": [0.5, 0.2]},
+        "integrator": {"method": "magnus2", "dt": 0.01},
+        "time": {"t0": 0.0, "t1": 0.25, "stride": 5},
+        "reduction": {"mu": -0.5, "dt_reduced": 0.001},
+    }
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(cfg), encoding="utf-8")
+    spans_path = tmp_path / "spans.npz"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(TRACED.parent.parent / "src"),
+                                                      env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, str(TRACED), str(spans_path), "--", "reduce",
+                           "--config", str(config), "--out", str(tmp_path / "out")],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    trace = _load_spans().load(spans_path)
+    assert trace.problems == []
+    assert trace.count["reduction.rk4_step"] == 250
+    assert trace.count["reduction.reproject"] == 2 + 5

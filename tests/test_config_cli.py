@@ -500,6 +500,11 @@ def _psi_file(size):
     return StateVector(BasisSpec.hermite(size), np.eye(size)[0]).to_json_dict()
 
 
+def _first_entry(rows, value):
+    """A copy of a matrix given as nested lists, with entry [0][0] replaced."""
+    return [[value] + rows[0][1:]] + rows[1:]
+
+
 def _first_operator(name):
     return {"hamiltonian": [{"operator": name, "coefficient": {"kind": "constant", "c": 0.5}},
                             {"operator": "x2", "coefficient": {"kind": "constant", "c": 0.5}}]}
@@ -524,6 +529,12 @@ _ERROR_CORPUS = [
     ("op_bands_too_narrow", {"op.json": _edited(_x_file(8), raise_band=0)}, _OP_TERM, 1, _OP_AT),
     ("op_band_is_a_float", {"op.json": _edited(_x_file(8), raise_band=2.9)}, _OP_TERM, 1, _OP_AT),
     ("op_band_is_a_bool", {"op.json": _edited(_x_file(8), raise_band=True)}, _OP_TERM, 1, _OP_AT),
+    ("op_re_element_is_a_string",
+     {"op.json": _edited(_x_file(8), re=_first_entry(_x_file(8)["re"], "0"))},
+     _OP_TERM, 1, _OP_AT),
+    ("op_im_element_is_a_bool",
+     {"op.json": _edited(_x_file(8), im=_first_entry(_x_file(8)["im"], False))},
+     _OP_TERM, 1, _OP_AT),
     ("op_unknown_basis_kind",
      {"op.json": _edited(_x_file(8), basis={"kind": "laguerre", "size": 8})}, _OP_TERM, 1, _OP_AT),
     ("op_not_flagged_hermitian", {"op.json": _edited(_x_file(8), symmetry="none")}, _OP_TERM, 1,
@@ -533,6 +544,10 @@ _ERROR_CORPUS = [
     ("psi_on_smaller_basis", {"psi.json": _psi_file(4)}, _PSI_STATE, 1, _PSI_AT),
     ("psi_basis_size_is_a_string",
      {"psi.json": _edited(_psi_file(8), basis={"kind": "hermite1d_orthonormal", "size": "8"})},
+     _PSI_STATE, 1, _PSI_AT),
+    ("psi_re_element_is_a_string", {"psi.json": _edited(_psi_file(8), re=["1.0"] + [0] * 7)},
+     _PSI_STATE, 1, _PSI_AT),
+    ("psi_im_element_is_a_bool", {"psi.json": _edited(_psi_file(8), im=[True] + [0] * 7)},
      _PSI_STATE, 1, _PSI_AT),
     ("psi_zero_vector", {"psi.json": _edited(_psi_file(8), re=[0.0] * 8)}, _PSI_STATE, 1, _PSI_AT),
     ("psi_norm_overflows", {"psi.json": _edited(_psi_file(8), re=[1e200] * 8)}, _PSI_STATE, 1,
@@ -576,6 +591,20 @@ def test_error_contract_corpus(tmp_path, files, overrides, code, fragment):
     assert fragment in proc.stderr
     assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
     assert sorted(tmp_path.iterdir()) == before
+
+
+def test_coefficients_file_of_strings_and_bools_is_1(tmp_path):
+    """A coefficients file whose re array holds a string and a bool exits 1
+    at the file's pointer instead of reading them as 1.0."""
+    psi = _edited(_psi_file(4), re=["1.0", True, 0, 0])
+    (tmp_path / "psi.json").write_text(json.dumps(psi), encoding="utf-8")
+    cfg = _base_config(basis={"kind": "hermite1d_orthonormal", "size": 4}, **_PSI_STATE)
+    proc = _run_cli("simulate", "--config", str(_write_config(tmp_path, cfg)),
+                    "--out", str(tmp_path / "o"))
+    assert proc.returncode == 1, proc.stderr
+    assert _PSI_AT in proc.stderr and "re element must be a number, got str" in proc.stderr
+    assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+    assert not (tmp_path / "o").exists()
 
 
 def _stepping_config(method="magnus2", dt=0.1, t1=1.0, coefficient=None):

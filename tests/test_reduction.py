@@ -2,9 +2,10 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from geoschro import reduction
 from geoschro.errors import (
     BasisMismatch,
     NonNegativeMu,
@@ -13,8 +14,14 @@ from geoschro.errors import (
     ZeroVector,
 )
 from geoschro.dynamics import CoefficientFn, IntegratorSpec, TDepHamiltonian
-from geoschro.hilbert import BasisSpec, StateVector, TangentVector, symplectic_form
-from geoschro.numerics import random_state
+from geoschro.hilbert import (
+    BasisSpec,
+    StateVector,
+    TangentVector,
+    coherent_state,
+    symplectic_form,
+)
+from geoschro.numerics import hermitian_eigendecompose, random_state
 from geoschro.operators import build_identity, build_named, build_quadratics
 from geoschro.reduction import (
     LevelSetPoint,
@@ -317,6 +324,104 @@ class TestProjectors:
         mixed = ProjectorState(basis, np.eye(2, dtype=complex) / 2)
         with pytest.raises(RankCollapse):
             dominant_ray(mixed)
+
+
+def _dense_ray(P):
+    """The dominant ray from the full eigendecomposition of P."""
+    es = hermitian_eigendecompose(0.5 * (P.matrix + P.matrix.conj().T))
+    return ray_of(StateVector(P.basis, es.eigenvectors[:, -1]))
+
+
+def _counting_eig(monkeypatch):
+    """Route dominant_ray's eigendecompositions through a counter."""
+    calls = []
+
+    def counted(H, tol=DEFAULT, blocks=None):
+        calls.append(H.shape)
+        return hermitian_eigendecompose(H, tol, blocks)
+
+    monkeypatch.setattr(reduction, "hermitian_eigendecompose", counted)
+    return calls
+
+
+def _mixture(weights, size, seed):
+    """sum_k w_k |a_k><a_k| over orthonormal random vectors a_k."""
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
+    U = np.linalg.qr(A)[0]
+    w = np.zeros(size)
+    w[:len(weights)] = weights
+    return ProjectorState(BasisSpec.hermite(size), (U * w) @ U.conj().T)
+
+
+def _coherent_tail_projector():
+    """N=256 coherent projector: its tail underflows, so thousands of its
+    float parts are subnormal."""
+    P = projector_of(ray_of(coherent_state(0.5 + 0.2j, 256)))
+    parts = np.abs(P.matrix.view(np.float64))
+    assert np.count_nonzero((parts > 0) & (parts < np.finfo(float).tiny)) > 1000
+    return P
+
+
+class TestDominantRay:
+    @pytest.mark.parametrize("weights", [(0.6, 0.4), (0.9899, 0.0101)])
+    def test_rank_two_below_the_floor_collapses(self, weights):
+        with pytest.raises(RankCollapse):
+            dominant_ray(_mixture(weights, 8, 3))
+
+    def test_rank_two_above_the_floor_passes_as_dense(self, monkeypatch):
+        P = _mixture((0.9901, 0.0099), 8, 3)
+        calls = _counting_eig(monkeypatch)
+        ray = dominant_ray(P)
+        assert calls == [(2, 2)]
+        assert fubini_study_distance(ray, _dense_ray(P)) < 1e-14
+
+    def test_poor_gap_takes_the_dense_fallback(self, monkeypatch):
+        P = _mixture((1.0, 0.999, 0.5, 0.3, 0.2), 8, 5)
+        calls = _counting_eig(monkeypatch)
+        ray = dominant_ray(P)
+        assert calls == [(2, 2), (8, 8)]
+        assert np.array_equal(ray.representative.coefficients,
+                              _dense_ray(P).representative.coefficients)
+
+    @settings(max_examples=40, derandomize=True, database=None)
+    @given(st.integers(1, 64), st.integers(0, 10 ** 6))
+    def test_ritz_ray_matches_dense_ray(self, size, seed):
+        P = projector_of(ray_of(random_state(size, seed)))
+        assert fubini_study_distance(dominant_ray(P), _dense_ray(P)) <= 1e-14
+
+    def test_ritz_ray_on_a_subnormal_tail(self, monkeypatch):
+        P = _coherent_tail_projector()
+        dense = _dense_ray(P)
+        calls = _counting_eig(monkeypatch)
+        assert fubini_study_distance(dominant_ray(P), dense) <= 1e-14
+        assert calls == [(2, 2)]
+
+
+def _plain_idempotency(P):
+    return float(np.max(np.abs(P @ P - P)))
+
+
+class TestScaledIdempotency:
+    @settings(max_examples=40, derandomize=True, database=None)
+    @given(st.integers(1, 64), st.integers(0, 10 ** 6))
+    def test_bit_identical_on_normal_range_projectors(self, size, seed):
+        H = _driven(size)
+        P = projector_of(ray_of(random_state(size, seed))).matrix
+        P = _rk4_projector_step(H, 0.0, 1e-2, P)  # idempotent only to roundoff
+        assert ProjectorState(H.basis, P).drift()["idempotency"] == _plain_idempotency(P)
+
+    def test_equal_on_a_subnormal_tail(self):
+        P = _coherent_tail_projector()
+        assert P.drift()["idempotency"] == _plain_idempotency(P.matrix)
+
+    def test_huge_entries_stay_finite(self):
+        P = 1e150 * projector_of(ray_of(random_state(8, 4))).matrix
+        plain = _plain_idempotency(P)
+        assert np.isfinite(plain)
+        with np.errstate(over="raise", invalid="raise"):
+            scaled = ProjectorState(BasisSpec.hermite(8), P).drift()["idempotency"]
+        assert scaled == plain
 
 
 class TestReducedPropagation:
