@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .dynamics import (
+    COEFFICIENT_FIELDS,
     COEFFICIENT_KINDS,
     INTEGRATOR_METHODS,
     CoefficientFn,
@@ -129,11 +130,6 @@ def _parse_basis(d, pointer: str) -> BasisSpec:
     return _built(pointer, BasisSpec.from_json_dict, d)
 
 
-# the fields of each coefficient kind that hold numbers or arrays of them
-_COEFFICIENT_NUMBERS = {"constant": ("c",), "sinusoid": ("a", "omega", "phase"),
-                        "polynomial": ("coeffs",), "table": ("points",)}
-
-
 def _numbers(value, pointer: str):
     """Every leaf of value, a number or nested arrays of them, is a number."""
     if isinstance(value, list):
@@ -148,7 +144,7 @@ def _parse_coefficient(d, pointer: str) -> CoefficientFn:
     kind = _need(d, "kind", pointer)
     if kind not in COEFFICIENT_KINDS:
         raise SchemaError(f"{pointer}/kind", f"unknown coefficient kind {kind!r}")
-    for key in _COEFFICIENT_NUMBERS[kind]:
+    for key in COEFFICIENT_FIELDS[kind]:
         if key in d:
             _numbers(d[key], f"{pointer}/{key}")
     return _built(pointer, CoefficientFn.from_json_dict, d)

@@ -6,7 +6,7 @@ psi -> -i H(t) psi; its Hamiltonian function is (1/2)<psi|H psi>, whose
 differential along phi is 2 Re<phi|H psi> -- hamiltonian_field_residual
 measures that identity through two independent code paths.
 
-Integrators, each a step that ``_advance`` walks over a grid under one guard:
+Integrators, each a step that ``_walk`` chains over a grid under one guard:
 
 * ``exact_eig``  -- autonomous only; evaluates U(t) = V e^{-i t L} V^H
   directly at sample times from one eigendecomposition.
@@ -45,7 +45,10 @@ from .tolerances import DEFAULT, Tolerances
 
 INTEGRATOR_METHODS = ("exact_eig", "magnus2", "cayley2")
 MAX_STEPS = 10**7  # the most steps one time grid may hold
-COEFFICIENT_KINDS = ("constant", "sinusoid", "polynomial", "table")
+# each coefficient kind's JSON fields, in the order its constructor takes them
+COEFFICIENT_FIELDS = {"constant": ("c",), "sinusoid": ("a", "omega", "phase"),
+                      "polynomial": ("coeffs",), "table": ("points",)}
+COEFFICIENT_KINDS = tuple(COEFFICIENT_FIELDS)
 
 
 @dataclass(frozen=True)
@@ -91,6 +94,10 @@ class CoefficientFn:
         return CoefficientFn("table", table_t=ts, table_v=vs)
 
     @property
+    def points(self) -> list:
+        return [[t, v] for t, v in zip(self.table_t, self.table_v)]
+
+    @property
     def is_constant(self) -> bool:
         return self.kind == "constant"
 
@@ -110,26 +117,21 @@ class CoefficientFn:
         return float(np.interp(t, self.table_t, self.table_v))
 
     def to_json_dict(self) -> dict:
-        if self.kind == "constant":
-            return {"kind": "constant", "c": self.c}
-        if self.kind == "sinusoid":
-            return {"kind": "sinusoid", "a": self.a, "omega": self.omega, "phase": self.phase}
-        if self.kind == "polynomial":
-            return {"kind": "polynomial", "coeffs": list(self.coeffs)}
-        return {"kind": "table", "points": [[t, v] for t, v in zip(self.table_t, self.table_v)]}
+        out = {"kind": self.kind}
+        for key in COEFFICIENT_FIELDS[self.kind]:
+            value = getattr(self, key)
+            out[key] = list(value) if isinstance(value, tuple) else value
+        return out
 
     @staticmethod
     def from_json_dict(d: dict) -> "CoefficientFn":
+        """The constructor named by d["kind"] on its COEFFICIENT_FIELDS; a
+        sinusoid's phase may be left out."""
         kind = d["kind"]
-        if kind == "constant":
-            return CoefficientFn.constant(d["c"])
-        if kind == "sinusoid":
-            return CoefficientFn.sinusoid(d["a"], d["omega"], d.get("phase", 0.0))
-        if kind == "polynomial":
-            return CoefficientFn.polynomial(d["coeffs"])
-        if kind == "table":
-            return CoefficientFn.table(d["points"])
-        raise ValueError(f"unknown coefficient kind: {kind!r}")
+        if kind not in COEFFICIENT_KINDS:  # a tuple, so an unhashable kind is just unknown
+            raise ValueError(f"unknown coefficient kind: {kind!r}")
+        d = {"phase": 0.0, **d}
+        return getattr(CoefficientFn, kind)(*(d[key] for key in COEFFICIENT_FIELDS[kind]))
 
 
 @dataclass(frozen=True)

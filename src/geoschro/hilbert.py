@@ -29,7 +29,7 @@ from math import comb, factorial, sqrt
 import numpy as np
 
 from .errors import BasisMismatch, LengthMismatch, UnsupportedBasis, ZeroVector
-from .serialize import json_integer, json_number, json_numbers
+from .serialize import json_complex, json_integer, json_number
 
 BASIS_KINDS = (
     "hermite1d_orthonormal",
@@ -131,12 +131,7 @@ class StateVector:
 
     @staticmethod
     def from_json_dict(d: dict) -> "StateVector":
-        basis = BasisSpec.from_json_dict(d["basis"])
-        re = json_numbers(d["re"], "re")
-        im = json_numbers(d["im"], "im")
-        if re.shape != im.shape:
-            raise LengthMismatch("re/im arrays differ in length")
-        return StateVector(basis, re + 1j * im)
+        return StateVector(BasisSpec.from_json_dict(d["basis"]), json_complex(d))
 
 
 @dataclass(frozen=True)

@@ -27,10 +27,21 @@ from .errors import (
 )
 from .hilbert import BasisSpec, StateVector, hermite3d_index_tuples, norm
 from .numerics import hermitian_eigendecompose, apply_exp_step
-from .serialize import json_integer, json_numbers
+from .serialize import json_complex, json_integer
 from .tolerances import DEFAULT, Tolerances
 
 SYMMETRIES = ("hermitian", "skew_hermitian", "none")
+
+
+def flag_violation(M: np.ndarray, symmetry: str, rel_tol: float) -> float:
+    """How far M breaks its symmetry flag -- max|M - M^H| for "hermitian",
+    max|M + M^H| for "skew_hermitian" -- when that exceeds rel_tol times
+    max(1, max|M|); 0.0 when the flag holds, as "none" always does."""
+    if symmetry == "none":
+        return 0.0
+    Mh = M.conj().T
+    dev = float(np.max(np.abs(M - Mh if symmetry == "hermitian" else M + Mh)))
+    return 0.0 if dev <= rel_tol * max(1.0, float(np.max(np.abs(M)))) else dev
 
 
 def _band_limits(M: np.ndarray) -> tuple[int, int]:
@@ -65,15 +76,10 @@ class OperatorMatrix:
             raise ValueError("non-finite matrix entries")
         if self.symmetry not in SYMMETRIES:
             raise ValueError(f"unknown symmetry flag: {self.symmetry!r}")
-        scale = max(1.0, float(np.max(np.abs(M))) if M.size else 1.0)
-        if self.symmetry == "hermitian":
-            dev = float(np.max(np.abs(M - M.conj().T)))
-            if dev > tol.flag_check * scale:
-                raise ValueError(f"hermitian flag violated by {dev:.3e}")
-        elif self.symmetry == "skew_hermitian":
-            dev = float(np.max(np.abs(M + M.conj().T)))
-            if dev > tol.flag_check * scale:
-                raise ValueError(f"skew flag violated by {dev:.3e}")
+        dev = flag_violation(M, self.symmetry, tol.flag_check)
+        if dev:
+            flag = "hermitian" if self.symmetry == "hermitian" else "skew"
+            raise ValueError(f"{flag} flag violated by {dev:.3e}")
         rb, lb = _band_limits(M)
         if rb > self.raise_band or lb > self.lower_band:
             raise ValueError(
@@ -88,13 +94,7 @@ class OperatorMatrix:
         """Wrap a raw matrix, measuring bands and inferring the symmetry flag."""
         M = np.asarray(M)
         if symmetry is None:
-            scale = max(1.0, float(np.max(np.abs(M))) if M.size else 1.0)
-            if float(np.max(np.abs(M - M.conj().T))) <= tol.flag_check * scale:
-                symmetry = "hermitian"
-            elif float(np.max(np.abs(M + M.conj().T))) <= tol.flag_check * scale:
-                symmetry = "skew_hermitian"
-            else:
-                symmetry = "none"
+            symmetry = next(s for s in SYMMETRIES if not flag_violation(M, s, tol.flag_check))
         rb, lb = _band_limits(M)
         return OperatorMatrix(basis, M, symmetry, rb, lb, tol)
 
@@ -123,21 +123,9 @@ class OperatorMatrix:
     @staticmethod
     def from_json_dict(d: dict) -> "OperatorMatrix":
         basis = BasisSpec.from_json_dict(d["basis"])
-        M = json_numbers(d["re"], "re") + 1j * json_numbers(d["im"], "im")
-        return OperatorMatrix(basis, M, d["symmetry"], json_integer(d["raise_band"], "raise_band"),
+        return OperatorMatrix(basis, json_complex(d), d["symmetry"],
+                              json_integer(d["raise_band"], "raise_band"),
                               json_integer(d["lower_band"], "lower_band"))
-
-
-@dataclass(frozen=True)
-class DomainMask:
-    """Prefix subspace: the span of the first max_index+1 basis elements."""
-
-    basis: BasisSpec
-    max_index: int
-
-    def __post_init__(self):
-        if not (0 <= self.max_index < self.basis.size):
-            raise DomainExhausted(f"max_index {self.max_index} outside basis of size {self.basis.size}")
 
 
 @dataclass(frozen=True)
@@ -327,8 +315,9 @@ def support_max(psi: StateVector, support_tol: float) -> int:
     return int(live[-1]) if live.size else -1
 
 
-def safe_subspace(A: OperatorMatrix, applications: int) -> DomainMask:
-    """Prefix on which k applications of A incur no truncation error."""
+def safe_subspace(A: OperatorMatrix, applications: int) -> int:
+    """The largest index of the prefix on which k applications of A incur no
+    truncation error."""
     if applications < 0:
         raise ValueError("applications must be >= 0")
     max_index = A.basis.size - 1 - applications * A.raise_band
@@ -336,7 +325,7 @@ def safe_subspace(A: OperatorMatrix, applications: int) -> DomainMask:
         raise DomainExhausted(
             f"{applications} applications of raise_band {A.raise_band} exhaust size {A.basis.size}"
         )
-    return DomainMask(A.basis, max_index)
+    return max_index
 
 
 def flow_commutator(A: OperatorMatrix, B: OperatorMatrix, psi: StateVector,
@@ -351,9 +340,8 @@ def flow_commutator(A: OperatorMatrix, B: OperatorMatrix, psi: StateVector,
     if A.basis != B.basis or A.basis != psi.basis:
         raise BasisMismatch("flow commutator requires one common basis")
     for name, O in (("A", A), ("B", B)):
-        scale = max(1.0, O.max_norm())
-        dev = float(np.max(np.abs(O.matrix + O.matrix.conj().T)))
-        if dev > tol.skew_check * scale:
+        dev = flag_violation(O.matrix, "skew_hermitian", tol.skew_check)
+        if dev:
             raise NotSkewHermitian(f"{name} deviates from skew-Hermitian by {dev:.3e}")
     budget = psi.basis.size - 1 - 2 * (A.raise_band + B.raise_band)
     if support_max(psi, tol.support) > budget:
@@ -382,10 +370,10 @@ def analytic_certificate(A: OperatorMatrix, psi: StateVector, n_max: int,
     |A^n psi| <= C^n n! over 1 <= n <= n_max."""
     if psi.basis != A.basis:
         raise BasisMismatch("certificate requires matching bases")
-    mask = safe_subspace(A, n_max)
-    if support_max(psi, tol.support) > mask.max_index:
+    safe = safe_subspace(A, n_max)
+    if support_max(psi, tol.support) > safe:
         raise UnsafeSubspace(
-            f"support exceeds safe index {mask.max_index} for {n_max} applications"
+            f"support exceeds safe index {safe} for {n_max} applications"
         )
     norms = np.empty(n_max + 1)
     current = psi

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import MissingInput, NumericError, ParseError
+from .errors import LengthMismatch, MissingInput, NumericError, ParseError
 
 TRAJECTORY_CSV_HEADER = "# t,norm,norm_drift,J,energy"
 RAYS_CSV_HEADER = "# t,fs_distance_to_initial,fs_residual"
@@ -55,6 +55,15 @@ def json_numbers(value, name: str = "value") -> np.ndarray:
     for item in items.flat:
         json_number(item, f"{name} element")
     return items.astype(np.float64)
+
+
+def json_complex(d: dict) -> np.ndarray:
+    """re + 1j*im from the arrays of JSON numbers d["re"] and d["im"]; arrays
+    of different shapes are a LengthMismatch, never broadcast."""
+    re, im = json_numbers(d["re"], "re"), json_numbers(d["im"], "im")
+    if re.shape != im.shape:
+        raise LengthMismatch("re/im arrays differ in length")
+    return re + 1j * im
 
 
 def json_integer(value, name: str = "value") -> int:

@@ -535,6 +535,10 @@ _ERROR_CORPUS = [
     ("op_im_element_is_a_bool",
      {"op.json": _edited(_x_file(8), im=_first_entry(_x_file(8)["im"], False))},
      _OP_TERM, 1, _OP_AT),
+    ("op_re_is_a_scalar",
+     {"op.json": _edited(_x_file(8), re=0.5, raise_band=7, lower_band=7)}, _OP_TERM, 1, _OP_AT),
+    ("op_im_is_a_scalar", {"op.json": _edited(_x_file(8), im=0)}, _OP_TERM, 1, _OP_AT),
+    ("op_im_is_one_by_one", {"op.json": _edited(_x_file(8), im=[[0.0]])}, _OP_TERM, 1, _OP_AT),
     ("op_unknown_basis_kind",
      {"op.json": _edited(_x_file(8), basis={"kind": "laguerre", "size": 8})}, _OP_TERM, 1, _OP_AT),
     ("op_not_flagged_hermitian", {"op.json": _edited(_x_file(8), symmetry="none")}, _OP_TERM, 1,

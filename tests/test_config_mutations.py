@@ -3,10 +3,14 @@ code, and nothing escapes as an exception or a warning."""
 
 import copy
 import json
+import os
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
 
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -115,3 +119,42 @@ def test_mutated_golden_config_exits_cleanly(mutation):
             warnings.simplefilter("error")
             code = cli.main([command, "--config", str(config_path), "--out", str(Path(tmp) / "o")])
     assert code in (0, 1, 2, 3)
+
+
+# (golden config, path, replacement, exit code): fixed mutations for a fresh
+# interpreter, whose real stderr the in-process test above cannot see
+FRESH = [
+    ("harmonic_oscillator", ("integrator", "dt"), DELETE, 1),
+    ("driven_oscillator", ("time", "t1"), "x", 1),
+    ("driven_reduction", ("integrator", "dt"), 1e308, 0),
+    ("driven_reduction", ("reduction", "mu"), -1e308, 1),
+    ("identity_phase", ("basis", "size"), True, 1),
+    ("driven_oscillator", ("hamiltonian", 2, "coefficient", "kind"), [1], 1),
+    ("driven_oscillator", ("hamiltonian", 2, "coefficient", "a"), 1e308, 2),
+    ("translation", ("hamiltonian", 0, "operator"), "absent.json", 3),
+    ("harmonic_oscillator", ("time", "stride"), 0, 1),
+]
+
+
+@pytest.mark.parametrize("name,path,value,code", FRESH,
+                         ids=[f"{c[0]}:{'/'.join(map(str, c[1]))}" for c in FRESH])
+def test_mutated_golden_config_in_a_fresh_interpreter(tmp_path, name, path, value, code):
+    """The CLI exits with the case's documented code and prints at most one
+    stderr line, with no traceback or warning."""
+    cfg = copy.deepcopy(CONFIGS[name])
+    parent = _at(cfg, path[:-1])
+    if value == DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(cfg), encoding="utf-8")
+    command = "reduce" if "reduction" in CONFIGS[name] else "simulate"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "geoschro", command, "--config",
+                           str(config_path), "--out", str(tmp_path / "o")],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == code, proc.stderr
+    assert proc.stderr.count("\n") <= 1
+    assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
