@@ -1,18 +1,33 @@
 #!/usr/bin/env python3
-"""Run the benchmark traced and untraced and write one BENCH_<tag>.json.
+"""Run the benchmark traced and untraced and write one BENCH_<tag>.json, or
+time this checkout against another in alternated pairs.
 
     python3 scripts/bench.py --tag 13 [--seed 1] [--seconds 15]
+    python3 scripts/bench.py --pairs 10 --against OTHER_CHECKOUT --workload golden_cli
+                             [--seed 1] [--seconds 15]
 
-For each workload, runs ``perfbench/run.py --trace 0`` and ``--trace 1`` as
-child processes from the root of this checkout and reads the last JSON line
-of each run (the result: gates passed, and every metric as a median over the
-run's passes) and the line before it (the environment).  The file holds both
-result lines per workload, the traced call counts, and the environment of
-the first run.  Exits 1 when a run fails or reports ``correct: false``.
+For each workload, --tag runs ``perfbench/run.py --trace 0`` and
+``--trace 1`` as child processes from the root of this checkout and reads the
+last JSON line of each run (the result: gates passed, and every metric as a
+median over the run's passes) and the line before it (the environment).  The
+file holds both result lines per workload, the traced call counts, and the
+environment of the first run.
+
+--pairs runs ``perfbench/run.py --trace 0`` of one workload in the other
+checkout (the base) and in this one (the change), each from its own root,
+alternating which side runs first from pair to pair.  It prints every
+pair's ``run_s``, each side's median and quartiles, and the change's wins;
+the gain holds when the change wins at least nine tenths of the pairs, ties
+counting for neither, and the medians differ by more than the distance
+between the base's quartiles.
+
+Exits 1 when a run fails or reports ``correct: false``.
 """
 
 import argparse
 import json
+import math
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -21,12 +36,12 @@ REPO = Path(__file__).resolve().parent.parent
 WORKLOADS = ("golden_cli", "verify_all", "large_basis", "coefficient_dump")
 
 
-def run_once(workload: str, seed: int, seconds: int, trace: int):
-    """(result line, environment line) of one perfbench run, or None when it
-    exits non-zero or prints neither."""
+def run_once(workload: str, seed: int, seconds: int, trace: int, root: Path = REPO):
+    """(result line, environment line) of one perfbench run from the checkout
+    at ``root``, or None when it exits non-zero or prints neither."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", str(trace)]
-    proc = subprocess.run(argv, cwd=REPO, capture_output=True, text=True)
+    proc = subprocess.run(argv, cwd=root, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or len(lines) < 2:
         print(f"{' '.join(argv[1:])} exited {proc.returncode}: {proc.stderr[-2000:]}",
@@ -35,12 +50,69 @@ def run_once(workload: str, seed: int, seconds: int, trace: int):
     return json.loads(lines[-1]), json.loads(lines[-2])
 
 
+def pair_stats(base: list, change: list) -> dict:
+    """The pair rule on run_s values of the same pairs: each side's median
+    and quartiles, the change's wins and ties, and whether the gain holds."""
+    if len(base) != len(change) or len(base) < 2:
+        raise ValueError("need the same number of runs on each side, at least two")
+
+    def summary(runs):
+        q1, median, q3 = statistics.quantiles(runs, n=4, method="inclusive")
+        return {"median": median, "q1": q1, "q3": q3}
+
+    b, c = summary(base), summary(change)
+    wins = sum(c < b for b, c in zip(base, change))
+    ties = sum(c == b for b, c in zip(base, change))
+    spread = b["q3"] - b["q1"]
+    gap = b["median"] - c["median"]
+    return {"pairs": len(base), "wins": wins, "ties": ties, "base": b, "change": c,
+            "gap": gap, "base_iqr": spread,
+            "holds": wins >= math.ceil(0.9 * len(base)) and gap > spread}
+
+
+def run_pairs(pairs: int, against: Path, workload: str, seed: int, seconds: int) -> int:
+    base, change = [], []
+    roots = {"base": against.resolve(), "change": REPO}
+    for k in range(pairs):
+        order = ("base", "change") if k % 2 == 0 else ("change", "base")
+        got = {}
+        for side in order:
+            run = run_once(workload, seed, seconds, 0, roots[side])
+            if run is None or not run[0]["correct"]:
+                print(f"pair {k + 1}: the {side} run failed", file=sys.stderr)
+                return 1
+            got[side] = run[0]["metrics"]["run_s"]["value"]
+        base.append(got["base"])
+        change.append(got["change"])
+        print(f"pair {k + 1} ({order[0]} first): base {got['base']:.3f} s, "
+              f"change {got['change']:.3f} s", flush=True)
+    st = pair_stats(base, change)
+    for side in ("base", "change"):
+        q = st[side]
+        print(f"{side}: median {q['median']:.3f} s, quartiles {q['q1']:.3f} / {q['q3']:.3f} s")
+    print(f"change wins {st['wins']} of {st['pairs']} (ties {st['ties']}); median gap "
+          f"{st['gap']:.3f} s against base IQR {st['base_iqr']:.3f} s: gain "
+          f"{'holds' if st['holds'] else 'not shown'}")
+    print(json.dumps({"workload": workload, "seed": seed, "seconds": seconds,
+                      "base_run_s": base, "change_run_s": change, **st}))
+    return 0
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--tag", required=True, help="the file is BENCH_<tag>.json in the repo root")
+    ap.add_argument("--tag", help="the file is BENCH_<tag>.json in the repo root")
+    ap.add_argument("--pairs", type=int, help="alternated base/change pairs to run")
+    ap.add_argument("--against", type=Path, help="root of the base checkout for --pairs")
+    ap.add_argument("--workload", choices=WORKLOADS, help="the workload for --pairs")
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--seconds", type=int, default=15)
     args = ap.parse_args(argv)
+    if args.pairs is not None:
+        if args.against is None or args.workload is None or args.pairs < 2:
+            ap.error("--pairs needs at least 2 pairs, --against and --workload")
+        return run_pairs(args.pairs, args.against, args.workload, args.seed, args.seconds)
+    if args.tag is None:
+        ap.error("give --tag or --pairs")
 
     bench = {"seed": args.seed, "seconds": args.seconds, "env": None, "workloads": {}}
     for workload in WORKLOADS:

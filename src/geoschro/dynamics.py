@@ -14,14 +14,20 @@ Integrators, each a step that ``_walk`` chains over a grid under one guard:
   exp(-i dt H(t + dt/2)) through an eigendecomposition, so every step is
   unitary to roundoff (this is what the conservation checks lean on).
 * ``cayley2``    -- Crank-Nicolson: (I + i dt/2 H)^{-1} (I - i dt/2 H) with
-  the midpoint generator, one dense solve per step.
+  the midpoint generator, one batched solve per group of blocks per step.
 
 Block rule: the index sets on which the terms' joint nonzero pattern splits
 (parity for ``x2``/``p2``, total degree for ``Lx``/``Ly``/``Lz``) are found
-once, when the Hamiltonian is built, and are invariant for every t.  The
-eigendecompositions of ``exact_eig`` and ``magnus2`` decompose each block
-instead of the whole H(t), under the same gates; RK4, ``cayley2`` and records
-work on the whole matrix.
+once, when the Hamiltonian is built, and are invariant for every t.  Each
+term is kept as its blocks only, one (k, s, s) stack per group of equal-size
+blocks, and ``assemble`` returns H(t) in that form: nothing downstream sees
+the zeros between blocks.  The steps carry the state in block order
+(``InvariantBlocks.order``), where each group's rows are one contiguous
+slice, and the eigendecompositions, the exponential and Cayley steps, the
+record energy and the projector flow of ``reduction`` all work group by
+group; records return to basis order, and every sum that forms a recorded
+number runs in basis order.  A Hamiltonian that does not split is one group
+of one block.
 """
 
 from __future__ import annotations
@@ -138,10 +144,15 @@ class CoefficientFn:
 class TDepHamiltonian:
     """H(t) = sum b_a(t) H_a.  Each H_a keeps the dtype its OperatorMatrix
     chose, so H(t) is float64 exactly when every term is real.  ``blocks``
-    holds the invariant blocks of the H_a, found once here."""
+    holds the invariant blocks of the H_a, found once here, and each H_a is
+    kept as its stacks on them.  The constant terms that lead the list are
+    summed once, from zero and in order, as ``assemble`` would sum them."""
 
     terms: tuple  # of (CoefficientFn, OperatorMatrix, label)
     blocks: InvariantBlocks = field(init=False, repr=False, compare=False)
+    lead: tuple = field(init=False, repr=False, compare=False)   # stacks of that sum
+    lead_finite: bool = field(init=False, repr=False, compare=False)
+    rest: tuple = field(init=False, repr=False, compare=False)   # of (CoefficientFn, stacks)
 
     def __post_init__(self):
         terms = tuple(self.terms)
@@ -153,8 +164,21 @@ class TDepHamiltonian:
                 raise BasisMismatch(f"term {label!r} uses a different basis")
             if op.symmetry != "hermitian":
                 raise NotHermitian(f"term {label!r} is not flagged Hermitian")
+        blocks = invariant_blocks([op.matrix for _, op, _ in terms])
+        dtype = np.result_type(*(op.matrix for _, op, _ in terms))
+        lead = [np.zeros(idx.shape + idx.shape[-1:], dtype) for idx in blocks.groups]
+        k = next((a for a, (coeff, _, _) in enumerate(terms) if not coeff.is_constant), len(terms))
+        with np.errstate(over="ignore", invalid="ignore"):  # assemble reports it
+            for coeff, op, _ in terms[:k]:
+                for L, T in zip(lead, blocks.gather(op.matrix)):
+                    L += coeff.c * T
         object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "blocks", invariant_blocks([op.matrix for _, op, _ in terms]))
+        object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "lead", tuple(lead))
+        object.__setattr__(self, "lead_finite",
+                           all(np.all(np.isfinite(L.view(np.float64))) for L in lead))
+        object.__setattr__(self, "rest", tuple((coeff, blocks.gather(op.matrix))
+                                               for coeff, op, _ in terms[k:]))
 
     @property
     def basis(self):
@@ -178,32 +202,44 @@ def oscillator_hamiltonian(size: int, drive: float = 0.0) -> TDepHamiltonian:
     return TDepHamiltonian(tuple(terms))
 
 
-def assemble(H: TDepHamiltonian, t: float) -> np.ndarray:
-    """H(t) = sum b_a(t) H_a as a raw array: float64 when every term is real,
-    complex128 otherwise.
+def assemble(H: TDepHamiltonian, t: float) -> tuple:
+    """H(t) = sum b_a(t) H_a as its (k, s, s) stacks on the groups of
+    H.blocks: float64 when every term is real, complex128 otherwise.  Every
+    entry is the sum of the terms' entries from zero in term order.
 
     The terms were checked for basis and Hermitian flag when H was built and
     every b_a(t) is a real float, so the sum is Hermitian by construction;
-    only overflow is left to check.
+    only non-finite coefficients and overflow are left to check.
     """
-    n = H.basis.size
-    M = np.zeros((n, n), dtype=np.result_type(*(op.matrix for _, op, _ in H.terms)))
+    if not H.lead_finite:  # the leading terms alone overflow
+        raise NumericError(f"non-finite H(t) entries at t={t!r}")
+    M = None
     try:
         with np.errstate(over="raise", invalid="raise"):
-            for coeff, op, _ in H.terms:
-                M += coeff(t) * op.matrix
+            for coeff, stacks in H.rest:
+                b = coeff(t)
+                if not isfinite(b):
+                    raise NumericError(f"non-finite H(t) entries at t={t!r}")
+                if M is None:
+                    M = [L + b * T for L, T in zip(H.lead, stacks)]
+                else:
+                    for S, T in zip(M, stacks):
+                        S += b * T
     except FloatingPointError as exc:
         raise NumericError(f"non-finite H(t) entries at t={t!r}") from exc
-    if not np.all(np.isfinite(M.view(np.float64))):
-        raise NumericError(f"non-finite H(t) entries at t={t!r}")
-    return M
+    # the terms are finite (OperatorMatrix checks), so with a finite lead and
+    # finite coefficients only an overflow, which raised above, could leave a
+    # non-finite entry
+    return tuple(M) if M is not None else tuple(L.copy() for L in H.lead)
 
 
 def schrodinger_rhs(H: TDepHamiltonian, t: float, psi: StateVector) -> TangentVector:
     """The Schrodinger vector field at (t, psi): direction -i H(t) psi."""
     if psi.basis != H.basis:
         raise BasisMismatch("state basis does not match the Hamiltonian")
-    return TangentVector(psi, StateVector(psi.basis, -1j * matmul(assemble(H, t), psi.coefficients)))
+    blocks = H.blocks
+    Hpsi = blocks.apply(assemble(H, t), psi.coefficients[blocks.order])[blocks.inverse]
+    return TangentVector(psi, StateVector(psi.basis, -1j * Hpsi))
 
 
 def average_value(A: OperatorMatrix, psi: StateVector, tol: Tolerances = DEFAULT) -> float:
@@ -311,16 +347,20 @@ def _time_grid(t0: float, t1: float, dt: float, knots=()):
     return points()
 
 
-def _record(H: TDepHamiltonian, t: float, coeffs: np.ndarray) -> TrajectoryRecord:
-    psi = StateVector(H.basis, coeffs)
+def _record(H: TDepHamiltonian, t: float, vec: np.ndarray) -> TrajectoryRecord:
+    """The record of a state held in block order."""
+    back = H.blocks.inverse
+    coeffs = vec[back]
     nrm = float(np.linalg.norm(coeffs))
-    energy = complex(np.vdot(coeffs, matmul(assemble(H, t), coeffs))).real / (nrm * nrm)
-    return TrajectoryRecord(t, nrm, -0.5 * nrm * nrm, energy, psi)
+    Hc = H.blocks.apply(assemble(H, t), vec)[back]
+    energy = complex(np.vdot(coeffs, Hc)).real / (nrm * nrm)
+    return TrajectoryRecord(t, nrm, -0.5 * nrm * nrm, energy, StateVector(H.basis, coeffs))
 
 
 def _step_operators(H: TDepHamiltonian, spec: IntegratorSpec, tol: Tolerances,
                     t0: float, vec0: np.ndarray):
-    """Returns step(t, t_next, vec) advancing vec from t to t_next; the exact_eig
+    """Returns step(t, t_next, vec) advancing vec, a vector or a matrix of
+    columns in the block order of H.blocks, from t to t_next; the exact_eig
     step ignores vec and evaluates U(t_next - t0) on vec0, the state at t0."""
     if spec.method == "exact_eig":
         if not H.is_autonomous:
@@ -341,12 +381,16 @@ def _step_operators(H: TDepHamiltonian, spec: IntegratorSpec, tol: Tolerances,
 
         return step
 
-    def step(t, t_next, vec):  # cayley2
+    def step(t, t_next, vec):  # cayley2, one batched solve per group
         tau = t_next - t
-        M = assemble(H, t + tau / 2.0)
-        n = M.shape[0]
-        eye = np.eye(n, dtype=np.complex128)
-        return np.linalg.solve(eye + 0.5j * tau * M, vec - 0.5j * tau * matmul(M, vec))
+        out = np.empty(vec.shape, dtype=np.complex128)
+        for rows, S in zip(H.blocks.rows, assemble(H, t + tau / 2.0)):
+            k, s, _ = S.shape
+            z = vec[rows].reshape(k, s, -1)
+            eye = np.eye(s, dtype=np.complex128)
+            out[rows] = np.linalg.solve(eye + 0.5j * tau * S, z - 0.5j * tau * matmul(S, z)
+                                        ).reshape(out[rows].shape)
+        return out
 
     return step
 
@@ -382,8 +426,9 @@ def propagate(H: TDepHamiltonian, psi0: StateVector, spec: IntegratorSpec,
     shortened to land exactly on t1."""
     if psi0.basis != H.basis:
         raise BasisMismatch("initial state basis does not match the Hamiltonian")
-    step = _step_operators(H, spec, tol, t0, psi0.coefficients)
-    return [_record(H, t, vec) for t, vec in _walk(step, psi0.coefficients, f"{spec.method} step",
+    vec0 = psi0.coefficients[H.blocks.order]
+    step = _step_operators(H, spec, tol, t0, vec0)
+    return [_record(H, t, vec) for t, vec in _walk(step, vec0, f"{spec.method} step",
                                                    t0, t1, spec.dt, stride)]
 
 
@@ -395,8 +440,10 @@ def symplectic_preservation_check(H: TDepHamiltonian, u: TangentVector, v: Tange
         raise BasisMismatch("tangent directions must live in the Hamiltonian basis")
     pair = np.column_stack([u.direction.coefficients, v.direction.coefficients])
     before = complex(np.vdot(pair[:, 0], pair[:, 1])).imag
+    pair = pair[H.blocks.order]
     step = _step_operators(H, spec, tol, t0, pair)
     for _, final in _walk(step, pair, f"{spec.method} step", t0, t1, spec.dt):
         pass  # the walk ends at t1
+    final = final[H.blocks.inverse]
     after = complex(np.vdot(final[:, 0], final[:, 1])).imag
     return abs(after - before)

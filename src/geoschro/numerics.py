@@ -1,4 +1,4 @@
-"""Dense linear algebra backbone.
+"""Linear algebra backbone, on matrices held block by block.
 
 Unitary steps are built from Hermitian eigendecompositions, U = V e^{-i tau
 Lambda} V^H, not from scaling-and-squaring: the eigenvector matrix is
@@ -15,15 +15,18 @@ a real matrix to them as one real product.
 
 Block rule: a set of matrices whose joint nonzero pattern splits into
 connected components (``invariant_blocks``) has those index sets as invariant
-subspaces, and so has every linear combination of the set.
-``hermitian_eigendecompose`` runs the Hermiticity pre-check once on the whole
-matrix and then decomposes each block: blocks of one size are stacked and go
-through one batched ``eigh``, and the orthonormality and eigen-residual gates
-run on every block with the same tolerances.  The eigenvectors of a block
-land on that block's indices, so V is exactly zero off-block and the
-off-block entries of H - H^H, V^H V - I and HV - V Lambda are exact zeros:
-the gates measure the same quantities as on the whole matrix.  Without
-blocks the whole matrix is the one block, and goes the same way.
+subspaces, and so has every linear combination of the set.  Such a matrix is
+held as its blocks alone: blocks of one size form a group, stored as one
+(k, s, s) stack (``InvariantBlocks.gather``), and a matrix without blocks is
+the one group with k = 1.  ``hermitian_eigendecompose`` takes the stacks:
+the Hermiticity pre-check, the scale and the orthonormality and
+eigen-residual gates run on them, and each group goes through one batched
+``eigh``.  Vectors are stepped in block order (``InvariantBlocks.order``),
+where each group's rows are one contiguous slice, so ``apply_exp_step`` and
+``InvariantBlocks.apply`` make one batched product per group with no gather
+or scatter.  The entries between blocks are exact zeros in H - H^H,
+V^H V - I and HV - V Lambda, so the gates measure the same quantities as on
+the whole matrix.
 """
 
 from __future__ import annotations
@@ -37,25 +40,29 @@ from .hilbert import BasisSpec, StateVector
 from .tolerances import DEFAULT, Tolerances
 
 
-def matmul(A: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """A @ X.  A real A acts on a complex vector or block X through the
+def matmul(A: np.ndarray, X: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """A @ X for a matrix or a stack of matrices A, and X one vector or
+    columns of A's stacking.  A real A acts on a complex X through the
     interleaved (re, im) float64 view of X: one real product, with no complex
-    copy of A."""
-    if np.iscomplexobj(A) or not np.iscomplexobj(X):
-        return A @ X
-    X = np.ascontiguousarray(X, dtype=np.complex128)
-    Y = A @ X.view(np.float64).reshape(X.shape[0], -1)
-    return Y.view(np.complex128).reshape(Y.shape[0], *X.shape[1:])
+    copy of A.  ``out``, for columns, is a C-contiguous array of the product's
+    shape and dtype that receives it."""
+    if A.dtype.kind == "c" or X.dtype.kind != "c":
+        return np.matmul(A, X, out=out)
+    cols = X.ndim == A.ndim
+    X = np.ascontiguousarray(X if cols else X[:, None], dtype=np.complex128)
+    Y = np.matmul(A, X.view(np.float64), out=None if out is None else out.view(np.float64))
+    return Y.view(np.complex128) if cols else Y.view(np.complex128)[:, 0]
 
 
 def require_hermitian(H: np.ndarray, tol: float) -> np.ndarray:
     """H as float64 when it is real, complex128 otherwise; NotHermitian
-    unless it is square and within tol of its conjugate transpose."""
+    unless it is a square matrix, or a stack of them, within tol of its
+    conjugate transpose."""
     H = np.asarray(H)
     H = H.astype(np.complex128 if np.iscomplexobj(H) else np.float64, copy=False)
-    if H.ndim != 2 or H.shape[0] != H.shape[1]:
+    if H.ndim < 2 or H.shape[-1] != H.shape[-2]:
         raise NotHermitian("matrix must be square")
-    dev = float(np.max(np.abs(H - H.conj().T)))
+    dev = float(np.abs(H - np.swapaxes(H, -1, -2).conj()).max())
     if not dev <= tol:
         raise NotHermitian(f"Hermiticity deviation {dev:.3e} exceeds {tol:.1e}")
     return H
@@ -66,19 +73,48 @@ class InvariantBlocks:
     """Invariant blocks of a set of N x N matrices, grouped by size.
 
     Row j of ``groups[g]`` holds the ascending indices of one block; every
-    block of a group has the same size s.  ``flat[g]`` holds the row-major
-    positions i*N + j of the group's (k, s, s) sub-matrices, so one ``take``
-    gathers them and one ``put`` scatters them back.
+    block of a group has the same size s.  ``order`` lists the indices group
+    by group and block by block.  In that block order a vector, or a matrix
+    permuted by ``to_blocks``, holds the k*s rows of group g as the one
+    contiguous slice ``rows[g]``.
     """
 
     size: int
-    groups: tuple                                # of (k, s) int arrays
-    flat: tuple = field(init=False, repr=False)  # of (k*s*s,) int arrays
+    groups: tuple                                        # of (k, s) int arrays
+    order: np.ndarray = field(init=False, repr=False)
+    inverse: np.ndarray = field(init=False, repr=False)  # order's inverse permutation
+    rows: tuple = field(init=False, repr=False)          # of slices, one per group
 
     def __post_init__(self):
-        n = self.size
-        object.__setattr__(self, "flat", tuple(
-            (idx[:, :, None] * n + idx[:, None, :]).reshape(-1) for idx in self.groups))
+        order = np.concatenate([idx.reshape(-1) for idx in self.groups])
+        ends = np.cumsum([idx.size for idx in self.groups]).tolist()
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "inverse", np.argsort(order))
+        object.__setattr__(self, "rows", tuple(slice(b - idx.size, b)
+                                               for idx, b in zip(self.groups, ends)))
+
+    def gather(self, M: np.ndarray) -> tuple:
+        """The (k, s, s) stack of M's blocks, one per group."""
+        return tuple(M[idx[:, :, None], idx[:, None, :]] for idx in self.groups)
+
+    def to_blocks(self, M: np.ndarray) -> np.ndarray:
+        """M with rows and columns permuted to ``order``."""
+        return M.take(self.order, axis=0).take(self.order, axis=1)
+
+    def to_basis(self, M: np.ndarray) -> np.ndarray:
+        """The inverse of ``to_blocks``."""
+        return M.take(self.inverse, axis=0).take(self.inverse, axis=1)
+
+    def apply(self, stacks, X: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """M @ X for M held as its stacks and X, a vector or a matrix of
+        columns, in block order: one batched product per group, on its rows.
+        ``out``, C-contiguous and of X's shape, receives the product."""
+        if out is None:
+            out = np.empty(X.shape, dtype=np.result_type(X, stacks[0]))
+        for rows, S in zip(self.rows, stacks):
+            k, s, _ = S.shape
+            matmul(S, X[rows].reshape(k, s, -1), out=out[rows].reshape(k, s, -1))
+        return out
 
 
 def invariant_blocks(matrices) -> InvariantBlocks:
@@ -112,34 +148,35 @@ def invariant_blocks(matrices) -> InvariantBlocks:
 
 @dataclass(frozen=True)
 class EigenSystem:
-    eigenvalues: np.ndarray   # real; ascending (within each block when blocked)
-    eigenvectors: np.ndarray  # unitary columns; real orthogonal for a real H
+    """Eigenpairs group by group, on the indices of ``blocks.groups[g]``."""
+
+    blocks: InvariantBlocks
+    eigenvalues: tuple   # of real (k, s) arrays, ascending within each block
+    eigenvectors: tuple  # of (k, s, s) stacks of unitary columns; real orthogonal for a real H
 
 
-def hermitian_eigendecompose(H: np.ndarray, tol: Tolerances = DEFAULT,
+def hermitian_eigendecompose(H, tol: Tolerances = DEFAULT,
                              blocks: InvariantBlocks | None = None) -> EigenSystem:
     """Eigendecompose a Hermitian matrix; validates the returned system.
 
-    With ``blocks``, H must be zero outside them (as every combination of the
-    matrices they were found from is); without, the whole matrix is the one
-    block.  Each size group is gathered into a (k, s, s) stack for one
-    batched ``eigh``, and the eigenpairs of a block are placed on its indices.
+    H is one square matrix (the one block), or with ``blocks`` the (k, s, s)
+    stacks of a matrix on their groups, as ``dynamics.assemble`` returns
+    them.  Each stack goes through one batched ``eigh`` and both gates.
     """
-    H = require_hermitian(H, tol.hermiticity)
-    n = H.shape[0]
     if blocks is None:
-        blocks = InvariantBlocks(n, (np.arange(n)[None, :],))
-    scale = max(1.0, float(np.max(np.abs(H))))
-    w = np.empty(n)
-    V = np.zeros((n, n), dtype=H.dtype)
-    for idx, flat in zip(blocks.groups, blocks.flat):
-        k, s = idx.shape
-        S = H.take(flat).reshape(k, s, s)
+        H = np.asarray(H)
+        if H.ndim != 2:
+            raise NotHermitian("matrix must be square")
+        blocks, H = InvariantBlocks(H.shape[0], (np.arange(H.shape[0])[None, :],)), (H[None],)
+    stacks = [require_hermitian(S, tol.hermiticity) for S in H]
+    scale = max(1.0, *(float(np.abs(S).max()) for S in stacks))
+    w, V = [], []
+    for S in stacks:
         ws, Vs = _eigh(S)
         _check_eigensystem(S, ws, Vs, scale, tol)
-        w[idx.reshape(-1)] = ws.reshape(-1)
-        V.put(flat, Vs)
-    return EigenSystem(w, V)
+        w.append(ws)
+        V.append(Vs)
+    return EigenSystem(blocks, tuple(w), tuple(V))
 
 
 def _eigh(H: np.ndarray):
@@ -152,23 +189,29 @@ def _eigh(H: np.ndarray):
 def _check_eigensystem(H: np.ndarray, w: np.ndarray, V: np.ndarray, scale: float,
                        tol: Tolerances) -> None:
     """Orthonormality and eigen-residual gates on a stack of matrices."""
-    ortho = float(np.max(np.abs(np.swapaxes(V, -1, -2).conj() @ V - np.eye(V.shape[-1]))))
+    G = np.swapaxes(V, -1, -2).conj() @ V
+    G.reshape(G.shape[0], -1)[:, ::G.shape[-1] + 1] -= 1.0  # V^H V - I
+    ortho = float(np.abs(G).max())
     if not ortho <= tol.orthonormality:
         raise ConvergenceFailure(f"eigenvector orthonormality residual {ortho:.3e}")
-    recon = float(np.max(np.abs(H @ V - V * w[..., None, :])))
+    R = H @ V
+    R -= V * w[..., None, :]
+    recon = float(np.abs(R).max())
     if not recon <= tol.eig_residual * scale:
         raise ConvergenceFailure(f"eigen residual {recon:.3e} vs scale {scale:.3e}")
 
 
 def apply_exp_step(es: EigenSystem, tau: float, vec: np.ndarray) -> np.ndarray:
-    """Apply exp(-i tau H) through a precomputed eigensystem (works on
-    column-stacked matrices too)."""
-    V = es.eigenvectors
-    z = matmul(V.conj().T, vec)
-    phases = np.exp(-1j * tau * es.eigenvalues)
-    if z.ndim == 1:
-        return matmul(V, phases * z)
-    return matmul(V, phases[:, None] * z)
+    """Apply exp(-i tau H) through a precomputed eigensystem to a vector, or
+    a matrix of columns, in the block order of es.blocks (the basis order
+    when H is one block), group by group on its rows."""
+    out = np.empty(vec.shape, dtype=np.complex128)
+    for rows, w, V in zip(es.blocks.rows, es.eigenvalues, es.eigenvectors):
+        k, s = w.shape
+        z = np.exp(-1j * tau * w)[..., None] * matmul(V.swapaxes(-1, -2).conj(),
+                                                      vec[rows].reshape(k, s, -1))
+        matmul(V, z, out=out[rows].reshape(k, s, -1))
+    return out
 
 
 def random_state(dim: int, seed: int, basis: BasisSpec | None = None) -> StateVector:

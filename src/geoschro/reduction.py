@@ -7,9 +7,18 @@ canonically phased unit vector (first coefficient above the phase floor made
 real and positive).
 
 Downstairs dynamics is integrated on rank-one projectors, dP/dt = -i[H(t),P],
-by a step of classical RK4, re-symmetrization and, every ``reproject_every``
-steps, re-projection onto the dominant eigenprojector; dynamics._walk walks
-it under the unitary steps' overflow guard.  paired_records runs that flow and
+by steps of classical RK4 and, every ``reproject_every`` steps,
+re-projection onto the dominant eigenprojector; dynamics._walk walks it under
+the unitary steps' overflow guard.  The flow holds P permuted to the block
+order of H (``InvariantBlocks.to_blocks``), so each stage forms H P as one
+batched product per group of blocks on a slice of rows, and the stages run
+in three fixed N x N buffers.  P goes back to basis order for records,
+re-projection and the drift measurement, so the drift and every record are
+computed on the same entries in the same order as on an unpermuted P.  The
+commutator -i(X - X^H), X = HP, is exactly Hermitian, so RK4 maps a bitwise
+Hermitian P to a bitwise Hermitian P; the outer product of ``projector_of``
+is Hermitian only to roundoff, so P is symmetrized once, after the first
+step from each projector_of.  paired_records runs that flow and
 the upstairs unitary flow once each, recording both at shared sample times,
 and diagram_residuals compares the projection of the one against the other.
 
@@ -48,7 +57,7 @@ from .dynamics import (
     propagate,
 )
 from .hilbert import BasisSpec, StateVector, TangentVector
-from .numerics import hermitian_eigendecompose, matmul
+from .numerics import hermitian_eigendecompose
 from .tolerances import DEFAULT, Tolerances
 
 
@@ -258,10 +267,11 @@ def dominant_ray(P: ProjectorState, tol: Tolerances = DEFAULT) -> Ray:
     if ritz is not None:
         return ray_of(StateVector(P.basis, ritz), tol)
     es = hermitian_eigendecompose(sym, tol)
-    lam = float(es.eigenvalues[-1])
+    (w,), (V,) = es.eigenvalues, es.eigenvectors  # the one block
+    lam = float(w[0, -1])
     if not lam >= tol.rank_dominance:
         raise RankCollapse(f"dominant eigenvalue {lam:.6f} below {tol.rank_dominance}")
-    return ray_of(StateVector(P.basis, es.eigenvectors[:, -1]), tol)
+    return ray_of(StateVector(P.basis, V[0, :, -1]), tol)
 
 
 def _ritz_vector(P: np.ndarray, tol: Tolerances):
@@ -279,8 +289,9 @@ def _ritz_vector(P: np.ndarray, tol: Tolerances):
     PQ = P @ Q
     T = Q.conj().T @ PQ
     es = hermitian_eigendecompose(0.5 * (T + T.conj().T), tol)
-    theta = float(es.eigenvalues[-1])
-    z = es.eigenvectors[:, -1]
+    (w,), (V,) = es.eigenvalues, es.eigenvectors
+    theta = float(w[0, -1])
+    z = V[0, :, -1]
     y = Q @ z
     r = float(np.linalg.norm(PQ @ z - theta * y))
     rho = sqrt(max(0.0, float(np.vdot(P, P).real) - theta * theta))
@@ -303,22 +314,42 @@ class ReducedRecord:
         }
 
 
-def _commutator(M: np.ndarray, Q: np.ndarray) -> np.ndarray:
-    """-i[M, Q] for Hermitian M and Q from one product: with X = MQ,
-    QM = X^H, and X - X^H is exactly anti-Hermitian."""
-    X = matmul(M, Q)
-    return -1j * (X - X.conj().T)
+def _commutator(blocks, M: tuple, Q: np.ndarray, X: np.ndarray, T: np.ndarray) -> None:
+    """X = -i[M, Q] for Hermitian M, given as its stacks on ``blocks``, and
+    Hermitian Q in block order; T is scratch and may be Q.  X = MQ is formed
+    one group at a time on the group's rows, QM = X^H, and X - X^H is exactly
+    anti-Hermitian."""
+    blocks.apply(M, Q, out=X)
+    np.conjugate(X.T, out=T)
+    np.subtract(X, T, out=X)
+    np.multiply(-1j, X, out=X)
 
 
-def _rk4_projector_step(H: TDepHamiltonian, t: float, h: float, P: np.ndarray) -> np.ndarray:
+def _rk4_projector_step(H: TDepHamiltonian, t: float, h: float, P: np.ndarray,
+                        work: np.ndarray) -> np.ndarray:
+    """One classical RK4 step of dP/dt = -i[H(t), P] on P in the block order
+    of H.blocks, written into P and returned.  ``work`` is three N x N complex
+    buffers: the stage input, the stage slope and the weighted sum of slopes."""
+    Q, K, A = work
     M0 = assemble(H, t)
     Mm = assemble(H, t + 0.5 * h)
     M1 = assemble(H, t + h)
-    k1 = _commutator(M0, P)
-    k2 = _commutator(Mm, P + (0.5 * h) * k1)
-    k3 = _commutator(Mm, P + (0.5 * h) * k2)
-    k4 = _commutator(M1, P + h * k3)
-    return P + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+    def slope(M, c):  # K = -i[M, P + c K]
+        np.multiply(c, K, out=Q)
+        np.add(P, Q, out=Q)
+        _commutator(H.blocks, M, Q, K, Q)
+
+    _commutator(H.blocks, M0, P, K, Q)  # k1
+    np.copyto(A, K)
+    for c in (0.5 * h, 0.5 * h):
+        slope(Mm, c)           # k2, then k3
+        np.multiply(2.0, K, out=Q)
+        np.add(A, Q, out=A)
+    slope(M1, h)               # k4
+    np.add(A, K, out=A)
+    np.multiply(h / 6.0, A, out=A)
+    return np.add(P, A, out=P)
 
 
 def reduced_propagate(H: TDepHamiltonian, ray0: Ray, dt: float, t0: float, t1: float,
@@ -336,28 +367,39 @@ def reduced_propagate(H: TDepHamiltonian, ray0: Ray, dt: float, t0: float, t1: f
     """
     if ray0.representative.basis != H.basis:
         raise BasisMismatch("initial ray basis does not match the Hamiltonian")
+    blocks = H.blocks
+    n = blocks.size
+    work = np.empty((3, n, n), dtype=np.complex128)
     drifts = {"trace": 0.0, "hermiticity": 0.0, "idempotency": 0.0}
-    taken = 0  # steps so far
+    taken = 0     # steps so far
+    fresh = True  # P is an outer product, Hermitian only to roundoff
+
+    def in_basis(P):
+        return ProjectorState(H.basis, blocks.to_basis(P))
 
     def step(t, t_next, P):
-        nonlocal taken
+        nonlocal taken, fresh
         taken += 1
-        P = _rk4_projector_step(H, t, t_next - t, P)
-        state = ProjectorState(H.basis, P).drift()
+        P = _rk4_projector_step(H, t, t_next - t, P, work)
+        state = in_basis(P).drift()
         if not np.all(np.isfinite(list(state.values()))):
             raise NumericError(f"non-finite projector drift at t={t_next!r}")
         for key in drifts:
             drifts[key] = max(drifts[key], state[key])
-        P += P.conj().T  # in place: the walk still holds this step's input
-        P *= 0.5
+        if fresh:  # from here on each step keeps P bitwise Hermitian
+            np.conjugate(P.T, out=work[0])
+            P += work[0]
+            P *= 0.5
+            fresh = False
         if taken % reproject_every == 0:
-            P = projector_of(dominant_ray(ProjectorState(H.basis, P), tol)).matrix
+            P = blocks.to_blocks(projector_of(dominant_ray(in_basis(P), tol)).matrix)
+            fresh = True
         return P
 
     records = []
-    for t, P in _walk(step, projector_of(ray0).matrix, "projector flow", t0, t1, dt, stride,
-                      record_times):
-        ray = dominant_ray(ProjectorState(H.basis, P), tol) if taken else ray0
+    for t, P in _walk(step, blocks.to_blocks(projector_of(ray0).matrix), "projector flow",
+                      t0, t1, dt, stride, record_times):
+        ray = dominant_ray(in_basis(P), tol) if taken else ray0
         del P  # the walk steps on to the next record; hold no projector meanwhile
         records.append(ReducedRecord(t, ray, fubini_study_distance(ray, ray0) if taken else 0.0))
     return records, drifts

@@ -181,3 +181,78 @@ def lz_single_excitation_block() -> np.ndarray:
 
 def matrix_commutator(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return A @ B - B @ A
+
+
+def densify(blocks, stacks) -> np.ndarray:
+    """The dense form of a block-held array, zero between blocks: the N x N
+    matrix of (k, s, s) stacks, or the N-vector of (k, s) eigenvalue stacks,
+    on the groups of ``blocks``."""
+    n = blocks.size
+    if stacks[0].ndim == 2:
+        out = np.zeros(n, dtype=stacks[0].dtype)
+        for idx, w in zip(blocks.groups, stacks):
+            out[idx] = w
+        return out
+    out = np.zeros((n, n), dtype=stacks[0].dtype)
+    for idx, S in zip(blocks.groups, stacks):
+        out[idx[:, :, None], idx[:, None, :]] = S
+    return out
+
+
+def dense_hamiltonian(H, t: float) -> np.ndarray:
+    """sum b_a(t) H_a summed from zero in term order on the full N x N term
+    matrices."""
+    n = H.basis.size
+    M = np.zeros((n, n), dtype=np.result_type(*(op.matrix for _, op, _ in H.terms)))
+    for coeff, op, _ in H.terms:
+        M += coeff(t) * op.matrix
+    return M
+
+
+def _real_view_product(M: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """M @ Q, a real M acting on complex Q through Q's (re, im) float64 view."""
+    if np.iscomplexobj(M):
+        return M @ Q
+    Q = np.ascontiguousarray(Q, dtype=np.complex128)
+    Y = M @ Q.view(np.float64).reshape(Q.shape[0], -1)
+    return Y.view(np.complex128).reshape(Y.shape[0], *Q.shape[1:])
+
+
+def reference_rk4_projector_step(H, t: float, h: float, P: np.ndarray) -> np.ndarray:
+    """Classical RK4 on dP/dt = -i[H(t), P] with dense products and fresh
+    temporaries, the commutator as -i(X - X^H) with X = H P."""
+    M0, Mm, M1 = (dense_hamiltonian(H, s) for s in (t, t + 0.5 * h, t + h))
+
+    def comm(M, Q):
+        X = _real_view_product(M, Q)
+        return -1j * (X - X.conj().T)
+
+    k1 = comm(M0, P)
+    k2 = comm(Mm, P + (0.5 * h) * k1)
+    k3 = comm(Mm, P + (0.5 * h) * k2)
+    k4 = comm(M1, P + h * k3)
+    return P + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def reference_projector_flow(H, P: np.ndarray, times, reproject_every: int, reproject):
+    """The projector flow in basis order over consecutive grid times: each
+    step is a reference RK4 step, the symmetrization 0.5 (P + P^H) and, every
+    reproject_every-th step, ``reproject``.  Yields, per step, the RK4 output
+    before any correction and the P the next step starts from."""
+    for k, (t, t_next) in enumerate(zip(times, times[1:]), start=1):
+        raw = reference_rk4_projector_step(H, t, t_next - t, P)
+        P = raw.copy()
+        P += P.conj().T
+        P *= 0.5
+        if k % reproject_every == 0:
+            P = reproject(P)
+        yield raw, P
+
+
+def reference_magnus2_step(H, t: float, tau: float, vec: np.ndarray) -> np.ndarray:
+    """exp(-i tau H(t + tau/2)) vec through one eigendecomposition of the
+    dense midpoint matrix."""
+    w, V = np.linalg.eigh(dense_hamiltonian(H, t + tau / 2.0))
+    phases = np.exp(-1j * tau * w)
+    z = V.conj().T @ vec
+    return V @ (phases * z if vec.ndim == 1 else phases[:, None] * z)

@@ -49,6 +49,14 @@ def _oscillator(size):
     ))
 
 
+def _basis_order_step(H, spec, t0, vec0):
+    """The step of _step_operators on basis-order states: the steps
+    themselves carry states in the block order of H.blocks."""
+    order, back = H.blocks.order, H.blocks.inverse
+    step = _step_operators(H, spec, DEFAULT, t0, vec0[order])
+    return lambda t, t_next, vec: step(t, t_next, vec[order])[back]
+
+
 def _driven(size, amplitude=0.05):
     basis = BasisSpec.hermite(size)
     x2, p2, _ = build_quadratics(basis)
@@ -124,27 +132,28 @@ class TestHamiltonianAssembly:
         t = 0.9
         x2, p2, _ = build_quadratics(BasisSpec.hermite(10))
         expected = 0.5 * p2.matrix + (0.5 + 0.05 * np.sin(t)) * x2.matrix
-        got = assemble(H, t)
+        got = oracles.densify(H.blocks, assemble(H, t))
         assert np.max(np.abs(got - expected)) < 1e-15
         assert np.array_equal(got, got.conj().T)
 
     def test_oscillator_assembles_to_exact_diagonal(self):
-        A = assemble(_oscillator(12), 0.0)
+        H = _oscillator(12)
+        A = oracles.densify(H.blocks, assemble(H, 0.0))
         assert np.array_equal(A, np.diag(np.arange(12) + 0.5).astype(complex))
 
     def test_real_terms_assemble_real_and_complex_terms_complex(self):
-        assert assemble(_driven(10), 0.3).dtype == np.float64
+        assert all(S.dtype == np.float64 for S in assemble(_driven(10), 0.3))
         basis = BasisSpec.hermite(10)
         H = TDepHamiltonian(((CoefficientFn.constant(1.0), build_named("p", basis), "p"),
                              (CoefficientFn.constant(0.5), build_named("x2", basis), "x2")))
-        assert assemble(H, 0.3).dtype == np.complex128
+        assert all(S.dtype == np.complex128 for S in assemble(H, 0.3))
 
     def test_real_magnus2_step_matches_complex_path(self):
         H = _driven(32, amplitude=0.3)
         psi = coherent_state(0.8, 32).coefficients
         t, dt = 0.4, 0.02
-        got = _step_operators(H, IntegratorSpec("magnus2", dt), DEFAULT, t, psi)(t, t + dt, psi)
-        M = assemble(H, t + dt / 2).astype(np.complex128)
+        got = _basis_order_step(H, IntegratorSpec("magnus2", dt), t, psi)(t, t + dt, psi)
+        M = oracles.densify(H.blocks, assemble(H, t + dt / 2)).astype(np.complex128)
         want = apply_exp_step(hermitian_eigendecompose(M), dt, psi)
         assert np.max(np.abs(got - want)) <= 1e-13
 
@@ -152,7 +161,7 @@ class TestHamiltonianAssembly:
         H = _oscillator(6)
         psi = random_state(6, 0)
         v = schrodinger_rhs(H, 0.0, psi)
-        expected = -1j * (assemble(H, 0.0) @ psi.coefficients)
+        expected = -1j * (oracles.densify(H.blocks, assemble(H, 0.0)) @ psi.coefficients)
         assert np.array_equal(v.direction.coefficients, expected)
         assert v.base_point is psi
 
@@ -275,13 +284,24 @@ class TestSteppedIntegrators:
         assert sum(len(idx) for idx in H.blocks.groups) > 1  # H splits into blocks
         pair = np.column_stack([random_state(size, 4).coefficients,
                                 random_state(size, 5).coefficients])
-        step = _step_operators(H, IntegratorSpec("magnus2", 1e-2), DEFAULT, 0.0, pair)
+        step = _basis_order_step(H, IntegratorSpec("magnus2", 1e-2), 0.0, pair)
         for t, tau in ((0.0, 1e-2), (1.3, 0.25)):
-            dense = hermitian_eigendecompose(assemble(H, t + tau / 2.0))
+            dense = hermitian_eigendecompose(oracles.densify(H.blocks, assemble(H, t + tau / 2.0)))
             want = apply_exp_step(dense, tau, pair)
             got = step(t, t + tau, pair)
             assert np.max(np.abs(got - want)) <= 1e-13
             assert np.max(np.abs(step(t, t + tau, pair[:, 0]) - want[:, 0])) <= 1e-13
+
+    @pytest.mark.parametrize("size", [33, 64])
+    def test_block_magnus2_step_matches_the_dense_reference(self, size):
+        H = _driven(size, amplitude=0.3)
+        psi = coherent_state(0.5 + 0.2j, size).coefficients
+        pair = np.column_stack([psi, random_state(size, 5).coefficients])
+        step = _basis_order_step(H, IntegratorSpec("magnus2", 1e-3), 0.0, psi)
+        for t, tau in ((0.0, 1e-3), (1.3, 0.25)):
+            for vec in (psi, pair):
+                want = oracles.reference_magnus2_step(H, t, tau, vec)
+                assert np.max(np.abs(step(t, t + tau, vec) - want)) <= 1e-13
 
 
 class TestRecordGrid:
@@ -386,6 +406,6 @@ class TestDtypeOfH:
         p, x2 = build_named("p", basis), build_named("x2", basis)
         H = TDepHamiltonian(((CoefficientFn.constant(1.0), p, "p"),
                              (CoefficientFn.constant(0.5), x2, "x2")))
-        got = assemble(H, 0.3)
+        got = oracles.densify(H.blocks, assemble(H, 0.3))
         assert got.dtype == np.complex128
         assert np.array_equal(got, p.matrix + 0.5 * x2.matrix)
