@@ -145,8 +145,8 @@ class TDepHamiltonian:
     """H(t) = sum b_a(t) H_a.  Each H_a keeps the dtype its OperatorMatrix
     chose, so H(t) is float64 exactly when every term is real.  ``blocks``
     holds the invariant blocks of the H_a, found once here, and each H_a is
-    kept as its stacks on them.  The constant terms that lead the list are
-    summed once, from zero and in order, as ``assemble`` would sum them."""
+    kept as the Hermitian part of its stacks on them.  The constant terms that
+    lead the list are summed once, from zero and in order, as ``assemble`` does."""
 
     terms: tuple  # of (CoefficientFn, OperatorMatrix, label)
     blocks: InvariantBlocks = field(init=False, repr=False, compare=False)
@@ -165,20 +165,25 @@ class TDepHamiltonian:
             if op.symmetry != "hermitian":
                 raise NotHermitian(f"term {label!r} is not flagged Hermitian")
         blocks = invariant_blocks([op.matrix for _, op, _ in terms])
+        # each H_a's Hermitian part: bit for bit H_a where H_a = H_a^H (every
+        # builtin), and it cannot overflow; real sums of these stay Hermitian
+        stacks = [tuple(np.where(T == Th, T, 0.5 * T + 0.5 * Th) for T, Th in
+                        zip(blocks.gather(op.matrix), blocks.gather(op.matrix.conj().T)))
+                  for _, op, _ in terms]
         dtype = np.result_type(*(op.matrix for _, op, _ in terms))
         lead = [np.zeros(idx.shape + idx.shape[-1:], dtype) for idx in blocks.groups]
         k = next((a for a, (coeff, _, _) in enumerate(terms) if not coeff.is_constant), len(terms))
         with np.errstate(over="ignore", invalid="ignore"):  # assemble reports it
-            for coeff, op, _ in terms[:k]:
-                for L, T in zip(lead, blocks.gather(op.matrix)):
+            for (coeff, _, _), S in zip(terms[:k], stacks):
+                for L, T in zip(lead, S):
                     L += coeff.c * T
         object.__setattr__(self, "terms", terms)
         object.__setattr__(self, "blocks", blocks)
         object.__setattr__(self, "lead", tuple(lead))
         object.__setattr__(self, "lead_finite",
                            all(np.all(np.isfinite(L.view(np.float64))) for L in lead))
-        object.__setattr__(self, "rest", tuple((coeff, blocks.gather(op.matrix))
-                                               for coeff, op, _ in terms[k:]))
+        object.__setattr__(self, "rest", tuple((coeff, S) for (coeff, _, _), S
+                                               in zip(terms[k:], stacks[k:])))
 
     @property
     def basis(self):
@@ -207,30 +212,27 @@ def assemble(H: TDepHamiltonian, t: float) -> tuple:
     H.blocks: float64 when every term is real, complex128 otherwise.  Every
     entry is the sum of the terms' entries from zero in term order.
 
-    The terms were checked for basis and Hermitian flag when H was built and
-    every b_a(t) is a real float, so the sum is Hermitian by construction;
-    only non-finite coefficients and overflow are left to check.
+    The terms are Hermitian by value since H was built, and every b_a(t) is
+    a real float, so every stack equals its conjugate transpose and nothing
+    re-checks it; only non-finite coefficients and overflow are left to check.
     """
     if not H.lead_finite:  # the leading terms alone overflow
         raise NumericError(f"non-finite H(t) entries at t={t!r}")
-    M = None
+    M = [L.copy() for L in H.lead]
     try:
         with np.errstate(over="raise", invalid="raise"):
             for coeff, stacks in H.rest:
                 b = coeff(t)
                 if not isfinite(b):
                     raise NumericError(f"non-finite H(t) entries at t={t!r}")
-                if M is None:
-                    M = [L + b * T for L, T in zip(H.lead, stacks)]
-                else:
-                    for S, T in zip(M, stacks):
-                        S += b * T
+                for S, T in zip(M, stacks):
+                    S += b * T
     except FloatingPointError as exc:
         raise NumericError(f"non-finite H(t) entries at t={t!r}") from exc
     # the terms are finite (OperatorMatrix checks), so with a finite lead and
     # finite coefficients only an overflow, which raised above, could leave a
     # non-finite entry
-    return tuple(M) if M is not None else tuple(L.copy() for L in H.lead)
+    return tuple(M)
 
 
 def schrodinger_rhs(H: TDepHamiltonian, t: float, psi: StateVector) -> TangentVector:

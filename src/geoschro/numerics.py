@@ -8,10 +8,9 @@ momentum conservation tests inherit that guarantee.
 Dtype rule: a real matrix stays real.  Each operator is stored real or
 complex when it is built, and H(t) is real exactly when every term is.  A
 real symmetric H is decomposed by the real ``eigh`` into real orthogonal
-eigenvectors, and the same three gates (Hermiticity, orthonormality, eigen
-residual) run in real arithmetic with the same tolerances; a complex H takes
-the complex path.  State vectors are always complex, and ``matmul`` applies
-a real matrix to them as one real product.
+eigenvectors, and the same gates run in real arithmetic with the same
+tolerances; a complex H takes the complex path.  State vectors are always
+complex, and ``matmul`` applies a real matrix to them as one real product.
 
 Block rule: a set of matrices whose joint nonzero pattern splits into
 connected components (``invariant_blocks``) has those index sets as invariant
@@ -19,14 +18,14 @@ subspaces, and so has every linear combination of the set.  Such a matrix is
 held as its blocks alone: blocks of one size form a group, stored as one
 (k, s, s) stack (``InvariantBlocks.gather``), and a matrix without blocks is
 the one group with k = 1.  ``hermitian_eigendecompose`` takes the stacks:
-the Hermiticity pre-check, the scale and the orthonormality and
-eigen-residual gates run on them, and each group goes through one batched
-``eigh``.  Vectors are stepped in block order (``InvariantBlocks.order``),
-where each group's rows are one contiguous slice, so ``apply_exp_step`` and
-``InvariantBlocks.apply`` make one batched product per group with no gather
-or scatter.  The entries between blocks are exact zeros in H - H^H,
-V^H V - I and HV - V Lambda, so the gates measure the same quantities as on
-the whole matrix.
+the scale and the orthonormality and eigen-residual gates run on them, and
+each group goes through one batched ``eigh``.  H(t) is Hermitian as built, so
+the Hermiticity pre-check runs on plain matrices only.  Vectors are stepped in
+block order (``InvariantBlocks.order``), where each group's rows are one
+contiguous slice, so ``apply_exp_step`` and ``InvariantBlocks.apply`` make
+one batched product per group with no gather or scatter.  The entries
+between blocks are exact zeros in V^H V - I and HV - V Lambda, so the gates
+measure the same quantities as on the whole matrix.
 """
 
 from __future__ import annotations
@@ -56,13 +55,12 @@ def matmul(A: np.ndarray, X: np.ndarray, out: np.ndarray | None = None) -> np.nd
 
 def require_hermitian(H: np.ndarray, tol: float) -> np.ndarray:
     """H as float64 when it is real, complex128 otherwise; NotHermitian
-    unless it is a square matrix, or a stack of them, within tol of its
-    conjugate transpose."""
+    unless it is one square matrix within tol of its conjugate transpose."""
     H = np.asarray(H)
     H = H.astype(np.complex128 if np.iscomplexobj(H) else np.float64, copy=False)
-    if H.ndim < 2 or H.shape[-1] != H.shape[-2]:
+    if H.ndim != 2 or H.shape[0] != H.shape[1]:
         raise NotHermitian("matrix must be square")
-    dev = float(np.abs(H - np.swapaxes(H, -1, -2).conj()).max())
+    dev = float(np.abs(H - H.conj().T).max())
     if not dev <= tol:
         raise NotHermitian(f"Hermiticity deviation {dev:.3e} exceeds {tol:.1e}")
     return H
@@ -159,24 +157,20 @@ def hermitian_eigendecompose(H, tol: Tolerances = DEFAULT,
                              blocks: InvariantBlocks | None = None) -> EigenSystem:
     """Eigendecompose a Hermitian matrix; validates the returned system.
 
-    H is one square matrix (the one block), or with ``blocks`` the (k, s, s)
-    stacks of a matrix on their groups, as ``dynamics.assemble`` returns
-    them.  Each stack goes through one batched ``eigh`` and both gates.
+    H is one square matrix (the one block), checked by ``require_hermitian``,
+    or with ``blocks`` the (k, s, s) stacks of a matrix on their groups, as
+    ``dynamics.assemble`` returns them Hermitian.  Each stack goes through one
+    batched ``eigh`` and both gates; on a stack that is not Hermitian, the
+    eigen-residual gate measures the difference relative to scale.
     """
     if blocks is None:
-        H = np.asarray(H)
-        if H.ndim != 2:
-            raise NotHermitian("matrix must be square")
+        H = require_hermitian(H, tol.hermiticity)
         blocks, H = InvariantBlocks(H.shape[0], (np.arange(H.shape[0])[None, :],)), (H[None],)
-    stacks = [require_hermitian(S, tol.hermiticity) for S in H]
-    scale = max(1.0, *(float(np.abs(S).max()) for S in stacks))
-    w, V = [], []
-    for S in stacks:
-        ws, Vs = _eigh(S)
-        _check_eigensystem(S, ws, Vs, scale, tol)
-        w.append(ws)
-        V.append(Vs)
-    return EigenSystem(blocks, tuple(w), tuple(V))
+    scale = max(1.0, *(float(np.abs(S).max()) for S in H))
+    pairs = [_eigh(S) for S in H]
+    for S, (w, V) in zip(H, pairs):
+        _check_eigensystem(S, w, V, scale, tol)
+    return EigenSystem(blocks, *zip(*pairs))
 
 
 def _eigh(H: np.ndarray):

@@ -16,7 +16,7 @@ from .errors import ParseError
 @dataclass(frozen=True)
 class Tolerances:
     # matrix symmetry checks
-    hermiticity: float = 1e-10          # pre-check before eigendecomposition
+    hermiticity: float = 1e-10          # plain-matrix pre-check before eigendecomposition
     flag_check: float = 1e-12           # constructor symmetry-flag verification
     skew_check: float = 1e-10           # flow-commutator skew-Hermiticity pre-check
 

@@ -179,6 +179,17 @@ def lz_single_excitation_block() -> np.ndarray:
     ], dtype=complex)
 
 
+def nearly_hermitian_matrix() -> np.ndarray:
+    """50 (A + A^T) for the 8 x 8 standard normal A of seed 0 (max entry
+    about 155), with entry [0, 1] moved by 1.5e-10: Hermitian within the
+    relative flag check, 1e-12 max(1, max|M|), but not within an absolute
+    1e-10."""
+    A = np.random.default_rng(0).standard_normal((8, 8))
+    M = 50.0 * (A + A.T)
+    M[0, 1] += 1.5e-10
+    return M
+
+
 def matrix_commutator(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return A @ B - B @ A
 

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import geoschro.cli as cli
+import oracles
 from geoschro.config import (
     build_hamiltonian,
     build_initial_state,
@@ -19,7 +20,7 @@ from geoschro.config import (
 )
 from geoschro.errors import MissingInput, ParseError, SchemaError, UnknownOperator
 from geoschro.hilbert import BasisSpec, StateVector
-from geoschro.operators import build_position
+from geoschro.operators import OperatorMatrix, build_position
 from geoschro.reduction import diagram_residuals, paired_records
 from geoschro.serialize import emit_plot_script
 from geoschro.tolerances import DEFAULT, parse_overrides
@@ -642,6 +643,26 @@ def test_stepping_escapes_are_numeric_errors(tmp_path, cfg, fragment):
     assert proc.stderr.startswith("numeric error:") and fragment in proc.stderr
     assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command,method", [("simulate", "magnus2"), ("simulate", "exact_eig"),
+                                            ("simulate", "cayley2"), ("reduce", "magnus2")])
+def test_a_term_that_passes_its_flag_check_is_not_checked_again(tmp_path, command, method):
+    """An operator file that passes its relative flag check at build time
+    (max entry 155, one entry 1.5e-10 off Hermitian) runs under every
+    integrator and under reduce: no step re-checks H(t) under another rule."""
+    op = OperatorMatrix(BasisSpec.hermite(8), oracles.nearly_hermitian_matrix(), "hermitian", 7, 7)
+    (tmp_path / "op.json").write_text(json.dumps(op.to_json_dict()), encoding="utf-8")
+    cfg = _base_config(
+        hamiltonian=[{"operator": "op.json", "coefficient": {"kind": "constant", "c": 1.0}}],
+        integrator={"method": method, "dt": 1e-3}, time={"t0": 0.0, "t1": 0.1, "stride": 10},
+        reduction={"mu": -0.5, "dt_reduced": 1e-3})
+    out = tmp_path / "o"
+    proc = _run_cli(command, "--config", str(_write_config(tmp_path, cfg)), "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["records"] == 11 and summary["max_norm_drift"] <= 1e-12
 
 
 @pytest.mark.parametrize("summary", [[1], {"files": 3}, {"files": {"trajectory_csv": 5}}],

@@ -31,6 +31,7 @@ from geoschro.dynamics import (
 from geoschro.hilbert import BasisSpec, StateVector, TangentVector, coherent_state, inner
 from geoschro.numerics import apply_exp_step, hermitian_eigendecompose, random_state
 from geoschro.operators import (
+    BUILTIN_OPERATORS,
     OperatorMatrix,
     build_identity,
     build_named,
@@ -164,6 +165,49 @@ class TestHamiltonianAssembly:
         expected = -1j * (oracles.densify(H.blocks, assemble(H, 0.0)) @ psi.coefficients)
         assert np.array_equal(v.direction.coefficients, expected)
         assert v.base_point is psi
+
+
+def _term(name):
+    """The operator of a builtin name on a basis it acts on, or the
+    oracle's nearly Hermitian matrix as an operator-file term."""
+    if name == "nearly_hermitian_file":
+        return OperatorMatrix(BasisSpec.hermite(8), oracles.nearly_hermitian_matrix(),
+                              "hermitian", 7, 7)
+    if name in ("Lx", "Ly", "Lz"):
+        return build_named(name, BasisSpec.hermite3d(3))
+    if name == "fourier_p2":
+        return build_named(name, BasisSpec.fourier(8, 1.0))
+    return build_named(name, BasisSpec.hermite(8))
+
+
+class TestHermitianByConstruction:
+    @pytest.mark.parametrize("name", BUILTIN_OPERATORS + ("nearly_hermitian_file",))
+    def test_every_assembled_stack_equals_its_conjugate_transpose(self, name):
+        op = _term(name)
+        H = TDepHamiltonian(((CoefficientFn.constant(0.5), op, "lead"),
+                             (CoefficientFn.sinusoid(0.3, 1.0), op, "drive"),
+                             (CoefficientFn.polynomial([0.1, -0.7]), op, "ramp")))
+        for t in (0.0, 0.4, 2.9):
+            for S in assemble(H, t):
+                assert np.array_equal(S, S.swapaxes(-1, -2).conj())
+
+    @pytest.mark.parametrize("name", BUILTIN_OPERATORS)
+    def test_builtin_terms_keep_their_bits(self, name):
+        op = _term(name)
+        H = TDepHamiltonian(((CoefficientFn.constant(1.0), op, name),))
+        for S, T in zip(assemble(H, 0.0), H.blocks.gather(op.matrix)):
+            assert S.dtype == T.dtype and np.array_equal(S, T)
+
+    def test_a_file_term_enters_as_its_hermitian_part(self):
+        op = _term("nearly_hermitian_file")
+        H = TDepHamiltonian(((CoefficientFn.constant(1.0), op, "op.json"),))
+        got = oracles.densify(H.blocks, assemble(H, 0.0))
+        M = op.matrix
+        assert np.array_equal(got, 0.5 * M + 0.5 * M.T)
+        moved = got != M
+        assert moved[0, 1] and moved[1, 0] and np.count_nonzero(moved) == 2
+        # half the deviation that the flag check let through
+        assert np.max(np.abs(got - M)) <= 0.5 * DEFAULT.flag_check * np.max(np.abs(M))
 
 
 class TestObservables:

@@ -514,6 +514,48 @@ FLOW_CASES = {  # (Hamiltonian, initial state, block shapes per group)
 }
 
 
+def _rotating_angular_momentum():
+    """Lz + 0.3 sin(t) Lx + 0.3 cos(t) Ly at degree 3: N = 20 in four
+    complex degree shells."""
+    Lx, Ly, Lz = build_angular_momentum(BasisSpec.hermite3d(3))
+    return TDepHamiltonian(((CoefficientFn.constant(1.0), Lz, "Lz"),
+                            (CoefficientFn.sinusoid(0.3, 1.0), Lx, "Lx"),
+                            (CoefficientFn.sinusoid(0.3, 1.0, np.pi / 2), Ly, "Ly")))
+
+
+def _linearly_driven_oscillator(size):
+    """(1/2)p^2 + (1/2)x^2 + 0.05 sin(t) x: x couples every index to its
+    neighbours, so the Hamiltonian is one whole block."""
+    basis = BasisSpec.hermite(size)
+    x2, p2, _ = build_quadratics(basis)
+    return TDepHamiltonian(((CoefficientFn.constant(0.5), p2, "kinetic"),
+                            (CoefficientFn.constant(0.5), x2, "potential"),
+                            (CoefficientFn.sinusoid(0.05, 1.0), build_named("x", basis), "drive")))
+
+
+DIAGRAM_CASES = {  # (Hamiltonian, initial state, block shapes per group)
+    "degree_shells_20": lambda: (_rotating_angular_momentum(),
+                                 random_state(20, 3, BasisSpec.hermite3d(3)),
+                                 [(1, 1), (1, 3), (1, 6), (1, 10)]),
+    "one_block_32": lambda: (_linearly_driven_oscillator(32), coherent_state(0.5, 32),
+                             [(1, 32)]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DIAGRAM_CASES))
+def test_commuting_diagram_on_other_block_structures(case):
+    """The frozen closure and conservation bounds hold beyond the parity
+    split: magnus2 and RK4 at dt 1e-3 over [0, 2] on the level mu = -0.5."""
+    H, psi, shapes = DIAGRAM_CASES[case]()
+    assert [idx.shape for idx in H.blocks.groups] == shapes
+    up, down, _ = paired_records(H, psi, -0.5, IntegratorSpec("magnus2", 1e-3), 1e-3,
+                                 0.0, 2.0, stride=100)
+    assert len(up) == 21
+    assert max(diagram_residuals(up, down)) <= 1e-6
+    assert max(abs(r.norm - up[0].norm) for r in up) <= 1e-12
+    assert max(abs(r.momentum_J - up[0].momentum_J) for r in up) <= 1e-12
+
+
 def _reproject(basis):
     return lambda P: projector_of(dominant_ray(ProjectorState(basis, P))).matrix
 
