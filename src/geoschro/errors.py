@@ -39,11 +39,11 @@ class NumericError(GeoschroError):
 
 
 class NotHermitian(NumericError):
-    """Matrix fails the Hermiticity tolerance."""
+    """Operator not flagged Hermitian, or a matrix that is not square."""
 
 
 class NotSkewHermitian(NumericError):
-    """Matrix fails the skew-Hermiticity tolerance."""
+    """Operator not flagged skew-Hermitian."""
 
 
 class ConvergenceFailure(NumericError):

@@ -19,11 +19,11 @@ held as its blocks alone: blocks of one size form a group, stored as one
 (k, s, s) stack (``InvariantBlocks.gather``), and a matrix without blocks is
 the one group with k = 1.  ``hermitian_eigendecompose`` takes the stacks:
 the scale and the orthonormality and eigen-residual gates run on them, and
-each group goes through one batched ``eigh``.  H(t) is Hermitian as built, so
-the Hermiticity pre-check runs on plain matrices only.  Vectors are stepped in
-block order (``InvariantBlocks.order``), where each group's rows are one
-contiguous slice, so ``apply_exp_step`` and ``InvariantBlocks.apply`` make
-one batched product per group with no gather or scatter.  The entries
+each group goes through one batched ``eigh``.  Symmetry is checked once, by
+an operator's flag, and no eigendecomposition re-checks it.  Vectors are
+stepped in block order (``InvariantBlocks.order``), where each group's rows
+are one contiguous slice, so ``apply_exp_step`` and ``InvariantBlocks.apply``
+make one batched product per group with no gather or scatter.  The entries
 between blocks are exact zeros in V^H V - I and HV - V Lambda, so the gates
 measure the same quantities as on the whole matrix.
 """
@@ -53,17 +53,11 @@ def matmul(A: np.ndarray, X: np.ndarray, out: np.ndarray | None = None) -> np.nd
     return Y.view(np.complex128) if cols else Y.view(np.complex128)[:, 0]
 
 
-def require_hermitian(H: np.ndarray, tol: float) -> np.ndarray:
-    """H as float64 when it is real, complex128 otherwise; NotHermitian
-    unless it is one square matrix within tol of its conjugate transpose."""
-    H = np.asarray(H)
-    H = H.astype(np.complex128 if np.iscomplexobj(H) else np.float64, copy=False)
-    if H.ndim != 2 or H.shape[0] != H.shape[1]:
-        raise NotHermitian("matrix must be square")
-    dev = float(np.abs(H - H.conj().T).max())
-    if not dev <= tol:
-        raise NotHermitian(f"Hermiticity deviation {dev:.3e} exceeds {tol:.1e}")
-    return H
+def hermitian_part(M: np.ndarray) -> np.ndarray:
+    """The exact Hermitian part of M: 0.5 M + 0.5 M^H, which cannot overflow,
+    where M differs from M^H, and bit for bit M elsewhere."""
+    Mh = M.conj().T
+    return np.where(M == Mh, M, 0.5 * M + 0.5 * Mh)
 
 
 @dataclass(frozen=True, eq=False)
@@ -157,14 +151,17 @@ def hermitian_eigendecompose(H, tol: Tolerances = DEFAULT,
                              blocks: InvariantBlocks | None = None) -> EigenSystem:
     """Eigendecompose a Hermitian matrix; validates the returned system.
 
-    H is one square matrix (the one block), checked by ``require_hermitian``,
-    or with ``blocks`` the (k, s, s) stacks of a matrix on their groups, as
-    ``dynamics.assemble`` returns them Hermitian.  Each stack goes through one
-    batched ``eigh`` and both gates; on a stack that is not Hermitian, the
+    H is one square matrix (the one block), or with ``blocks`` the (k, s, s)
+    stacks of a matrix on their groups, as ``dynamics.assemble`` returns them.
+    Each stack goes through one batched ``eigh`` and both gates; ``eigh``
+    reads one triangle, so on a matrix that is not Hermitian the
     eigen-residual gate measures the difference relative to scale.
     """
     if blocks is None:
-        H = require_hermitian(H, tol.hermiticity)
+        H = np.asarray(H)
+        H = H.astype(np.complex128 if np.iscomplexobj(H) else np.float64, copy=False)
+        if H.ndim != 2 or H.shape[0] != H.shape[1]:
+            raise NotHermitian("matrix must be square")
         blocks, H = InvariantBlocks(H.shape[0], (np.arange(H.shape[0])[None, :],)), (H[None],)
     scale = max(1.0, *(float(np.abs(S).max()) for S in H))
     pairs = [_eigh(S) for S in H]

@@ -26,7 +26,7 @@ from .errors import (
     UnsupportedBasis,
 )
 from .hilbert import BasisSpec, StateVector, hermite3d_index_tuples, norm
-from .numerics import hermitian_eigendecompose, apply_exp_step
+from .numerics import apply_exp_step, hermitian_eigendecompose, hermitian_part
 from .serialize import json_complex, json_integer
 from .tolerances import DEFAULT, Tolerances
 
@@ -335,22 +335,22 @@ def flow_commutator(A: OperatorMatrix, B: OperatorMatrix, psi: StateVector,
 
     g(t) = e^{-tA} e^{-tB} e^{tA} e^{tB} psi expands to
     psi + t^2 [A,B] psi + O(t^3), so (g(h) - 2 g(0) + g(-h)) / (2 h^2)
-    approximates commutator(A, B) psi with O(h^2) error.
+    approximates commutator(A, B) psi with O(h^2) error.  A and B must be
+    flagged skew-Hermitian; the flows step the exact Hermitian parts of iA, iB.
     """
     if A.basis != B.basis or A.basis != psi.basis:
         raise BasisMismatch("flow commutator requires one common basis")
     for name, O in (("A", A), ("B", B)):
-        dev = flag_violation(O.matrix, "skew_hermitian", tol.skew_check)
-        if dev:
-            raise NotSkewHermitian(f"{name} deviates from skew-Hermitian by {dev:.3e}")
+        if O.symmetry != "skew_hermitian":
+            raise NotSkewHermitian(f"{name} is not flagged skew-Hermitian")
     budget = psi.basis.size - 1 - 2 * (A.raise_band + B.raise_band)
     if support_max(psi, tol.support) > budget:
         raise UnsafeSubspace(
             f"state support exceeds index {budget} safe for two applications of each flow"
         )
     # skew G = -i H with H Hermitian; e^{tG} = e^{-i t H}
-    esA = hermitian_eigendecompose(1j * A.matrix, tol)
-    esB = hermitian_eigendecompose(1j * B.matrix, tol)
+    esA = hermitian_eigendecompose(hermitian_part(1j * A.matrix), tol)
+    esB = hermitian_eigendecompose(hermitian_part(1j * B.matrix), tol)
 
     def path(t: float) -> np.ndarray:
         v = apply_exp_step(esB, t, psi.coefficients)

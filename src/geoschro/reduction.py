@@ -200,12 +200,12 @@ def reduced_symplectic_form(v: TangentVector, w: TangentVector, tol: Tolerances 
     return complex(np.vdot(hv, hw)).imag
 
 
-def reduced_hamiltonian(A, ray: Ray, mu: float, tol: Tolerances = DEFAULT) -> float:
+def reduced_hamiltonian(A, ray: Ray, mu: float) -> float:
     """The function on projective space induced by (1/2)<psi|A psi> on the
     level J = mu: (1/2)(-2 mu) <r|A r> on the unit representative."""
     if not mu < 0:
         raise NonNegativeMu(f"level value must be negative, got {mu}")
-    return 0.5 * (-2.0 * mu) * average_value(A, ray.representative, tol)
+    return 0.5 * (-2.0 * mu) * average_value(A, ray.representative)
 
 
 @dataclass(frozen=True)
@@ -215,11 +215,13 @@ class ProjectorState:
     basis: BasisSpec
     matrix: np.ndarray
 
-    def drift(self) -> dict:
+    def drift(self, fresh: bool = True) -> dict:
+        """Hermiticity is measured only on a ``fresh`` P, one step from an
+        outer product; RK4 keeps a symmetrized P exactly Hermitian."""
         P = self.matrix
         return {
             "trace": abs(complex(np.trace(P)) - 1.0),
-            "hermiticity": float(np.max(np.abs(P - P.conj().T))),
+            "hermiticity": float(np.max(np.abs(P - P.conj().T))) if fresh else 0.0,
             "idempotency": _idempotency(P),
         }
 
@@ -381,7 +383,7 @@ def reduced_propagate(H: TDepHamiltonian, ray0: Ray, dt: float, t0: float, t1: f
         nonlocal taken, fresh
         taken += 1
         P = _rk4_projector_step(H, t, t_next - t, P, work)
-        state = in_basis(P).drift()
+        state = in_basis(P).drift(fresh)
         if not np.all(np.isfinite(list(state.values()))):
             raise NumericError(f"non-finite projector drift at t={t_next!r}")
         for key in drifts:

@@ -15,10 +15,8 @@ from .errors import ParseError
 
 @dataclass(frozen=True)
 class Tolerances:
-    # matrix symmetry checks
-    hermiticity: float = 1e-10          # plain-matrix pre-check before eigendecomposition
-    flag_check: float = 1e-12           # constructor symmetry-flag verification
-    skew_check: float = 1e-10           # flow-commutator skew-Hermiticity pre-check
+    # matrix symmetry: the one rule, checked when an operator is built
+    flag_check: float = 1e-12           # |M -+ M^H| relative to max(1, max|M|)
 
     # eigendecomposition / unitary step quality
     eig_residual: float = 1e-10         # |H V - V diag(w)| relative to |H|
@@ -29,9 +27,6 @@ class Tolerances:
     phase: float = 1e-12                # first coefficient used for ray phase fixing
     ray_norm: float = 1e-13             # ray representative unit-norm check
     zero_vector: float = 1e-14          # norm below this is "zero"
-
-    # averages and energies
-    imag_part: float = 1e-13            # allowed imaginary residue of <psi|A psi>
 
     # reduction
     level_set: float = 1e-12            # |J(psi) - mu| on level-set points

@@ -1,6 +1,8 @@
 """Config schema, scenario construction, file outputs, and CLI exit codes."""
 
+import ast
 import copy
+import dataclasses
 import json
 import os
 import subprocess
@@ -23,7 +25,7 @@ from geoschro.hilbert import BasisSpec, StateVector
 from geoschro.operators import OperatorMatrix, build_position
 from geoschro.reduction import diagram_residuals, paired_records
 from geoschro.serialize import emit_plot_script
-from geoschro.tolerances import DEFAULT, parse_overrides
+from geoschro.tolerances import DEFAULT, Tolerances, parse_overrides
 
 REPO = Path(__file__).resolve().parent.parent
 GOLDEN = sorted((REPO / "configs").glob("*.json"))
@@ -468,16 +470,38 @@ class TestExitCodes:
         assert all(case["pass"] for case in report["cases"])
 
     def test_bad_tol_override_is_1(self, tmp_path):
-        for override in ("nonsense=1", "unitarity=1e-12", "hermiticity=nan", "hermiticity=-1",
-                         "hermiticity=inf", "eig_residual=1e400", "phase=tiny"):
+        for override in ("nonsense=1", "unitarity=1e-12", "hermiticity=1e-8",
+                         "skew_check=1e-10", "imag_part=1e-13", "eig_residual=nan",
+                         "eig_residual=-1", "eig_residual=inf", "eig_residual=1e400",
+                         "phase=tiny"):
             assert cli.main(["verify", "--suite", "symplectic", "--size", "8", "--seed", "1",
                              "--tol", override, "--out", str(tmp_path / "r.json")]) == 1
         assert not (tmp_path / "r.json").exists()
 
     def test_tol_override_accepts_finite_non_negative_values(self):
-        tol = parse_overrides(["hermiticity=0", " phase = 1e-4"])
-        assert tol == DEFAULT.replace(hermiticity=0.0, phase=1e-4)
+        tol = parse_overrides(["eig_residual=0", " phase = 1e-4"])
+        assert tol == DEFAULT.replace(eig_residual=0.0, phase=1e-4)
         assert parse_overrides([]) == DEFAULT
+
+    def test_a_removed_symmetry_key_is_one_stderr_line(self, tmp_path):
+        proc = _run_cli("verify", "--suite", "symplectic", "--size", "8", "--seed", "1",
+                        "--tol", "hermiticity=1e-8", "--out", str(tmp_path / "r.json"))
+        assert proc.returncode == 1
+        assert len(proc.stderr.splitlines()) == 1 and "'hermiticity'" in proc.stderr
+        assert not (tmp_path / "r.json").exists()
+
+    def test_every_tolerance_reaches_the_code(self):
+        """Each Tolerances field is read as an attribute somewhere in the
+        package outside tolerances.py, so no --tol key can stop reaching a
+        gate unnoticed."""
+        read = set()
+        for path in (REPO / "src" / "geoschro").glob("*.py"):
+            if path.name != "tolerances.py":
+                tree = ast.parse(path.read_text(encoding="utf-8"))
+                read |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        fields = [f.name for f in dataclasses.fields(Tolerances)]
+        assert len(fields) == 10
+        assert [name for name in fields if name not in read] == []
 
 
 def _edited(d, **changes):

@@ -29,7 +29,12 @@ from geoschro.dynamics import (
     symplectic_preservation_check,
 )
 from geoschro.hilbert import BasisSpec, StateVector, TangentVector, coherent_state, inner
-from geoschro.numerics import apply_exp_step, hermitian_eigendecompose, random_state
+from geoschro.numerics import (
+    apply_exp_step,
+    hermitian_eigendecompose,
+    hermitian_part,
+    random_state,
+)
 from geoschro.operators import (
     BUILTIN_OPERATORS,
     OperatorMatrix,
@@ -217,6 +222,18 @@ class TestObservables:
         ground = StateVector(basis, np.eye(12)[0])
         assert average_value(x2, ground) == 0.5
         assert hamiltonian_function(x2, ground) == 0.25
+
+    def test_average_of_a_term_that_passed_its_flag_check(self):
+        """The oracle's operator file (max entry about 155, one entry 1.5e-10
+        off Hermitian) passes its flag check; its average at (e0 + i e1)/sqrt(2)
+        is the real part, bit for bit the average of its Hermitian part."""
+        op = _term("nearly_hermitian_file")
+        psi = StateVector(op.basis, (np.eye(8)[0] + 1j * np.eye(8)[1]) / np.sqrt(2))
+        assert abs(complex(np.vdot(psi.coefficients, op.matrix @ psi.coefficients)).imag) > 7e-11
+        got = average_value(op, psi)
+        assert got == pytest.approx(-56.98456249763295, rel=1e-15)
+        part = OperatorMatrix(op.basis, hermitian_part(op.matrix), "hermitian", 7, 7)
+        assert got == average_value(part, psi)
 
     def test_average_requires_hermitian_flag(self):
         basis = BasisSpec.hermite(4)

@@ -12,10 +12,10 @@ from geoschro.hilbert import BasisSpec, hermite3d_index_tuples
 from geoschro.numerics import (
     apply_exp_step,
     hermitian_eigendecompose,
+    hermitian_part,
     invariant_blocks,
     matmul,
     random_state,
-    require_hermitian,
 )
 from geoschro.operators import build_angular_momentum, build_named
 from geoschro.tolerances import DEFAULT
@@ -40,16 +40,16 @@ def _exp_step(H, t):
     return apply_exp_step(hermitian_eigendecompose(H), t, np.eye(H.shape[0]))
 
 
-def test_require_hermitian_accepts_and_rejects():
+def test_plain_path_checks_the_shape_and_leaves_symmetry_to_the_residual_gate():
     rng = np.random.default_rng(0)
     H = _random_hermitian(rng, 5)
-    assert require_hermitian(H, 1e-12) is not None
+    assert hermitian_eigendecompose(H) is not None
     bad = H.copy()
     bad[0, 1] += 1e-6
+    with pytest.raises(ConvergenceFailure):  # eigh reads the lower triangle
+        hermitian_eigendecompose(bad)
     with pytest.raises(NotHermitian):
-        require_hermitian(bad, 1e-8)
-    with pytest.raises(NotHermitian):
-        require_hermitian(np.zeros((2, 3)), 1e-12)
+        hermitian_eigendecompose(np.zeros((2, 3)))
 
 
 def test_eigendecompose_rejects_what_is_not_one_square_matrix():
@@ -62,15 +62,34 @@ def test_real_matrices_stay_real_and_keep_the_gates():
     rng = np.random.default_rng(5)
     A = rng.standard_normal((6, 6))
     S = A + A.T
-    assert require_hermitian(S, 1e-12).dtype == np.float64
+    assert hermitian_eigendecompose(S.astype(np.float32)).eigenvectors[0].dtype == np.float64
     w, V = _dense(hermitian_eigendecompose(S))
     assert V.dtype == np.float64
     assert np.max(np.abs((V * w) @ V.T - S)) < 1e-12
     for bad in (A, np.triu(S)):
-        with pytest.raises(NotHermitian):
-            require_hermitian(bad, 1e-8)
-        with pytest.raises(NotHermitian):
+        with pytest.raises(ConvergenceFailure):
             hermitian_eigendecompose(bad)
+        with pytest.raises(ConvergenceFailure):
+            hermitian_eigendecompose(bad.astype(np.complex128))
+
+
+def test_hermitian_part_keeps_the_bits_of_a_hermitian_entry_pair():
+    rng = np.random.default_rng(7)
+    H = _random_hermitian(rng, 6)
+    assert np.array_equal(hermitian_part(H), H)
+    M = H.copy()
+    M[0, 1] += 1e-9
+    M[2, 4] += 3e-9j
+    got = hermitian_part(M)
+    assert np.array_equal(got, got.conj().T)
+    moved = got != H
+    assert moved[0, 1] and moved[1, 0] and moved[2, 4] and moved[4, 2]
+    assert np.count_nonzero(moved) == 4
+    assert np.array_equal(got, 0.5 * M + 0.5 * M.conj().T)
+    # gathering a block commutes with it, bit for bit
+    blocks = invariant_blocks([np.kron(np.eye(2), np.ones((3, 3)))])
+    for S, T in zip(blocks.gather(got), blocks.gather(M)):
+        assert np.array_equal(S, np.stack([hermitian_part(B) for B in T]))
 
 
 def test_matmul_real_times_complex_matches_plain_product():

@@ -287,6 +287,27 @@ class TestFlowCommutator:
             flow_commutator(build_position(basis), build_momentum(basis).scaled(1j),
                             _basis_state(basis, 0), 1e-3)
 
+    def test_the_flag_is_the_skew_rule(self):
+        """1e4 i x (max entry about 2.3e4) with one entry moved by 1e-8 passes
+        its relative flag check; flow_commutator takes it on its flag and
+        steps its exact Hermitian part, while an exactly skew matrix flagged
+        "none" is refused."""
+        basis = HERMITE12
+        clean = build_position(basis).scaled(1e4j)
+        assert clean.symmetry == "skew_hermitian"
+        M = clean.matrix.copy()
+        M[0, 1] += 1e-8
+        A = OperatorMatrix(basis, M, "skew_hermitian", 1, 1)
+        ip = build_momentum(basis).scaled(1j)
+        psi = _basis_state(basis, 0)
+        got = flow_commutator(A, ip, psi, 1e-3).coefficients
+        want = flow_commutator(clean, ip, psi, 1e-3).coefficients
+        assert np.linalg.norm(got - want) <= 1.5e-12 * np.linalg.norm(want)
+        unflagged = OperatorMatrix(basis, clean.matrix, "none", 1, 1)
+        for pair in ((unflagged, ip), (ip, unflagged)):
+            with pytest.raises(NotSkewHermitian):
+                flow_commutator(*pair, psi, 1e-3)
+
     def test_support_guard(self):
         basis = BasisSpec.hermite(8)
         ip = build_momentum(basis).scaled(1j)

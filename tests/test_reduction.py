@@ -606,6 +606,25 @@ class TestBlockOrderFlow:
             P = _rk4_projector_step(H, t, t_next - t, P, work)
             assert np.array_equal(P, P.conj().T)
 
+    @pytest.mark.parametrize("case", sorted(FLOW_CASES))
+    def test_p_is_bitwise_hermitian_wherever_its_drift_is_not_measured(self, case, monkeypatch):
+        """reduced_propagate measures max|P - P^H| only on the first step from
+        each projector_of; after every other step P equals its conjugate
+        transpose bit for bit, so the measurement it skips reads 0.0."""
+        H, psi, _ = FLOW_CASES[case]()
+        seen = []
+        drift = ProjectorState.drift
+
+        def spy(state, fresh=True):
+            seen.append((fresh, np.array_equal(state.matrix, state.matrix.conj().T)))
+            return drift(state, fresh)
+
+        monkeypatch.setattr(ProjectorState, "drift", spy)
+        reduced_propagate(H, ray_of(psi), 1e-3, 0.0, 0.2, stride=20)
+        assert len(seen) == 200
+        assert [k for k, (fresh, _) in enumerate(seen) if fresh] == [0, 100]
+        assert all(hermitian for fresh, hermitian in seen if not fresh)
+
     def test_one_step_at_n256_allocates_no_more_than_the_dense_flow(self):
         """The dense flow this replaced (about 30 fresh N x N temporaries per
         step) peaked at 10,097,456 traced bytes here; the block-order flow,
