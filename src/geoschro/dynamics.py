@@ -298,12 +298,8 @@ class TrajectoryRecord:
     energy: float
     state: StateVector = field(repr=False)
 
-    def to_json_dict(self, include_coefficients: bool = False) -> dict:
-        out = {"t": self.t, "norm": self.norm, "J": self.momentum_J, "energy": self.energy}
-        if include_coefficients:
-            out["re"] = self.state.coefficients.real.tolist()
-            out["im"] = self.state.coefficients.imag.tolist()
-        return out
+    def to_json_dict(self) -> dict:
+        return {"t": self.t, "norm": self.norm, "J": self.momentum_J, "energy": self.energy}
 
 
 def _time_grid(t0: float, t1: float, dt: float, knots=()):

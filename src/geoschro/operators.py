@@ -104,8 +104,17 @@ class OperatorMatrix:
         return StateVector(self.basis, self.matrix @ psi.coefficients)
 
     def scaled(self, factor: complex, tol: Tolerances = DEFAULT) -> "OperatorMatrix":
-        """Scalar multiple; the flag follows the factor (i*Hermitian is skew)."""
-        return OperatorMatrix.from_matrix(self.basis, factor * self.matrix, tol=tol)
+        """Scalar multiple; the flag follows the factor: a real one keeps it,
+        a purely imaginary one swaps hermitian and skew_hermitian (i*Hermitian
+        is skew), and any other factor, or a "none" operator, has its flag
+        inferred from the product."""
+        z, symmetry = complex(factor), None
+        if self.symmetry != "none":
+            if z.imag == 0:
+                symmetry = self.symmetry
+            elif z.real == 0:
+                symmetry = "skew_hermitian" if self.symmetry == "hermitian" else "hermitian"
+        return OperatorMatrix.from_matrix(self.basis, factor * self.matrix, symmetry, tol)
 
     def max_norm(self) -> float:
         return float(np.max(np.abs(self.matrix)))

@@ -1,9 +1,12 @@
 """Trajectory and summary output: JSONL (authoritative), CSV mirrors for
 gnuplot, summary JSON, and the gnuplot script emitter.
 
-All numbers pass through Python's shortest round-trip float repr via the json
-module, so identical runs produce byte-identical files.  NaN and Infinity are
-not JSON: writing one raises NumericError, reading one raises ParseError.
+Every number is written as Python's shortest round-trip float repr, so
+identical runs produce byte-identical files.  Scalars and small records go
+through the json module; the coefficient arrays of trajectory records go
+through floatrepr.join_reprs, byte for byte the same repr, a batch of records
+per call.  NaN and Infinity are not JSON: writing one raises NumericError,
+reading one raises ParseError.
 """
 
 from __future__ import annotations
@@ -15,10 +18,15 @@ from pathlib import Path
 import numpy as np
 
 from .errors import LengthMismatch, MissingInput, NumericError, ParseError
+from .floatrepr import join_reprs
 
 TRAJECTORY_CSV_HEADER = "# t,norm,norm_drift,J,energy"
 RAYS_CSV_HEADER = "# t,fs_distance_to_initial,fs_residual"
 
+
+# Floats per join_reprs call: enough to spread its per-call cost, few enough
+# that its temporaries stay small next to the records being written.
+_BATCH_FLOATS = 4096
 
 _COMPACT = json.JSONEncoder(separators=(",", ":"), allow_nan=False)
 _INDENTED = json.JSONEncoder(indent=2, allow_nan=False)
@@ -103,7 +111,19 @@ def write_jsonl(path: Path, dicts) -> None:
 
 
 def write_trajectory_jsonl(path: Path, records, include_coefficients: bool) -> None:
-    write_jsonl(path, (r.to_json_dict(include_coefficients) for r in records))
+    """One JSON object per record: t, norm, J and energy, then with
+    include_coefficients the state's "re" and "im" arrays."""
+    if not include_coefficients:
+        write_jsonl(path, (r.to_json_dict() for r in records))
+        return
+    size = records[0].state.coefficients.size if records else 1
+    per_batch = max(1, _BATCH_FLOATS // size)
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        for start in range(0, len(records), per_batch):
+            batch = records[start:start + per_batch]
+            c = np.array([r.state.coefficients for r in batch])
+            for r, re, im in zip(batch, join_reprs(c.real), join_reprs(c.imag)):
+                fh.write(f'{dumps_compact(r.to_json_dict())[:-1]},"re":[{re}],"im":[{im}]}}\n')
 
 
 def write_trajectory_csv(path: Path, records) -> None:

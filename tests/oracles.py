@@ -6,6 +6,8 @@ evaluated basis functions, evolutions from closed-form solutions, and
 commutators from raw matrix products.
 """
 
+import json
+
 import numpy as np
 from math import factorial, pi, sqrt
 from numpy.polynomial import hermite as H
@@ -267,3 +269,14 @@ def reference_magnus2_step(H, t: float, tau: float, vec: np.ndarray) -> np.ndarr
     phases = np.exp(-1j * tau * w)
     z = V.conj().T @ vec
     return V @ (phases * z if vec.ndim == 1 else phases[:, None] * z)
+
+
+def trajectory_jsonl(records) -> str:
+    """trajectory.jsonl with coefficients, every record through the json
+    module, which writes each float as its repr."""
+    encoder = json.JSONEncoder(separators=(",", ":"), allow_nan=False)
+    return "".join(
+        encoder.encode({"t": r.t, "norm": r.norm, "J": r.momentum_J, "energy": r.energy,
+                        "re": r.state.coefficients.real.tolist(),
+                        "im": r.state.coefficients.imag.tolist()}) + "\n"
+        for r in records)

@@ -398,8 +398,6 @@ class TestRecordGrid:
                         IntegratorSpec("exact_eig", 0.1), 0.0, 0.1)[-1]
         d = rec.to_json_dict()
         assert set(d) == {"t", "norm", "J", "energy"}
-        d2 = rec.to_json_dict(include_coefficients=True)
-        assert len(d2["re"]) == 4 and len(d2["im"]) == 4
 
 
 class TestSymplecticPreservation:

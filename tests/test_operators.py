@@ -281,6 +281,16 @@ class TestFlowCommutator:
         out = flow_commutator(ix, i_id, psi, 1e-3)
         assert np.linalg.norm(out.coefficients) < 1e-8
 
+    def test_zero_operator_times_i_gives_null(self):
+        """The zero matrix satisfies every flag; scaled by i it stays
+        skew_hermitian because the flag follows the factor."""
+        basis = BasisSpec.hermite(8)
+        zero = OperatorMatrix.from_matrix(basis, np.zeros((8, 8))).scaled(1j)
+        assert zero.symmetry == "skew_hermitian"
+        ip = build_momentum(basis).scaled(1j)
+        out = flow_commutator(zero, ip, _basis_state(basis, 0), 1e-3)
+        assert np.linalg.norm(out.coefficients) < 1e-8
+
     def test_requires_skew_inputs(self):
         basis = BasisSpec.hermite(16)
         with pytest.raises(NotSkewHermitian):
