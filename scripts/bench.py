@@ -15,13 +15,19 @@ environment of the first run.
 
 --pairs runs ``perfbench/run.py --trace 0`` of one workload in the other
 checkout (the base) and in this one (the change), each from its own root,
-alternating which side runs first from pair to pair.  It prints every
-pair's ``run_s``, each side's median and quartiles, and the change's wins;
-the gain holds when the change wins at least nine tenths of the pairs, ties
-counting for neither, and the medians differ by more than the distance
-between the base's quartiles.
+alternating which side runs first from pair to pair.  It prints every pair's
+end-to-end metrics (the ``end_to_end`` list of BENCHMARK.json), and for each
+metric each side's median and quartiles and a verdict: "regression" when the
+change's median is worse than the base's by more than the metric's bound,
+relative to the base's median; else "unresolved" when either side's quartile
+spread, relative to the same median, exceeds the bound, unless every change
+run reads better than every base run; else "within bound".  For ``run_s`` it
+also prints the change's wins: a gain holds when the change wins at least
+nine tenths of the pairs, ties counting for neither, and the medians differ
+by more than the distance between the base's quartiles.
 
-Exits 1 when a run fails or reports ``correct: false``.
+Exits 1 when a run fails or reports ``correct: false``, or when a metric is
+a regression.
 """
 
 import argparse
@@ -50,9 +56,8 @@ def run_once(workload: str, seed: int, seconds: int, trace: int, root: Path = RE
     return json.loads(lines[-1]), json.loads(lines[-2])
 
 
-def pair_stats(base: list, change: list) -> dict:
-    """The pair rule on run_s values of the same pairs: each side's median
-    and quartiles, the change's wins and ties, and whether the gain holds."""
+def _quartiles(base: list, change: list) -> tuple:
+    """Each side's median and quartiles, for the same pairs of runs."""
     if len(base) != len(change) or len(base) < 2:
         raise ValueError("need the same number of runs on each side, at least two")
 
@@ -60,7 +65,13 @@ def pair_stats(base: list, change: list) -> dict:
         q1, median, q3 = statistics.quantiles(runs, n=4, method="inclusive")
         return {"median": median, "q1": q1, "q3": q3}
 
-    b, c = summary(base), summary(change)
+    return summary(base), summary(change)
+
+
+def pair_stats(base: list, change: list) -> dict:
+    """The pair rule on run_s values of the same pairs: each side's median
+    and quartiles, the change's wins and ties, and whether the gain holds."""
+    b, c = _quartiles(base, change)
     wins = sum(c < b for b, c in zip(base, change))
     ties = sum(c == b for b, c in zip(base, change))
     spread = b["q3"] - b["q1"]
@@ -70,32 +81,58 @@ def pair_stats(base: list, change: list) -> dict:
             "holds": wins >= math.ceil(0.9 * len(base)) and gap > spread}
 
 
+def metric_verdict(spec: dict, base: list, change: list) -> dict:
+    """The no-regression rule for one ``end_to_end`` entry of BENCHMARK.json
+    on the same pairs of runs: each side's median and quartiles, how much
+    worse the change's median is and how wide the spread, both relative to
+    the base's median, and the verdict (see the module docstring)."""
+    b, c = _quartiles(base, change)
+    sign = 1.0 if spec["better"] == "lower" else -1.0
+    worse = sign * (c["median"] - b["median"]) / abs(b["median"])
+    spread = max(b["q3"] - b["q1"], c["q3"] - c["q1"]) / abs(b["median"])
+    separated = max(sign * v for v in change) < min(sign * v for v in base)
+    if worse > spec["bound"]:
+        verdict = "regression"
+    elif spread > spec["bound"] and not separated:
+        verdict = "unresolved"
+    else:
+        verdict = "within bound"
+    return {"base": b, "change": c, "worse": worse, "spread": spread, "bound": spec["bound"],
+            "verdict": verdict}
+
+
 def run_pairs(pairs: int, against: Path, workload: str, seed: int, seconds: int) -> int:
-    base, change = [], []
+    specs = json.loads((REPO / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]
+    runs = {spec["name"]: {"base": [], "change": []} for spec in specs}
     roots = {"base": against.resolve(), "change": REPO}
     for k in range(pairs):
         order = ("base", "change") if k % 2 == 0 else ("change", "base")
-        got = {}
         for side in order:
             run = run_once(workload, seed, seconds, 0, roots[side])
             if run is None or not run[0]["correct"]:
                 print(f"pair {k + 1}: the {side} run failed", file=sys.stderr)
                 return 1
-            got[side] = run[0]["metrics"]["run_s"]["value"]
-        base.append(got["base"])
-        change.append(got["change"])
-        print(f"pair {k + 1} ({order[0]} first): base {got['base']:.3f} s, "
-              f"change {got['change']:.3f} s", flush=True)
-    st = pair_stats(base, change)
-    for side in ("base", "change"):
-        q = st[side]
-        print(f"{side}: median {q['median']:.3f} s, quartiles {q['q1']:.3f} / {q['q3']:.3f} s")
-    print(f"change wins {st['wins']} of {st['pairs']} (ties {st['ties']}); median gap "
+            for name, sides in runs.items():
+                sides[side].append(run[0]["metrics"][name]["value"])
+        print(f"pair {k + 1} ({order[0]} first): " + ", ".join(
+            f"{name} {sides['base'][-1]:.4g}/{sides['change'][-1]:.4g}"
+            for name, sides in runs.items()), flush=True)
+    verdicts = {}
+    for spec in specs:
+        name = spec["name"]
+        v = verdicts[name] = metric_verdict(spec, runs[name]["base"], runs[name]["change"])
+        b, c = v["base"], v["change"]
+        print(f"{name} ({spec['unit']}, {spec['better']} is better): base median "
+              f"{b['median']:.4g} [{b['q1']:.4g}, {b['q3']:.4g}], change median {c['median']:.4g} "
+              f"[{c['q1']:.4g}, {c['q3']:.4g}]; worse by {v['worse']:+.1%}, spread "
+              f"{v['spread']:.1%}, bound {v['bound']:.0%}: {v['verdict']}")
+    st = pair_stats(runs["run_s"]["base"], runs["run_s"]["change"])
+    print(f"run_s: change wins {st['wins']} of {st['pairs']} (ties {st['ties']}); median gap "
           f"{st['gap']:.3f} s against base IQR {st['base_iqr']:.3f} s: gain "
           f"{'holds' if st['holds'] else 'not shown'}")
-    print(json.dumps({"workload": workload, "seed": seed, "seconds": seconds,
-                      "base_run_s": base, "change_run_s": change, **st}))
-    return 0
+    print(json.dumps({"workload": workload, "seed": seed, "seconds": seconds, "runs": runs,
+                      "verdicts": verdicts, "gain": st}))
+    return 1 if any(v["verdict"] == "regression" for v in verdicts.values()) else 0
 
 
 def main(argv=None) -> int:

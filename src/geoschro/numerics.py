@@ -40,17 +40,15 @@ from .tolerances import DEFAULT, Tolerances
 
 
 def matmul(A: np.ndarray, X: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """A @ X for a matrix or a stack of matrices A, and X one vector or
-    columns of A's stacking.  A real A acts on a complex X through the
-    interleaved (re, im) float64 view of X: one real product, with no complex
-    copy of A.  ``out``, for columns, is a C-contiguous array of the product's
-    shape and dtype that receives it."""
+    """A @ X for a (k, s, s) stack A and a (k, s, m) stack X of columns.  A
+    real A acts on a complex X through the interleaved (re, im) float64 view
+    of X: one real product, with no complex copy of A.  ``out`` is a
+    C-contiguous array of the product's shape and dtype that receives it."""
     if A.dtype.kind == "c" or X.dtype.kind != "c":
         return np.matmul(A, X, out=out)
-    cols = X.ndim == A.ndim
-    X = np.ascontiguousarray(X if cols else X[:, None], dtype=np.complex128)
+    X = np.ascontiguousarray(X, dtype=np.complex128)
     Y = np.matmul(A, X.view(np.float64), out=None if out is None else out.view(np.float64))
-    return Y.view(np.complex128) if cols else Y.view(np.complex128)[:, 0]
+    return Y.view(np.complex128)
 
 
 def hermitian_part(M: np.ndarray) -> np.ndarray:

@@ -15,12 +15,13 @@ batched product per group of blocks on a slice of rows, and the stages run
 in three fixed N x N buffers.  P goes back to basis order for records,
 re-projection and the drift measurement, so the drift and every record are
 computed on the same entries in the same order as on an unpermuted P.  The
-commutator -i(X - X^H), X = HP, is exactly Hermitian, so RK4 maps a bitwise
-Hermitian P to a bitwise Hermitian P; the outer product of ``projector_of``
-is Hermitian only to roundoff, so P is symmetrized once, after the first
-step from each projector_of.  paired_records runs that flow and
-the upstairs unitary flow once each, recording both at shared sample times,
-and diagram_residuals compares the projection of the one against the other.
+commutator X - X^H, X = HP, is exactly anti-Hermitian and RK4 carries the -i
+in its weights, so it maps a bitwise Hermitian P to a bitwise Hermitian P;
+the outer product of ``projector_of`` is Hermitian only to roundoff, so P is
+symmetrized once, after the first step from each projector_of.
+paired_records runs that flow and the upstairs unitary flow once each,
+recording both at shared sample times, and diagram_residuals compares the
+projection of the one against the other.
 
 The dominant ray is a Rayleigh-Ritz step on span{v, Pv}, v the column of P
 with the largest diagonal entry: one 2 x 2 eigendecomposition instead of an
@@ -229,17 +230,16 @@ class ProjectorState:
 def _idempotency(P: np.ndarray) -> float:
     """max|P @ P - P|, measured on S = sP for a power of two s >= 1.
 
-    s brings the Frobenius norm of P to at most 2^510.  That norm bounds
-    every entry of S @ S and every partial sum forming it (Cauchy-Schwarz),
-    so nothing overflows, and (S @ S)/s - S = s(P @ P - P) entry for entry:
-    every entry the plain product keeps in the normal range comes out bit for
-    bit.  The point is the tail of a projector: entries the plain product
-    would multiply as subnormals, at a hundred times the cost, are normal in S.
+    s brings the Frobenius norm of P to at most 2^510 (s = 1 if it is larger
+    or not finite).  That norm bounds every entry of S @ S and every partial
+    sum forming it (Cauchy-Schwarz), so nothing overflows, and (S @ S)/s - S
+    = s(P @ P - P) entry for entry: every entry the plain product keeps in
+    the normal range comes out bit for bit.  The point is the tail of a
+    projector: entries the plain product would multiply as subnormals, at a
+    hundred times the cost, are normal in S.
     """
     norm2 = float(np.vdot(P, P).real)
-    k = 510 - max(frexp(sqrt(norm2))[1], 0) if isfinite(norm2) else 0
-    if k <= 0:
-        return float(np.max(np.abs(P @ P - P)))
+    k = 510 - min(max(frexp(sqrt(norm2))[1], 0), 510) if isfinite(norm2) else 0
     S = P * ldexp(1.0, k)
     X = S @ S
     X *= ldexp(1.0, -k)
@@ -317,32 +317,33 @@ class ReducedRecord:
 
 
 def _commutator(blocks, M: tuple, Q: np.ndarray, X: np.ndarray, T: np.ndarray) -> None:
-    """X = -i[M, Q] for Hermitian M, given as its stacks on ``blocks``, and
+    """X = [M, Q] for Hermitian M, given as its stacks on ``blocks``, and
     Hermitian Q in block order; T is scratch and may be Q.  X = MQ is formed
     one group at a time on the group's rows, QM = X^H, and X - X^H is exactly
     anti-Hermitian."""
     blocks.apply(M, Q, out=X)
     np.conjugate(X.T, out=T)
     np.subtract(X, T, out=X)
-    np.multiply(-1j, X, out=X)
 
 
 def _rk4_projector_step(H: TDepHamiltonian, t: float, h: float, P: np.ndarray,
                         work: np.ndarray) -> np.ndarray:
     """One classical RK4 step of dP/dt = -i[H(t), P] on P in the block order
     of H.blocks, written into P and returned.  ``work`` is three N x N complex
-    buffers: the stage input, the stage slope and the weighted sum of slopes."""
+    buffers: the stage input, the stage commutator and their weighted sum.
+    Each slope's -i rides in the weights -i c and -i h/6: times -i, parts
+    only swap and negate, so every float is the one -i[M, Q] gives."""
     Q, K, A = work
     M0 = assemble(H, t)
     Mm = assemble(H, t + 0.5 * h)
     M1 = assemble(H, t + h)
 
-    def slope(M, c):  # K = -i[M, P + c K]
-        np.multiply(c, K, out=Q)
+    def slope(M, c):  # K = [M, P - i c K]
+        np.multiply(-1j * c, K, out=Q)
         np.add(P, Q, out=Q)
         _commutator(H.blocks, M, Q, K, Q)
 
-    _commutator(H.blocks, M0, P, K, Q)  # k1
+    _commutator(H.blocks, M0, P, K, Q)  # k1 = -i K
     np.copyto(A, K)
     for c in (0.5 * h, 0.5 * h):
         slope(Mm, c)           # k2, then k3
@@ -350,7 +351,7 @@ def _rk4_projector_step(H: TDepHamiltonian, t: float, h: float, P: np.ndarray,
         np.add(A, Q, out=A)
     slope(M1, h)               # k4
     np.add(A, K, out=A)
-    np.multiply(h / 6.0, A, out=A)
+    np.multiply(-1j * (h / 6.0), A, out=A)
     return np.add(P, A, out=P)
 
 

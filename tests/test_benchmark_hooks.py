@@ -57,10 +57,28 @@ def _load_spans():
     return module
 
 
+def _traced_run(spans, tmp_path, command, cfg):
+    """The spans of one traced CLI run of ``cfg``, read by the ``spans`` module."""
+    run = tmp_path / f"{command}_{cfg['integrator']['method']}"
+    run.mkdir()
+    config = run / "config.json"
+    config.write_text(json.dumps(cfg), encoding="utf-8")
+    spans_path = run / "spans.npz"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(TRACED.parent.parent / "src"),
+                                                      env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, str(TRACED), str(spans_path), "--", command,
+                           "--config", str(config), "--out", str(run / "out")],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return spans.load(spans_path)
+
+
 def test_traced_reduce_meets_the_count_rule(tmp_path):
-    """A traced reduce run long enough to re-project shows exactly the calls
-    spans.predict expects below each grid root: one eigendecomposition per
-    dominant_ray, one drift measurement per RK4 step."""
+    """Traced runs show exactly the calls spans.predict expects below each
+    grid root: a reduce run long enough to re-project (one eigendecomposition
+    per dominant_ray, one drift measurement per RK4 step), and a simulate run
+    under each integrator."""
     cfg = {
         "basis": {"kind": "hermite1d_orthonormal", "size": 8},
         "hamiltonian": [
@@ -74,17 +92,16 @@ def test_traced_reduce_meets_the_count_rule(tmp_path):
         "time": {"t0": 0.0, "t1": 0.25, "stride": 5},
         "reduction": {"mu": -0.5, "dt_reduced": 0.001},
     }
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps(cfg), encoding="utf-8")
-    spans_path = tmp_path / "spans.npz"
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(TRACED.parent.parent / "src"),
-                                                      env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, str(TRACED), str(spans_path), "--", "reduce",
-                           "--config", str(config), "--out", str(tmp_path / "out")],
-                          env=env, capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    trace = _load_spans().load(spans_path)
+    spans = _load_spans()
+    trace = _traced_run(spans, tmp_path, "reduce", cfg)
     assert trace.problems == []
     assert trace.count["reduction.rk4_step"] == 250
     assert trace.count["reduction.reproject"] == 2 + 5
+    for method in ("magnus2", "cayley2", "exact_eig"):
+        run = dict(cfg, integrator={"method": method, "dt": 0.01})
+        if method == "exact_eig":  # constant coefficients only
+            run["hamiltonian"] = cfg["hamiltonian"][:2]
+        trace = _traced_run(spans, tmp_path, "simulate", run)
+        assert trace.problems == []
+        assert trace.grids == spans.expected_roots("simulate", run)
+        assert trace.count["dynamics.step"] == 25

@@ -35,6 +35,7 @@ from geoschro.reduction import (
     LevelSetPoint,
     ProjectorState,
     Ray,
+    _idempotency,
     _rk4_projector_step,
     commuting_diagram_residual,
     diagram_residuals,
@@ -440,6 +441,36 @@ class TestScaledIdempotency:
             scaled = ProjectorState(BasisSpec.hermite(8), P).drift()["idempotency"]
         assert scaled == plain
 
+    @pytest.mark.parametrize("case", ["norm_at_least_2_510", "nan_entry", "norm_overflows",
+                                      "inf_entry"])
+    def test_one_path_gives_the_plain_outcome_where_no_scaling_applies(self, case):
+        """Where |P|_F >= 2^510 or is not finite the scale is 1: under the
+        walk's overflow guard the value, or the error the walk turns into a
+        NumericError, is the plain product's."""
+        P = projector_of(ray_of(random_state(8, 4))).matrix
+        if case == "norm_at_least_2_510":
+            P = P * 2.0 ** 510
+            assert np.linalg.norm(P) >= 2.0 ** 510
+        elif case == "norm_overflows":
+            P = 1e200 * P
+            assert not np.isfinite(np.vdot(P, P))
+        else:
+            P[1, 2] = np.nan if case == "nan_entry" else np.inf
+
+        def outcome(f):
+            with np.errstate(over="raise", invalid="raise"):
+                try:
+                    return repr(f(P))
+                except FloatingPointError as exc:
+                    return type(exc).__name__
+
+        got = outcome(_idempotency)
+        assert got == outcome(_plain_idempotency)
+        if case == "norm_at_least_2_510":
+            assert np.isfinite(float(got))
+        else:
+            assert got == ("nan" if case == "nan_entry" else "FloatingPointError")
+
 
 class TestReducedPropagation:
     def test_eigenstate_ray_is_stationary(self):
@@ -505,12 +536,22 @@ def _driven_angular_momentum():
                             (CoefficientFn.constant(0.2), Ly, "Ly")))
 
 
+def _complex_lead_real_drive(size):
+    """p + 0.3 sin(t) x: a complex constant lead and a real driven term, one
+    whole block."""
+    basis = BasisSpec.hermite(size)
+    return TDepHamiltonian(((CoefficientFn.constant(1.0), build_named("p", basis), "p"),
+                            (CoefficientFn.sinusoid(0.3, 1.0), build_named("x", basis), "x")))
+
+
 FLOW_CASES = {  # (Hamiltonian, initial state, block shapes per group)
     "oscillator_64": lambda: (_driven(64), coherent_state(0.5 + 0.2j, 64), [(2, 32)]),
     "oscillator_33": lambda: (_driven(33), random_state(33, 7), [(1, 16), (1, 17)]),
     "angular_momentum_20": lambda: (_driven_angular_momentum(),
                                     random_state(20, 3, BasisSpec.hermite3d(3)),
                                     [(1, 1), (1, 3), (1, 6), (1, 10)]),
+    "complex_lead_16": lambda: (_complex_lead_real_drive(16), coherent_state(0.5 + 0.2j, 16),
+                                [(1, 16)]),
 }
 
 

@@ -2,6 +2,7 @@
 the pair statistics of scripts/bench.py."""
 
 import importlib.util
+import json
 import re
 from pathlib import Path
 
@@ -57,18 +58,80 @@ def test_pair_stats_needs_nine_tenths_of_wins_and_a_gap_past_the_spread():
         bench.pair_stats(base, narrow[:-1])
 
 
-def test_pairs_alternate_which_side_runs_first(monkeypatch, capsys, tmp_path):
-    bench = _script("bench")
+def _fake_runs(monkeypatch, bench, base_root, metrics):
+    """Replace perfbench runs by ``metrics(side, k)``, the k-th run of a side
+    ("base" from ``base_root``, "change" from this checkout); returns the
+    list of roots in call order."""
     calls = []
 
     def fake_run(workload, seed, seconds, trace, root):
+        side = "base" if root == base_root else "change"
+        k = sum(r == root for r in calls)
         calls.append(root)
-        value = 2.0 if root == tmp_path else 1.0
-        return {"correct": True, "metrics": {"run_s": {"value": value}}}, {"env": {}}
+        values = metrics(side, k)
+        return ({"correct": True, "metrics": {n: {"value": v} for n, v in values.items()}},
+                {"env": {}})
 
     monkeypatch.setattr(bench, "run_once", fake_run)
+    return calls
+
+
+def _metrics(run_s, cpu_s=None, peak_rss_mb=40.0, setup_s=0.3, pass_rate=1.0):
+    return {"run_s": run_s, "cpu_s": run_s if cpu_s is None else cpu_s,
+            "peak_rss_mb": peak_rss_mb, "setup_s": setup_s, "pass_rate": pass_rate}
+
+
+def test_pairs_alternate_which_side_runs_first(monkeypatch, capsys, tmp_path):
+    bench = _script("bench")
+    calls = _fake_runs(monkeypatch, bench, tmp_path,
+                       lambda side, k: _metrics(2.0 if side == "base" else 1.0))
     assert bench.run_pairs(4, tmp_path, "golden_cli", 1, 15) == 0
     assert calls == [tmp_path, bench.REPO, bench.REPO, tmp_path] * 2
     out = capsys.readouterr().out
     assert "change wins 4 of 4 (ties 0)" in out
     assert '"holds": true' in out.splitlines()[-1]
+
+
+def test_pairs_give_every_end_to_end_metric_a_verdict(monkeypatch, capsys, tmp_path):
+    """run_s 3% slower and steady, cpu_s 40% slower (a regression past its
+    0.25 bound), setup_s 5% slower with a 50% spread (unresolved),
+    peak_rss_mb and pass_rate equal."""
+    bench = _script("bench")
+    wobble = [0.2, 0.45, 0.3, 0.15, 0.4, 0.25]
+
+    def metrics(side, k):
+        slower = side == "change"
+        return _metrics(run_s=10.0 * (1.03 if slower else 1.0) + 0.01 * k,
+                        cpu_s=10.0 * (1.4 if slower else 1.0),
+                        setup_s=wobble[k] * (1.05 if slower else 1.0))
+
+    _fake_runs(monkeypatch, bench, tmp_path, metrics)
+    assert bench.run_pairs(6, tmp_path, "large_basis", 1, 15) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == ("pair 1 (base first): run_s 10/10.3, cpu_s 10/14, peak_rss_mb 40/40, "
+                      "setup_s 0.2/0.21, pass_rate 1/1")
+    verdicts = {line.split(" (")[0]: line.rsplit(": ", 1)[1] for line in out[6:11]}
+    assert verdicts == {"run_s": "within bound", "cpu_s": "regression",
+                        "peak_rss_mb": "within bound", "setup_s": "unresolved",
+                        "pass_rate": "within bound"}
+    result = json.loads(out[-1])
+    assert result["runs"]["cpu_s"] == {"base": [10.0] * 6, "change": [14.0] * 6}
+    assert result["verdicts"]["cpu_s"]["worse"] == pytest.approx(0.4)
+    assert result["verdicts"]["setup_s"]["base"]["median"] == pytest.approx(0.275)
+    assert not result["gain"]["holds"]
+
+
+def test_metric_verdict_follows_the_direction_and_the_spread():
+    bench = _script("bench")
+    lower = {"name": "peak_rss_mb", "better": "lower", "bound": 0.1}
+    higher = {"name": "pass_rate", "better": "higher", "bound": 0.05}
+    base = [40.0, 40.2, 39.8, 40.1]
+    assert bench.metric_verdict(lower, base, [b * 1.05 for b in base])["verdict"] == "within bound"
+    assert bench.metric_verdict(lower, base, [b * 1.2 for b in base])["verdict"] == "regression"
+    assert bench.metric_verdict(lower, base, [b * 0.5 for b in base])["verdict"] == "within bound"
+    wide = [30.0, 50.0, 35.0, 45.0]  # quartile spread 25% of the median
+    assert bench.metric_verdict(lower, wide, wide)["verdict"] == "unresolved"
+    # every change run better than every base run resolves a wide spread
+    assert bench.metric_verdict(lower, wide, [w - 21.0 for w in wide])["verdict"] == "within bound"
+    assert bench.metric_verdict(higher, [1.0] * 4, [0.9] * 4)["verdict"] == "regression"
+    assert bench.metric_verdict(higher, [0.9] * 4, [1.0] * 4)["worse"] == pytest.approx(-1 / 9)
