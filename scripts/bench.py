@@ -11,20 +11,24 @@ For each workload, --tag runs ``perfbench/run.py --trace 0`` and
 last JSON line of each run (the result: gates passed, and every metric as a
 median over the run's passes) and the line before it (the environment).  The
 file holds both result lines per workload, the traced call counts, and the
-environment of the first run.
+environment of the first run, with the value of PYTHONDONTWRITEBYTECODE
+(null when unset) added: the children inherit it, and when it is set none of
+them reads or writes bytecode caches, and every CLI run and set-up probe
+recompiles geoschro.
 
 --pairs runs ``perfbench/run.py --trace 0`` of one workload in the other
 checkout (the base) and in this one (the change), each from its own root,
-alternating which side runs first from pair to pair.  It prints every pair's
-end-to-end metrics (the ``end_to_end`` list of BENCHMARK.json), and for each
-metric each side's median and quartiles and a verdict: "regression" when the
-change's median is worse than the base's by more than the metric's bound,
-relative to the base's median; else "unresolved" when either side's quartile
-spread, relative to the same median, exceeds the bound, unless every change
-run reads better than every base run; else "within bound".  For ``run_s`` it
-also prints the change's wins: a gain holds when the change wins at least
-nine tenths of the pairs, ties counting for neither, and the medians differ
-by more than the distance between the base's quartiles.
+alternating which side runs first from pair to pair.  It prints the value of
+PYTHONDONTWRITEBYTECODE first, then every pair's end-to-end metrics (the
+``end_to_end`` list of BENCHMARK.json), and for each metric each side's
+median and quartiles and a verdict: "regression" when the change's median is
+worse than the base's by more than the metric's bound, relative to the base's
+median; else "unresolved" when either side's quartile spread, relative to the
+same median, exceeds the bound, unless every change run reads better than
+every base run; else "within bound".  For ``run_s`` it also prints the
+change's wins: a gain holds when the change wins at least nine tenths of the
+pairs, ties counting for neither, and the medians differ by more than the
+distance between the base's quartiles.
 
 Exits 1 when a run fails or reports ``correct: false``, or when a metric is
 a regression.
@@ -33,6 +37,7 @@ a regression.
 import argparse
 import json
 import math
+import os
 import statistics
 import subprocess
 import sys
@@ -40,6 +45,11 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 WORKLOADS = ("golden_cli", "verify_all", "large_basis", "coefficient_dump")
+
+
+def bytecode_env() -> dict:
+    """PYTHONDONTWRITEBYTECODE as every child run inherits it, None when unset."""
+    return {"PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE")}
 
 
 def run_once(workload: str, seed: int, seconds: int, trace: int, root: Path = REPO):
@@ -105,6 +115,7 @@ def run_pairs(pairs: int, against: Path, workload: str, seed: int, seconds: int)
     specs = json.loads((REPO / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]
     runs = {spec["name"]: {"base": [], "change": []} for spec in specs}
     roots = {"base": against.resolve(), "change": REPO}
+    print(f"env {json.dumps(bytecode_env())}", flush=True)
     for k in range(pairs):
         order = ("base", "change") if k % 2 == 0 else ("change", "base")
         for side in order:
@@ -159,7 +170,7 @@ def main(argv=None) -> int:
             if run is None:
                 return 1
             entry[f"trace{trace}"], env_line = run
-            bench["env"] = bench["env"] or env_line["env"]
+            bench["env"] = bench["env"] or {**env_line["env"], **bytecode_env()}
         entry["call_counts"] = {name: m["value"] for name, m in entry["trace1"]["metrics"].items()
                                 if m["unit"] == "count"}
         bench["workloads"][workload] = entry

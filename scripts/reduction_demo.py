@@ -4,7 +4,7 @@
 For a driven oscillator the script integrates both flows at a ladder of step
 sizes and prints the worst Fubini-Study distance between the projected
 unitary trajectory and the independently integrated projector trajectory,
-plus the projector drift diagnostics before each correction.
+plus the worst projector drifts of the RK4 steps, before each re-projection.
 """
 
 import argparse

@@ -14,11 +14,11 @@ order of H (``InvariantBlocks.to_blocks``), so each stage forms H P as one
 batched product per group of blocks on a slice of rows, and the stages run
 in three fixed N x N buffers.  P goes back to basis order for records,
 re-projection and the drift measurement, so the drift and every record are
-computed on the same entries in the same order as on an unpermuted P.  The
-commutator X - X^H, X = HP, is exactly anti-Hermitian and RK4 carries the -i
-in its weights, so it maps a bitwise Hermitian P to a bitwise Hermitian P;
-the outer product of ``projector_of`` is Hermitian only to roundoff, so P is
-symmetrized once, after the first step from each projector_of.
+computed on the same entries in the same order as on an unpermuted P.
+``projector_of`` is bitwise Hermitian and RK4 keeps it so (X - X^H, X = HP,
+is exactly anti-Hermitian, and RK4 carries the -i in its weights), so P is
+never repaired; a step whose idempotency drift passes 1 - rank_dominance
+stops the flow, as P is then no longer near a projector.
 paired_records runs that flow and the upstairs unitary flow once each,
 recording both at shared sample times, and diagram_residuals compares the
 projection of the one against the other.
@@ -58,7 +58,7 @@ from .dynamics import (
     propagate,
 )
 from .hilbert import BasisSpec, StateVector, TangentVector
-from .numerics import hermitian_eigendecompose
+from .numerics import hermitian_eigendecompose, hermitian_part
 from .tolerances import DEFAULT, Tolerances
 
 
@@ -217,8 +217,8 @@ class ProjectorState:
     matrix: np.ndarray
 
     def drift(self, fresh: bool = True) -> dict:
-        """Hermiticity is measured only on a ``fresh`` P, one step from an
-        outer product; RK4 keeps a symmetrized P exactly Hermitian."""
+        """Hermiticity is measured only on a ``fresh`` P, one step from a
+        projector_of; P is bitwise Hermitian, so elsewhere it reads 0.0."""
         P = self.matrix
         return {
             "trace": abs(complex(np.trace(P)) - 1.0),
@@ -248,8 +248,13 @@ def _idempotency(P: np.ndarray) -> float:
 
 
 def projector_of(ray: Ray) -> ProjectorState:
+    """|r><r| as the exact Hermitian part of the outer product: bitwise Hermitian."""
     c = ray.representative.coefficients
-    return ProjectorState(ray.representative.basis, np.outer(c, c.conj()))
+    P = np.outer(c, c.conj())
+    # into the outer product's buffer: a new array moves the heap top, and at N=256
+    # malloc then trims and re-faults each step's drift temporaries (28k faults, not 2k)
+    P[...] = hermitian_part(P)
+    return ProjectorState(ray.representative.basis, P)
 
 
 def dominant_ray(P: ProjectorState, tol: Tolerances = DEFAULT) -> Ray:
@@ -364,9 +369,9 @@ def reduced_propagate(H: TDepHamiltonian, ray0: Ray, dt: float, t0: float, t1: f
     requested times (so records can be compared against another trajectory
     without interpolation); otherwise records fall at t0, every stride-th
     step, and t1.  Returns (records, diagnostics) where diagnostics holds the
-    worst per-step trace, hermiticity, and idempotency drifts measured before
-    each correction.  A step that overflows (dt too large for the spectrum of
-    H) raises NumericError.
+    worst per-step trace, hermiticity (first step from each projector_of) and
+    idempotency drifts, before each re-projection.  A step whose idempotency
+    drift exceeds 1 - rank_dominance, or that overflows, raises NumericError.
     """
     if ray0.representative.basis != H.basis:
         raise BasisMismatch("initial ray basis does not match the Hamiltonian")
@@ -374,29 +379,23 @@ def reduced_propagate(H: TDepHamiltonian, ray0: Ray, dt: float, t0: float, t1: f
     n = blocks.size
     work = np.empty((3, n, n), dtype=np.complex128)
     drifts = {"trace": 0.0, "hermiticity": 0.0, "idempotency": 0.0}
-    taken = 0     # steps so far
-    fresh = True  # P is an outer product, Hermitian only to roundoff
+    taken = 0  # steps so far
 
     def in_basis(P):
         return ProjectorState(H.basis, blocks.to_basis(P))
 
     def step(t, t_next, P):
-        nonlocal taken, fresh
+        nonlocal taken
         taken += 1
         P = _rk4_projector_step(H, t, t_next - t, P, work)
-        state = in_basis(P).drift(fresh)
-        if not np.all(np.isfinite(list(state.values()))):
-            raise NumericError(f"non-finite projector drift at t={t_next!r}")
+        state = in_basis(P).drift((taken - 1) % reproject_every == 0)
+        if not state["idempotency"] <= 1.0 - tol.rank_dominance:
+            raise NumericError(f"projector idempotency drift {state['idempotency']:.3e}"
+                               f" exceeds 1 - rank_dominance at t={t_next!r}")
         for key in drifts:
             drifts[key] = max(drifts[key], state[key])
-        if fresh:  # from here on each step keeps P bitwise Hermitian
-            np.conjugate(P.T, out=work[0])
-            P += work[0]
-            P *= 0.5
-            fresh = False
         if taken % reproject_every == 0:
             P = blocks.to_blocks(projector_of(dominant_ray(in_basis(P), tol)).matrix)
-            fresh = True
         return P
 
     records = []

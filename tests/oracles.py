@@ -249,16 +249,12 @@ def reference_rk4_projector_step(H, t: float, h: float, P: np.ndarray) -> np.nda
 
 def reference_projector_flow(H, P: np.ndarray, times, reproject_every: int, reproject):
     """The projector flow in basis order over consecutive grid times: each
-    step is a reference RK4 step, the symmetrization 0.5 (P + P^H) and, every
-    reproject_every-th step, ``reproject``.  Yields, per step, the RK4 output
-    before any correction and the P the next step starts from."""
+    step is a reference RK4 step and, every reproject_every-th step,
+    ``reproject``.  Yields, per step, the RK4 output before any re-projection
+    and the P the next step starts from."""
     for k, (t, t_next) in enumerate(zip(times, times[1:]), start=1):
         raw = reference_rk4_projector_step(H, t, t_next - t, P)
-        P = raw.copy()
-        P += P.conj().T
-        P *= 0.5
-        if k % reproject_every == 0:
-            P = reproject(P)
+        P = reproject(raw) if k % reproject_every == 0 else raw
         yield raw, P
 
 

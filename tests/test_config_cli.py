@@ -416,7 +416,8 @@ class TestExitCodes:
 
     def test_diverging_projector_flow_is_2(self, tmp_path):
         # RK4 at dt 0.5 is unstable for the N=32 spectrum: the first step
-        # that overflows must stop the flow before numpy warns about it
+        # whose P is no longer near a projector stops the flow, long before
+        # it overflows or numpy warns about it
         cfg = _base_config(
             basis={"kind": "hermite1d_orthonormal", "size": 32},
             initial_state={"kind": "coherent", "alpha": 0.5},
@@ -427,7 +428,7 @@ class TestExitCodes:
         config_path = _write_config(tmp_path, cfg)
         proc = _run_cli("reduce", "--config", str(config_path), "--out", str(tmp_path / "o"))
         assert proc.returncode == 2
-        assert "projector flow overflowed" in proc.stderr
+        assert "projector idempotency drift" in proc.stderr
         assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize("token", ["NaN", "-Infinity", "1e400"])

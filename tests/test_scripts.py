@@ -106,8 +106,10 @@ def test_pairs_give_every_end_to_end_metric_a_verdict(monkeypatch, capsys, tmp_p
                         setup_s=wobble[k] * (1.05 if slower else 1.0))
 
     _fake_runs(monkeypatch, bench, tmp_path, metrics)
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
     assert bench.run_pairs(6, tmp_path, "large_basis", 1, 15) == 1
-    out = capsys.readouterr().out.splitlines()
+    head, *out = capsys.readouterr().out.splitlines()
+    assert head == 'env {"PYTHONDONTWRITEBYTECODE": "1"}'
     assert out[0] == ("pair 1 (base first): run_s 10/10.3, cpu_s 10/14, peak_rss_mb 40/40, "
                       "setup_s 0.2/0.21, pass_rate 1/1")
     verdicts = {line.split(" (")[0]: line.rsplit(": ", 1)[1] for line in out[6:11]}
