@@ -20,11 +20,11 @@ held as its blocks alone: blocks of one size form a group, stored as one
 the one group with k = 1.  ``hermitian_eigendecompose`` takes the stacks:
 the scale and the orthonormality and eigen-residual gates run on them, and
 each group goes through one batched ``eigh``.  Symmetry is checked once, by
-an operator's flag, and no eigendecomposition re-checks it.  Vectors are
-stepped in block order (``InvariantBlocks.order``), where each group's rows
-are one contiguous slice, so ``apply_exp_step`` and ``InvariantBlocks.apply``
-make one batched product per group with no gather or scatter.  The entries
-between blocks are exact zeros in V^H V - I and HV - V Lambda, so the gates
+an operator's flag, and no eigendecomposition re-checks it.  Vectors and
+the projector flow's P are stepped in block order (``InvariantBlocks.order``),
+where each group's rows are one contiguous slice, so ``apply_exp_step`` and
+``InvariantBlocks.apply`` make one batched product per group with no gather
+or scatter.  The entries between blocks are exact zeros in V^H V - I and HV - V Lambda, so the gates
 measure the same quantities as on the whole matrix.
 """
 
@@ -65,8 +65,8 @@ class InvariantBlocks:
     Row j of ``groups[g]`` holds the ascending indices of one block; every
     block of a group has the same size s.  ``order`` lists the indices group
     by group and block by block.  In that block order a vector, or a matrix
-    permuted by ``to_blocks``, holds the k*s rows of group g as the one
-    contiguous slice ``rows[g]``.
+    with rows and columns both in it, holds the k*s rows of group g as the
+    one contiguous slice ``rows[g]``.
     """
 
     size: int
@@ -86,14 +86,6 @@ class InvariantBlocks:
     def gather(self, M: np.ndarray) -> tuple:
         """The (k, s, s) stack of M's blocks, one per group."""
         return tuple(M[idx[:, :, None], idx[:, None, :]] for idx in self.groups)
-
-    def to_blocks(self, M: np.ndarray) -> np.ndarray:
-        """M with rows and columns permuted to ``order``."""
-        return M.take(self.order, axis=0).take(self.order, axis=1)
-
-    def to_basis(self, M: np.ndarray) -> np.ndarray:
-        """The inverse of ``to_blocks``."""
-        return M.take(self.inverse, axis=0).take(self.inverse, axis=1)
 
     def apply(self, stacks, X: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """M @ X for M held as its stacks and X, a vector or a matrix of

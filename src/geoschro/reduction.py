@@ -9,12 +9,12 @@ real and positive).
 Downstairs dynamics is integrated on rank-one projectors, dP/dt = -i[H(t),P],
 by steps of classical RK4 and, every ``reproject_every`` steps,
 re-projection onto the dominant eigenprojector; dynamics._walk walks it under
-the unitary steps' overflow guard.  The flow holds P permuted to the block
-order of H (``InvariantBlocks.to_blocks``), so each stage forms H P as one
-batched product per group of blocks on a slice of rows, and the stages run
-in three fixed N x N buffers.  P goes back to basis order for records,
-re-projection and the drift measurement, so the drift and every record are
-computed on the same entries in the same order as on an unpermuted P.
+the unitary steps' overflow guard.  P is held in the block order of H from
+birth (``projector_of`` of the permuted ray) to ray (``dominant_ray`` returns
+only its N-vector to basis order), each stage forms H P as one batched product
+per group of blocks on a slice of rows, and the stages and the drift, which no
+permutation changes, run in three fixed N x N buffers.  After every step P is
+bit for bit the permuted dense flow's; drifts and rays match it to roundoff.
 ``projector_of`` is bitwise Hermitian and RK4 keeps it so (X - X^H, X = HP,
 is exactly anti-Hermitian, and RK4 carries the -i in its weights), so P is
 never repaired; a step whose idempotency drift passes 1 - rank_dominance
@@ -58,7 +58,7 @@ from .dynamics import (
     propagate,
 )
 from .hilbert import BasisSpec, StateVector, TangentVector
-from .numerics import hermitian_eigendecompose, hermitian_part
+from .numerics import InvariantBlocks, hermitian_eigendecompose, hermitian_part
 from .tolerances import DEFAULT, Tolerances
 
 
@@ -211,24 +211,31 @@ def reduced_hamiltonian(A, ray: Ray, mu: float) -> float:
 
 @dataclass(frozen=True)
 class ProjectorState:
-    """Rank-one density matrix |r><r| for a ray r."""
+    """Rank-one density matrix |r><r| for a ray r, with ``rows`` held in a
+    block order: a vector v in that order is v[rows] in basis order."""
 
     basis: BasisSpec
     matrix: np.ndarray
+    rows: np.ndarray | None = None
 
-    def drift(self, fresh: bool = True) -> dict:
+    def drift(self, fresh: bool = True, work: np.ndarray | None = None) -> dict:
         """Hermiticity is measured only on a ``fresh`` P, one step from a
-        projector_of; P is bitwise Hermitian, so elsewhere it reads 0.0."""
+        projector_of; P is bitwise Hermitian, so elsewhere it reads 0.0.
+        P - P^H and P @ P run in ``work``, three N x N complex buffers."""
         P = self.matrix
+        work = np.empty((3, *P.shape), dtype=np.complex128) if work is None else work
+        D, _, A = work
+        if fresh:  # D is read below, before the idempotency product reuses it
+            np.subtract(P, np.conjugate(P.T, out=D), out=D)
         return {
             "trace": abs(complex(np.trace(P)) - 1.0),
-            "hermiticity": float(np.max(np.abs(P - P.conj().T))) if fresh else 0.0,
-            "idempotency": _idempotency(P),
+            "hermiticity": float(np.abs(D, out=A.real).max()) if fresh else 0.0,
+            "idempotency": _idempotency(P, work),
         }
 
 
-def _idempotency(P: np.ndarray) -> float:
-    """max|P @ P - P|, measured on S = sP for a power of two s >= 1.
+def _idempotency(P: np.ndarray, work: np.ndarray) -> float:
+    """max|P @ P - P| in ``work``, measured on S = sP for a power of two s >= 1.
 
     s brings the Frobenius norm of P to at most 2^510 (s = 1 if it is larger
     or not finite).  That norm bounds every entry of S @ S and every partial
@@ -238,27 +245,30 @@ def _idempotency(P: np.ndarray) -> float:
     projector: entries the plain product would multiply as subnormals, at a
     hundred times the cost, are normal in S.
     """
+    S, X, A = work
     norm2 = float(np.vdot(P, P).real)
     k = 510 - min(max(frexp(sqrt(norm2))[1], 0), 510) if isfinite(norm2) else 0
-    S = P * ldexp(1.0, k)
-    X = S @ S
+    np.multiply(P, ldexp(1.0, k), out=S)
+    np.matmul(S, S, out=X)
     X *= ldexp(1.0, -k)
     X -= S
-    return float(np.max(np.abs(X))) * ldexp(1.0, -k)
+    return float(np.abs(X, out=A.real).max()) * ldexp(1.0, -k)
 
 
-def projector_of(ray: Ray) -> ProjectorState:
-    """|r><r| as the exact Hermitian part of the outer product: bitwise Hermitian."""
+def projector_of(ray: Ray, blocks: InvariantBlocks | None = None) -> ProjectorState:
+    """|r><r| as the exact Hermitian part of the outer product: bitwise
+    Hermitian.  With ``blocks`` it is built from the ray permuted to their
+    block order, entry for entry the permuted basis-order projector."""
     c = ray.representative.coefficients
-    P = np.outer(c, c.conj())
-    # into the outer product's buffer: a new array moves the heap top, and at N=256
-    # malloc then trims and re-faults each step's drift temporaries (28k faults, not 2k)
-    P[...] = hermitian_part(P)
-    return ProjectorState(ray.representative.basis, P)
+    if blocks is not None:
+        c = c[blocks.order]
+    return ProjectorState(ray.representative.basis, hermitian_part(np.outer(c, c.conj())),
+                          None if blocks is None else blocks.inverse)
 
 
 def dominant_ray(P: ProjectorState, tol: Tolerances = DEFAULT) -> Ray:
-    """Ray of the dominant eigenvector; RankCollapse if its weight sags.
+    """Ray of the dominant eigenvector of a Hermitian P, in basis order
+    (``P.rows``); RankCollapse if its weight sags.
 
     A Rayleigh-Ritz step on span{v, Pv}, from the column v of P with the
     largest diagonal entry, gives the Ritz pair (theta, y).  Every other
@@ -269,16 +279,15 @@ def dominant_ray(P: ProjectorState, tol: Tolerances = DEFAULT) -> Ray:
     eigendecomposition decides, and since theta never exceeds the dominant
     eigenvalue, RankCollapse fires at the same threshold either way.
     """
-    sym = 0.5 * (P.matrix + P.matrix.conj().T)
-    ritz = _ritz_vector(sym, tol)
-    if ritz is not None:
-        return ray_of(StateVector(P.basis, ritz), tol)
-    es = hermitian_eigendecompose(sym, tol)
-    (w,), (V,) = es.eigenvalues, es.eigenvectors  # the one block
-    lam = float(w[0, -1])
-    if not lam >= tol.rank_dominance:
-        raise RankCollapse(f"dominant eigenvalue {lam:.6f} below {tol.rank_dominance}")
-    return ray_of(StateVector(P.basis, V[0, :, -1]), tol)
+    y = _ritz_vector(P.matrix, tol)
+    if y is None:
+        es = hermitian_eigendecompose(P.matrix, tol)
+        (w,), (V,) = es.eigenvalues, es.eigenvectors  # the one block
+        lam = float(w[0, -1])
+        if not lam >= tol.rank_dominance:
+            raise RankCollapse(f"dominant eigenvalue {lam:.6f} below {tol.rank_dominance}")
+        y = V[0, :, -1]
+    return ray_of(StateVector(P.basis, y if P.rows is None else y[P.rows]), tol)
 
 
 def _ritz_vector(P: np.ndarray, tol: Tolerances):
@@ -381,27 +390,24 @@ def reduced_propagate(H: TDepHamiltonian, ray0: Ray, dt: float, t0: float, t1: f
     drifts = {"trace": 0.0, "hermiticity": 0.0, "idempotency": 0.0}
     taken = 0  # steps so far
 
-    def in_basis(P):
-        return ProjectorState(H.basis, blocks.to_basis(P))
-
     def step(t, t_next, P):
         nonlocal taken
         taken += 1
-        P = _rk4_projector_step(H, t, t_next - t, P, work)
-        state = in_basis(P).drift((taken - 1) % reproject_every == 0)
+        _rk4_projector_step(H, t, t_next - t, P.matrix, work)  # in place
+        state = P.drift((taken - 1) % reproject_every == 0, work)
         if not state["idempotency"] <= 1.0 - tol.rank_dominance:
             raise NumericError(f"projector idempotency drift {state['idempotency']:.3e}"
                                f" exceeds 1 - rank_dominance at t={t_next!r}")
         for key in drifts:
             drifts[key] = max(drifts[key], state[key])
         if taken % reproject_every == 0:
-            P = blocks.to_blocks(projector_of(dominant_ray(in_basis(P), tol)).matrix)
+            P = projector_of(dominant_ray(P, tol), blocks)
         return P
 
     records = []
-    for t, P in _walk(step, blocks.to_blocks(projector_of(ray0).matrix), "projector flow",
-                      t0, t1, dt, stride, record_times):
-        ray = dominant_ray(in_basis(P), tol) if taken else ray0
+    for t, P in _walk(step, projector_of(ray0, blocks), "projector flow", t0, t1, dt, stride,
+                      record_times):
+        ray = dominant_ray(P, tol) if taken else ray0
         del P  # the walk steps on to the next record; hold no projector meanwhile
         records.append(ReducedRecord(t, ray, fubini_study_distance(ray, ray0) if taken else 0.0))
     return records, drifts

@@ -212,6 +212,11 @@ def densify(blocks, stacks) -> np.ndarray:
     return out
 
 
+def permuted(M: np.ndarray, order) -> np.ndarray:
+    """M with rows and columns both taken in ``order``, by fancy indexing."""
+    return M[np.ix_(order, order)]
+
+
 def dense_hamiltonian(H, t: float) -> np.ndarray:
     """sum b_a(t) H_a summed from zero in term order on the full N x N term
     matrices."""

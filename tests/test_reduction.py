@@ -24,7 +24,8 @@ from geoschro.hilbert import (
     coherent_state,
     symplectic_form,
 )
-from geoschro.numerics import hermitian_eigendecompose, random_state
+from geoschro.numerics import (InvariantBlocks, hermitian_eigendecompose, hermitian_part,
+                               random_state)
 from geoschro.operators import (
     build_angular_momentum,
     build_identity,
@@ -372,7 +373,7 @@ def _mixture(weights, size, seed):
     U = np.linalg.qr(A)[0]
     w = np.zeros(size)
     w[:len(weights)] = weights
-    return ProjectorState(BasisSpec.hermite(size), (U * w) @ U.conj().T)
+    return ProjectorState(BasisSpec.hermite(size), hermitian_part((U * w) @ U.conj().T))
 
 
 def _coherent_tail_projector():
@@ -423,9 +424,9 @@ def _rk4_in_basis(H, t, h, P):
     """One RK4 projector step on a basis-order P, through the block order the
     flow steps in; P is left as it was."""
     n = P.shape[0]
-    out = _rk4_projector_step(H, t, h, H.blocks.to_blocks(P),
+    out = _rk4_projector_step(H, t, h, oracles.permuted(P, H.blocks.order),
                               np.empty((3, n, n), dtype=np.complex128))
-    return H.blocks.to_basis(out)
+    return oracles.permuted(out, H.blocks.inverse)
 
 
 def _plain_idempotency(P):
@@ -476,7 +477,7 @@ class TestScaledIdempotency:
                 except FloatingPointError as exc:
                     return type(exc).__name__
 
-        got = outcome(_idempotency)
+        got = outcome(lambda P: _idempotency(P, np.empty((3, 8, 8), dtype=np.complex128)))
         assert got == outcome(_plain_idempotency)
         if case == "norm_at_least_2_510":
             assert np.isfinite(float(got))
@@ -608,8 +609,15 @@ def test_commuting_diagram_on_other_block_structures(case):
     assert max(abs(r.momentum_J - up[0].momentum_J) for r in up) <= 1e-12
 
 
-def _reproject(basis):
-    return lambda P: projector_of(dominant_ray(ProjectorState(basis, P))).matrix
+def _in_blocks(H, P):
+    """The basis-order P as the flow holds it: permuted to the block order of H."""
+    return ProjectorState(H.basis, oracles.permuted(P, H.blocks.order), H.blocks.inverse)
+
+
+def _reproject(H):
+    """The flow's re-projection of a basis-order P: the dominant ray of the
+    block-order P, whose projector_of is returned in basis order."""
+    return lambda P: projector_of(dominant_ray(_in_blocks(H, P))).matrix
 
 
 class TestBlockOrderFlow:
@@ -622,10 +630,11 @@ class TestBlockOrderFlow:
         P = projector_of(ray_of(psi)).matrix
         times = list(_time_grid(0.0, 0.2, 1e-3))
         assert len(times) == 201
-        ref = oracles.reference_projector_flow(H, P, times, 100, _reproject(H.basis))
+        ref = oracles.reference_projector_flow(H, P, times, 100, _reproject(H))
+        order = H.blocks.order
         for (t, t_next), (raw, after) in zip(zip(times, times[1:]), ref):
-            got = _rk4_projector_step(H, t, t_next - t, H.blocks.to_blocks(P), work)
-            assert np.array_equal(H.blocks.to_basis(got), raw)
+            got = _rk4_projector_step(H, t, t_next - t, oracles.permuted(P, order), work)
+            assert np.array_equal(got, oracles.permuted(raw, order))
             P = after
 
     @pytest.mark.parametrize("case", sorted(FLOW_CASES))
@@ -635,13 +644,12 @@ class TestBlockOrderFlow:
         records, drifts = reduced_propagate(H, ray0, 1e-3, 0.0, 0.2, stride=20)
         times = list(_time_grid(0.0, 0.2, 1e-3))
         ref = list(oracles.reference_projector_flow(H, projector_of(ray0).matrix, times, 100,
-                                                    _reproject(H.basis)))
-        want = {key: max(ProjectorState(H.basis, raw).drift()[key] for raw, _ in ref)
-                for key in drifts}
+                                                    _reproject(H)))
+        want = {key: max(_in_blocks(H, raw).drift()[key] for raw, _ in ref) for key in drifts}
         assert drifts == want
         assert [r.t for r in records] == times[::20]
         for rec, (_, P) in zip(records[1:], ref[19::20]):
-            want_ray = dominant_ray(ProjectorState(H.basis, P))
+            want_ray = dominant_ray(_in_blocks(H, P))
             assert np.array_equal(rec.ray.representative.coefficients,
                                   want_ray.representative.coefficients)
 
@@ -650,7 +658,7 @@ class TestBlockOrderFlow:
         H = _driven(size)
         P = projector_of(ray_of(coherent_state(0.5 + 0.2j, size))).matrix
         assert np.array_equal(P, P.conj().T)  # projector_of is born Hermitian
-        P = H.blocks.to_blocks(P)
+        P = oracles.permuted(P, H.blocks.order)
         work = np.empty((3, size, size), dtype=np.complex128)
         times = list(_time_grid(0.0, 0.05, 1e-3))
         assert len(times) == 51
@@ -667,9 +675,9 @@ class TestBlockOrderFlow:
         seen = []
         drift = ProjectorState.drift
 
-        def spy(state, fresh=True):
+        def spy(state, fresh=True, work=None):
             seen.append((fresh, np.array_equal(state.matrix, state.matrix.conj().T)))
-            return drift(state, fresh)
+            return drift(state, fresh, work)
 
         monkeypatch.setattr(ProjectorState, "drift", spy)
         reduced_propagate(H, ray_of(psi), 1e-3, 0.0, 0.2, stride=20)
@@ -677,10 +685,75 @@ class TestBlockOrderFlow:
         assert [k for k, (fresh, _) in enumerate(seen) if fresh] == [0, 100]
         assert all(hermitian for _, hermitian in seen)
 
+    @pytest.mark.parametrize("case", sorted(FLOW_CASES))
+    def test_birth_in_block_order_is_the_permuted_projector(self, case):
+        H, psi, _ = FLOW_CASES[case]()
+        ray = ray_of(psi)
+        born = projector_of(ray, H.blocks)
+        want = oracles.permuted(projector_of(ray).matrix, H.blocks.order)
+        assert np.array_equal(born.matrix.view(np.uint64), want.view(np.uint64))
+        assert np.array_equal(born.rows, H.blocks.inverse)
+
+    def test_birth_under_random_permutations_is_the_permuted_projector(self):
+        """Coefficient magnitudes drawn from 1e-300 to 1e300, scaled to a unit
+        ray, so the outer product holds normal, subnormal and zero parts."""
+        rng = np.random.default_rng(23)
+        for _ in range(120):
+            n = int(rng.integers(1, 41))
+            c = 10.0 ** rng.uniform(-300, 300, n) * np.exp(2j * np.pi * rng.uniform(size=n))
+            ray = ray_of(StateVector(BasisSpec.hermite(n), c / np.abs(c).max()))
+            order = rng.permutation(n)
+            born = projector_of(ray, InvariantBlocks(n, (order[None, :],))).matrix
+            want = oracles.permuted(projector_of(ray).matrix, order)
+            assert np.array_equal(born.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("case", sorted(FLOW_CASES))
+    def test_block_order_drifts_and_rays_match_basis_order_to_roundoff(self, case):
+        """Along the dense reference flow, the drift of every step and the ray
+        of every record, read on the block-order P, against the same read on
+        the basis-order P."""
+        H, psi, _ = FLOW_CASES[case]()
+        times = list(_time_grid(0.0, 0.2, 1e-3))
+        ref = list(oracles.reference_projector_flow(H, projector_of(ray_of(psi)).matrix, times,
+                                                    100, _reproject(H)))
+        for raw, _ in ref:
+            got, want = _in_blocks(H, raw).drift(), ProjectorState(H.basis, raw).drift()
+            assert all(abs(got[key] - want[key]) <= 1e-15 for key in want)
+        for _, P in ref[19::20]:
+            assert fubini_study_distance(dominant_ray(_in_blocks(H, P)),
+                                         dominant_ray(ProjectorState(H.basis, P))) <= 1e-14
+
+    def test_drift_allocates_no_n_by_n_array_at_n256(self, monkeypatch):
+        """P - P^H and the idempotency product run in the flow's RK4
+        workspace: a drift, whether it measures hermiticity or not, raises
+        the traced peak by less than one N x N complex array (the basis-order
+        round trip and a fresh S @ S raised it by 2,622,943 bytes)."""
+        H = _driven(256)
+        rises = []
+        drift = ProjectorState.drift
+
+        def spy(state, fresh=True, work=None):
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            out = drift(state, fresh, work)
+            rises.append((fresh, tracemalloc.get_traced_memory()[1] - before))
+            return out
+
+        monkeypatch.setattr(ProjectorState, "drift", spy)
+        tracemalloc.start()
+        try:
+            reduced_propagate(H, ray_of(coherent_state(0.5 + 0.2j, 256)), 1e-3, 0.0, 1e-2,
+                              reproject_every=5)
+        finally:
+            tracemalloc.stop()
+        assert [fresh for fresh, _ in rises] == [True, False, False, False, False] * 2
+        assert max(rise for _, rise in rises) < 256 * 256 * 16
+
     def test_one_step_at_n256_allocates_no_more_than_the_dense_flow(self):
         """The dense flow this replaced (about 30 fresh N x N temporaries per
         step) peaked at 10,097,456 traced bytes here; the block-order flow,
-        with its three-buffer workspace, at 7,869,007."""
+        with its three-buffer workspace, at 7,869,007, and 7,543,040 with its
+        drift measured in that workspace."""
         H = _driven(256)
         ray0 = ray_of(coherent_state(0.5 + 0.2j, 256))
         reduced_propagate(H, ray0, 1e-3, 0.0, 1e-3)  # first calls allocate caches
