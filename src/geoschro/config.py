@@ -25,7 +25,7 @@ from .dynamics import (
 from .errors import NumericError, SchemaError, UnknownOperator
 from .hilbert import BASIS_KINDS, BasisSpec, StateVector, coherent_state
 from .operators import BUILTIN_OPERATORS, OperatorMatrix, build_named
-from .serialize import json_integer, json_number, load_json
+from .serialize import json_integer, json_number, json_numbers, load_json
 from .tolerances import DEFAULT
 
 INITIAL_STATE_KINDS = ("basis_vector", "coherent", "coefficients_file")
@@ -130,15 +130,6 @@ def _parse_basis(d, pointer: str) -> BasisSpec:
     return _built(pointer, BasisSpec.from_json_dict, d)
 
 
-def _numbers(value, pointer: str):
-    """Every leaf of value, a number or nested arrays of them, is a number."""
-    if isinstance(value, list):
-        for k, item in enumerate(value):
-            _numbers(item, f"{pointer}/{k}")
-    else:
-        _number(value, pointer)
-
-
 def _parse_coefficient(d, pointer: str) -> CoefficientFn:
     d = _object(d, pointer)
     kind = _need(d, "kind", pointer)
@@ -146,7 +137,7 @@ def _parse_coefficient(d, pointer: str) -> CoefficientFn:
         raise SchemaError(f"{pointer}/kind", f"unknown coefficient kind {kind!r}")
     for key in COEFFICIENT_FIELDS[kind]:
         if key in d:
-            _numbers(d[key], f"{pointer}/{key}")
+            _built(f"{pointer}/{key}", json_numbers, d[key], key)
     return _built(pointer, CoefficientFn.from_json_dict, d)
 
 

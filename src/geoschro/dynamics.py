@@ -69,8 +69,7 @@ class CoefficientFn:
     omega: float = 0.0
     phase: float = 0.0
     coeffs: tuple = ()
-    table_t: tuple = ()
-    table_v: tuple = ()
+    points: tuple = ()  # of (t, v) float pairs
 
     def __post_init__(self):
         if self.kind not in COEFFICIENT_KINDS:
@@ -78,8 +77,8 @@ class CoefficientFn:
         if self.kind == "polynomial" and len(self.coeffs) == 0:
             raise ValueError("polynomial coefficient needs at least one coefficient")
         if self.kind == "table":
-            ts = np.asarray(self.table_t, dtype=float)
-            if ts.size < 1 or np.any(np.diff(ts) <= 0):
+            ts = [t for t, _ in self.points]
+            if not ts or any(b <= a for a, b in zip(ts, ts[1:])):
                 raise ValueError("table abscissae must be non-empty and strictly increasing")
 
     @staticmethod
@@ -96,13 +95,7 @@ class CoefficientFn:
 
     @staticmethod
     def table(points) -> "CoefficientFn":
-        ts = tuple(float(t) for t, _ in points)
-        vs = tuple(float(v) for _, v in points)
-        return CoefficientFn("table", table_t=ts, table_v=vs)
-
-    @property
-    def points(self) -> list:
-        return [[t, v] for t, v in zip(self.table_t, self.table_v)]
+        return CoefficientFn("table", points=tuple((float(t), float(v)) for t, v in points))
 
     @property
     def is_constant(self) -> bool:
@@ -121,13 +114,14 @@ class CoefficientFn:
             for coeff in reversed(self.coeffs):
                 acc = acc * t + coeff
             return acc
-        return float(np.interp(t, self.table_t, self.table_v))
+        ts, vs = zip(*self.points)
+        return float(np.interp(t, ts, vs))
 
     def to_json_dict(self) -> dict:
         out = {"kind": self.kind}
         for key in COEFFICIENT_FIELDS[self.kind]:
             value = getattr(self, key)
-            out[key] = list(value) if isinstance(value, tuple) else value
+            out[key] = np.asarray(value).tolist() if isinstance(value, tuple) else value
         return out
 
     @staticmethod

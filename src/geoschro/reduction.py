@@ -304,7 +304,7 @@ def _ritz_vector(P: np.ndarray, tol: Tolerances):
     Q = np.stack((v, u / nu), axis=1) if nu > 0 else v[:, None]
     PQ = P @ Q
     T = Q.conj().T @ PQ
-    es = hermitian_eigendecompose(0.5 * (T + T.conj().T), tol)
+    es = hermitian_eigendecompose(hermitian_part(T), tol)
     (w,), (V,) = es.eigenvalues, es.eigenvectors
     theta = float(w[0, -1])
     z = V[0, :, -1]
@@ -384,6 +384,8 @@ def reduced_propagate(H: TDepHamiltonian, ray0: Ray, dt: float, t0: float, t1: f
     """
     if ray0.representative.basis != H.basis:
         raise BasisMismatch("initial ray basis does not match the Hamiltonian")
+    if reproject_every < 1:
+        raise ValueError("reproject_every must be >= 1")
     blocks = H.blocks
     n = blocks.size
     work = np.empty((3, n, n), dtype=np.complex128)

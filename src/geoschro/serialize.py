@@ -56,13 +56,19 @@ def json_number(value, name: str = "value") -> float:
 
 
 def json_numbers(value, name: str = "value") -> np.ndarray:
-    """value as a float64 array when it is a JSON array, nested to any depth,
-    of JSON numbers; a bool, a string or any other element is a TypeError
-    naming the field."""
-    items = np.asarray(value, dtype=object)
-    for item in items.flat:
-        json_number(item, f"{name} element")
-    return items.astype(np.float64)
+    """value as a float64 array when it is a JSON number, or a JSON array of
+    them nested to any depth.  A bool, a string or any other leaf is a
+    TypeError naming the field, the first in document order; a ragged array,
+    or one deeper than numpy allows, is a ValueError.  The walk keeps its own
+    stack, so no nesting depth overflows Python's."""
+    stack, element = [value], f"{name} element"
+    while stack:
+        item = stack.pop()
+        if isinstance(item, list):
+            stack.extend(reversed(item))
+        else:
+            json_number(item, name if item is value else element)
+    return np.asarray(value, dtype=np.float64)
 
 
 def json_complex(d: dict) -> np.ndarray:
@@ -84,8 +90,9 @@ def json_integer(value, name: str = "value") -> int:
 
 def load_json(path) -> object:
     """The JSON value in the file at path.  A missing or non-UTF-8 file is
-    MissingInput; bad JSON, or NaN or Infinity spelled out or overflowed, is a
-    ParseError naming the file."""
+    MissingInput; bad JSON, NaN or Infinity spelled out or overflowed, or
+    nesting deeper than the decoder's recursion allows, is a ParseError
+    naming the file."""
     path = Path(path)
     if not path.is_file():
         raise MissingInput(str(path))
@@ -95,7 +102,7 @@ def load_json(path) -> object:
         raise MissingInput(f"{path}: {exc}") from exc
     try:
         return json.loads(text, parse_constant=_finite_float, parse_float=_finite_float)
-    except ValueError as exc:  # json.JSONDecodeError included
+    except (RecursionError, ValueError) as exc:  # json.JSONDecodeError included
         raise ParseError(f"{path}: {exc}") from exc
 
 

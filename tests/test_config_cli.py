@@ -24,7 +24,7 @@ from geoschro.errors import MissingInput, ParseError, SchemaError, UnknownOperat
 from geoschro.hilbert import BasisSpec, StateVector
 from geoschro.operators import OperatorMatrix, build_position
 from geoschro.reduction import diagram_residuals, paired_records
-from geoschro.serialize import emit_plot_script
+from geoschro.serialize import emit_plot_script, json_numbers
 from geoschro.tolerances import DEFAULT, Tolerances, parse_overrides
 
 REPO = Path(__file__).resolve().parent.parent
@@ -531,6 +531,18 @@ def _first_entry(rows, value):
     return [[value] + rows[0][1:]] + rows[1:]
 
 
+def _nested(value, depth):
+    """value wrapped in depth one-element arrays."""
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
+def _table_term(points):
+    return {"hamiltonian": [{"operator": "x2",
+                             "coefficient": {"kind": "table", "points": points}}]}
+
+
 def _first_operator(name):
     return {"hamiltonian": [{"operator": name, "coefficient": {"kind": "constant", "c": 0.5}},
                             {"operator": "x2", "coefficient": {"kind": "constant", "c": 0.5}}]}
@@ -540,6 +552,8 @@ _OP_TERM = _first_operator("op.json")
 _PSI_STATE = {"initial_state": {"kind": "coefficients_file", "path": "psi.json"}}
 _OP_AT = "/hamiltonian/0/operator"
 _PSI_AT = "/initial_state/path"
+_POINTS_AT = "/hamiltonian/0/coefficient/points"
+_TOO_DEEP = b"[" * 10 ** 5  # deeper than the JSON decoder's recursion allows
 
 # (id, files to write next to the config: JSON values or raw bytes, config
 #  overrides (None runs `plot` on summary.json instead of `simulate`),
@@ -597,6 +611,20 @@ _ERROR_CORPUS = [
      1, "/integrator/dt"),
     ("basis_too_large_to_allocate", {}, {"basis": {"kind": "hermite1d_orthonormal",
                                                    "size": 10**6}}, 1, "/basis/size"),
+    ("points_ragged", {}, _table_term([[0.0, 1.0], [1.0]]), 1, _POINTS_AT),
+    ("points_hold_a_string", {}, _table_term([[0.0, 1.0], [1.0, "2"]]), 1,
+     f"{_POINTS_AT}: points element must be a number, got str"),
+    ("points_nested_70_deep", {}, _table_term(_nested([0.0, 1.0], 69)), 1, _POINTS_AT),
+    ("op_re_nested_33_deep", {"op.json": _edited(_x_file(8), re=_nested(0.0, 33))}, _OP_TERM, 1,
+     _OP_AT),
+    ("op_re_nested_70_deep", {"op.json": _edited(_x_file(8), re=_nested(0.0, 70))}, _OP_TERM, 1,
+     _OP_AT),
+    ("psi_re_nested_33_deep", {"psi.json": _edited(_psi_file(8), re=_nested(1.0, 33))},
+     _PSI_STATE, 1, _PSI_AT),
+    ("psi_re_nested_70_deep", {"psi.json": _edited(_psi_file(8), re=_nested(1.0, 70))},
+     _PSI_STATE, 1, _PSI_AT),
+    ("op_nested_too_deep_to_decode", {"op.json": _TOO_DEEP}, _OP_TERM, 1, "op.json"),
+    ("summary_nested_too_deep_to_decode", {"summary.json": _TOO_DEEP}, None, 1, "summary.json"),
 ]
 
 
@@ -605,8 +633,8 @@ _ERROR_CORPUS = [
                          ids=[case[0] for case in _ERROR_CORPUS])
 def test_error_contract_corpus(tmp_path, files, overrides, code, fragment):
     """Each bad input a config can name exits with its documented code, names
-    the field or file at fault, prints no traceback or warning and writes
-    nothing."""
+    the field or file at fault in one stderr line, prints no traceback or
+    warning and writes nothing."""
     for name, content in files.items():
         raw = content if isinstance(content, bytes) else json.dumps(content).encode()
         (tmp_path / name).write_bytes(raw)
@@ -618,9 +646,32 @@ def test_error_contract_corpus(tmp_path, files, overrides, code, fragment):
     before = sorted(tmp_path.iterdir())
     proc = _run_cli(*argv)
     assert proc.returncode == code, proc.stderr
-    assert fragment in proc.stderr
+    assert fragment in proc.stderr and len(proc.stderr.splitlines()) == 1
     assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
     assert sorted(tmp_path.iterdir()) == before
+
+
+def test_json_numbers_walks_any_depth():
+    """The leaf check keeps its own stack: 5,000 levels are numpy's ValueError
+    for too many dimensions, or the TypeError of a bad leaf, never a
+    RecursionError."""
+    with pytest.raises(ValueError, match="dimension"):
+        json_numbers(_nested(0.0, 5000), "re")
+    with pytest.raises(TypeError, match="re element must be a number, got str"):
+        json_numbers(_nested("0", 5000), "re")
+    assert json_numbers(_nested(2.5, 3), "re").shape == (1, 1, 1)
+
+
+def test_config_nested_too_deep_to_decode_is_1(tmp_path):
+    """A config nested deeper than the JSON decoder allows is one stderr line
+    naming the file, not a RecursionError traceback."""
+    config_path = tmp_path / "config.json"
+    config_path.write_bytes(_TOO_DEEP)
+    proc = _run_cli("simulate", "--config", str(config_path), "--out", str(tmp_path / "o"))
+    assert proc.returncode == 1, proc.stderr
+    assert "config.json" in proc.stderr and len(proc.stderr.splitlines()) == 1
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "o").exists()
 
 
 def test_coefficients_file_of_strings_and_bools_is_1(tmp_path):

@@ -86,7 +86,9 @@ class TestCoefficientFn:
         assert f(t) == pytest.approx(P.polyval(t, np.asarray(coeffs)), rel=1e-12, abs=1e-12)
 
     def test_table_interpolates_and_clamps(self):
-        f = CoefficientFn.table([(0.0, 1.0), (1.0, 3.0)])
+        points = [[0.0, 1.0], [1.0, 3.0]]
+        f = CoefficientFn.table(points)
+        assert f.to_json_dict()["points"] == points
         assert f(0.5) == 2.0
         assert f(-5.0) == 1.0
         assert f(7.0) == 3.0

@@ -538,6 +538,9 @@ class TestReducedPropagation:
             reduced_propagate(H, ray0, 0.1, 1.0, 0.0)
         with pytest.raises(BasisMismatch):
             reduced_propagate(H, ray_of(_unit(BasisSpec.hermite(5), 0)), 0.1, 0.0, 1.0)
+        for every in (0, -1):
+            with pytest.raises(ValueError, match="reproject_every"):
+                reduced_propagate(H, ray0, 0.1, 0.0, 1.0, reproject_every=every)
 
 
 def _driven_angular_momentum():
