@@ -3,7 +3,7 @@
 time this checkout against another in alternated pairs.
 
     python3 scripts/bench.py --tag 13 [--seed 1] [--seconds 15]
-    python3 scripts/bench.py --pairs 10 --against OTHER_CHECKOUT --workload golden_cli
+    python3 scripts/bench.py --pairs 10 --against OTHER_CHECKOUT [--workload golden_cli]
                              [--seed 1] [--seconds 15]
 
 For each workload, --tag runs ``perfbench/run.py --trace 0`` and
@@ -16,22 +16,23 @@ environment of the first run, with the value of PYTHONDONTWRITEBYTECODE
 them reads or writes bytecode caches, and every CLI run and set-up probe
 recompiles geoschro.
 
---pairs runs ``perfbench/run.py --trace 0`` of one workload in the other
+--pairs runs ``perfbench/run.py --trace 0`` of one workload, or of every
+workload one after another when --workload is not given, in the other
 checkout (the base) and in this one (the change), each from its own root,
 alternating which side runs first from pair to pair.  It prints the value of
-PYTHONDONTWRITEBYTECODE first, then every pair's end-to-end metrics (the
-``end_to_end`` list of BENCHMARK.json), and for each metric each side's
-median and quartiles and a verdict: "regression" when the change's median is
-worse than the base's by more than the metric's bound, relative to the base's
-median; else "unresolved" when either side's quartile spread, relative to the
-same median, exceeds the bound, unless every change run reads better than
-every base run; else "within bound".  For ``run_s`` it also prints the
-change's wins: a gain holds when the change wins at least nine tenths of the
-pairs, ties counting for neither, and the medians differ by more than the
-distance between the base's quartiles.
+PYTHONDONTWRITEBYTECODE first, then for each workload its name, every pair's
+end-to-end metrics (the ``end_to_end`` list of BENCHMARK.json), and for each
+metric each side's median and quartiles and a verdict: "regression" when the
+change's median is worse than the base's by more than the metric's bound,
+relative to the base's median; else "unresolved" when either side's quartile
+spread, relative to the same median, exceeds the bound, unless every change
+run reads better than every base run; else "within bound".  For ``run_s`` it
+also prints the change's wins: a gain holds when the change wins at least
+nine tenths of the pairs, ties counting for neither, and the medians differ
+by more than the distance between the base's quartiles.
 
 Exits 1 when a run fails or reports ``correct: false``, or when a metric is
-a regression.
+a regression on any workload.
 """
 
 import argparse
@@ -111,17 +112,26 @@ def metric_verdict(spec: dict, base: list, change: list) -> dict:
             "verdict": verdict}
 
 
-def run_pairs(pairs: int, against: Path, workload: str, seed: int, seconds: int) -> int:
+def run_pairs(pairs: int, against: Path, workload, seed: int, seconds: int) -> int:
+    """The pairs of ``workload``, or of every workload when it is None; 1 when
+    a run fails or a metric is a regression on any of them."""
     specs = json.loads((REPO / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]
+    print(f"env {json.dumps(bytecode_env())}", flush=True)
+    return max([_workload_pairs(pairs, against, name, seed, seconds, specs)
+                for name in (WORKLOADS if workload is None else (workload,))])
+
+
+def _workload_pairs(pairs: int, against: Path, workload: str, seed: int, seconds: int,
+                    specs: list) -> int:
     runs = {spec["name"]: {"base": [], "change": []} for spec in specs}
     roots = {"base": against.resolve(), "change": REPO}
-    print(f"env {json.dumps(bytecode_env())}", flush=True)
+    print(f"workload {workload}", flush=True)
     for k in range(pairs):
         order = ("base", "change") if k % 2 == 0 else ("change", "base")
         for side in order:
             run = run_once(workload, seed, seconds, 0, roots[side])
             if run is None or not run[0]["correct"]:
-                print(f"pair {k + 1}: the {side} run failed", file=sys.stderr)
+                print(f"{workload} pair {k + 1}: the {side} run failed", file=sys.stderr)
                 return 1
             for name, sides in runs.items():
                 sides[side].append(run[0]["metrics"][name]["value"])
@@ -151,13 +161,14 @@ def main(argv=None) -> int:
     ap.add_argument("--tag", help="the file is BENCH_<tag>.json in the repo root")
     ap.add_argument("--pairs", type=int, help="alternated base/change pairs to run")
     ap.add_argument("--against", type=Path, help="root of the base checkout for --pairs")
-    ap.add_argument("--workload", choices=WORKLOADS, help="the workload for --pairs")
+    ap.add_argument("--workload", choices=WORKLOADS,
+                    help="the workload for --pairs (default: every workload)")
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--seconds", type=int, default=15)
     args = ap.parse_args(argv)
     if args.pairs is not None:
-        if args.against is None or args.workload is None or args.pairs < 2:
-            ap.error("--pairs needs at least 2 pairs, --against and --workload")
+        if args.against is None or args.pairs < 2:
+            ap.error("--pairs needs at least 2 pairs and --against")
         return run_pairs(args.pairs, args.against, args.workload, args.seed, args.seconds)
     if args.tag is None:
         ap.error("give --tag or --pairs")

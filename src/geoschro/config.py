@@ -8,6 +8,7 @@ any numerics; schema failures carry the JSON pointer of the offending field.
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass
 from math import inf, sqrt
 from pathlib import Path
@@ -123,7 +124,7 @@ def _parse_basis(d, pointer: str) -> BasisSpec:
     d = _object(d, pointer)
     kind = _need(d, "kind", pointer)
     if kind not in BASIS_KINDS:
-        raise SchemaError(f"{pointer}/kind", f"unknown basis kind {kind!r}")
+        raise SchemaError(f"{pointer}/kind", f"unknown basis kind {reprlib.repr(kind)}")
     size = _integer(_need(d, "size", pointer), f"{pointer}/size")
     if size < 1:
         raise SchemaError(f"{pointer}/size", "size must be positive")
@@ -134,10 +135,13 @@ def _parse_coefficient(d, pointer: str) -> CoefficientFn:
     d = _object(d, pointer)
     kind = _need(d, "kind", pointer)
     if kind not in COEFFICIENT_KINDS:
-        raise SchemaError(f"{pointer}/kind", f"unknown coefficient kind {kind!r}")
-    for key in COEFFICIENT_FIELDS[kind]:
+        raise SchemaError(f"{pointer}/kind", f"unknown coefficient kind {reprlib.repr(kind)}")
+    for key, shape in COEFFICIENT_FIELDS[kind].items():
         if key in d:
-            _built(f"{pointer}/{key}", json_numbers, d[key], key)
+            value = _built(f"{pointer}/{key}", json_numbers, d[key], key)
+            if value.ndim != len(shape) or value.shape[1:] != shape[1:] or 0 in value.shape:
+                want = f"have shape ({', '.join(map(str, shape))}), n >= 1" if shape else "be a number"
+                raise SchemaError(f"{pointer}/{key}", f"{key} must {want}, got shape {value.shape}")
     return _built(pointer, CoefficientFn.from_json_dict, d)
 
 
@@ -154,7 +158,7 @@ def _parse_terms(lst, pointer: str) -> tuple:
         term = TermConfig(name, _parse_coefficient(_need(entry, "coefficient", here),
                                                    f"{here}/coefficient"))
         if name not in BUILTIN_OPERATORS and not term.is_file:
-            raise UnknownOperator(name)
+            raise UnknownOperator(f"{here}/operator", f"unknown operator {reprlib.repr(name)}")
         terms.append(term)
     return tuple(terms)
 
@@ -163,7 +167,7 @@ def _parse_initial_state(d, pointer: str, basis: BasisSpec) -> InitialStateConfi
     d = _object(d, pointer)
     kind = _need(d, "kind", pointer)
     if kind not in INITIAL_STATE_KINDS:
-        raise SchemaError(f"{pointer}/kind", f"unknown initial state kind {kind!r}")
+        raise SchemaError(f"{pointer}/kind", f"unknown initial state kind {reprlib.repr(kind)}")
     if kind == "basis_vector":
         k = _integer(_need(d, "index", pointer), f"{pointer}/index")
         if not 0 <= k < basis.size:
@@ -191,7 +195,7 @@ def _parse_integrator(d, pointer: str) -> IntegratorSpec:
     d = _object(d, pointer)
     method = _need(d, "method", pointer)
     if method not in INTEGRATOR_METHODS:
-        raise SchemaError(f"{pointer}/method", f"unknown integrator {method!r}")
+        raise SchemaError(f"{pointer}/method", f"unknown integrator {reprlib.repr(method)}")
     dt = _number(_need(d, "dt", pointer), f"{pointer}/dt")
     if not dt > 0:
         raise SchemaError(f"{pointer}/dt", "dt must be positive")

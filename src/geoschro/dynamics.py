@@ -38,7 +38,7 @@ from math import isfinite, sin
 import numpy as np
 
 from .errors import BasisMismatch, IntegratorMismatch, NotHermitian, NumericError
-from .hilbert import BasisSpec, StateVector, TangentVector
+from .hilbert import BasisSpec, StateVector, TangentVector, inner, symplectic_form
 from .numerics import (
     InvariantBlocks,
     apply_exp_step,
@@ -52,9 +52,9 @@ from .tolerances import DEFAULT, Tolerances
 
 INTEGRATOR_METHODS = ("exact_eig", "magnus2", "cayley2")
 MAX_STEPS = 10**7  # the most steps one time grid may hold
-# each coefficient kind's JSON fields, in the order its constructor takes them
-COEFFICIENT_FIELDS = {"constant": ("c",), "sinusoid": ("a", "omega", "phase"),
-                      "polynomial": ("coeffs",), "table": ("points",)}
+# kind -> {JSON field: shape ("n" any length >= 1)}, in its constructor's order
+COEFFICIENT_FIELDS = {"constant": {"c": ()}, "sinusoid": {"a": (), "omega": (), "phase": ()},
+                      "polynomial": {"coeffs": ("n",)}, "table": {"points": ("n", 2)}}
 COEFFICIENT_KINDS = tuple(COEFFICIENT_FIELDS)
 
 
@@ -263,8 +263,6 @@ def differential_of_average(A: OperatorMatrix, psi: StateVector, phi: TangentVec
 
 def hamiltonian_field_residual(A: OperatorMatrix, psi: StateVector, phi: TangentVector) -> float:
     """|omega(-iA psi, phi) - (1/2) d<psi|A psi>(phi)|; analytically zero."""
-    from .hilbert import symplectic_form
-
     field = TangentVector(psi, StateVector(psi.basis, -1j * (A.matrix @ psi.coefficients)))
     based_phi = TangentVector(psi, phi.direction)
     lhs = symplectic_form(field, based_phi)
@@ -348,9 +346,9 @@ def _record(H: TDepHamiltonian, t: float, vec: np.ndarray) -> TrajectoryRecord:
 
 def _step_operators(H: TDepHamiltonian, spec: IntegratorSpec, tol: Tolerances,
                     t0: float, vec0: np.ndarray):
-    """Returns step(t, t_next, vec) advancing vec, a vector or a matrix of
-    columns in the block order of H.blocks, from t to t_next; the exact_eig
-    step ignores vec and evaluates U(t_next - t0) on vec0, the state at t0."""
+    """Returns step(t, t_next, vec) advancing vec, a vector in the block order
+    of H.blocks, from t to t_next; the exact_eig step ignores vec and
+    evaluates U(t_next - t0) on vec0, the state at t0."""
     if spec.method == "exact_eig":
         if not H.is_autonomous:
             raise IntegratorMismatch("exact_eig requires constant coefficients")
@@ -424,15 +422,10 @@ def propagate(H: TDepHamiltonian, psi0: StateVector, spec: IntegratorSpec,
 def symplectic_preservation_check(H: TDepHamiltonian, u: TangentVector, v: TangentVector,
                                   spec: IntegratorSpec, t0: float, t1: float,
                                   tol: Tolerances = DEFAULT) -> float:
-    """|omega(Uu, Uv) - omega(u, v)| across the full propagation product U."""
-    if u.direction.basis != H.basis or v.direction.basis != H.basis:
-        raise BasisMismatch("tangent directions must live in the Hamiltonian basis")
-    pair = np.column_stack([u.direction.coefficients, v.direction.coefficients])
-    before = complex(np.vdot(pair[:, 0], pair[:, 1])).imag
-    pair = pair[H.blocks.order]
-    step = _step_operators(H, spec, tol, t0, pair)
-    for _, final in _walk(step, pair, f"{spec.method} step", t0, t1, spec.dt):
-        pass  # the walk ends at t1
-    final = final[H.blocks.inverse]
-    after = complex(np.vdot(final[:, 0], final[:, 1])).imag
-    return abs(after - before)
+    """|omega(Uu, Uv) - omega(u, v)| across the full propagation product U,
+    with Uu and Uv the final states of ``propagate`` on each direction."""
+
+    def final(w: TangentVector) -> StateVector:
+        return propagate(H, w.direction, spec, t0, t1, stride=MAX_STEPS, tol=tol)[-1].state
+
+    return abs(inner(final(u), final(v)).imag - inner(u.direction, v.direction).imag)

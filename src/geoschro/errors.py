@@ -26,7 +26,7 @@ class SchemaError(ConfigError):
         super().__init__(f"{pointer}: {message}")
 
 
-class UnknownOperator(ConfigError):
+class UnknownOperator(SchemaError):
     """Hamiltonian term names neither a builtin operator nor a readable file."""
 
 

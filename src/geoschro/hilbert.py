@@ -22,6 +22,7 @@ file formats reference them):
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import comb, factorial, sqrt
@@ -47,7 +48,7 @@ class BasisSpec:
 
     def __post_init__(self):
         if self.kind not in BASIS_KINDS:
-            raise UnsupportedBasis(f"unknown basis kind: {self.kind!r}")
+            raise UnsupportedBasis(f"unknown basis kind: {reprlib.repr(self.kind)}")
         if self.size < 1:
             raise ValueError("basis size must be >= 1")
         if self.kind == "fourier_interval":

@@ -13,6 +13,7 @@ rows/columns of the truncation while the closed forms are exact everywhere.
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import InitVar, dataclass
 from math import factorial, pi, sqrt
 
@@ -75,7 +76,7 @@ class OperatorMatrix:
         if not np.all(np.isfinite(M.view(np.float64))):
             raise ValueError("non-finite matrix entries")
         if self.symmetry not in SYMMETRIES:
-            raise ValueError(f"unknown symmetry flag: {self.symmetry!r}")
+            raise ValueError(f"unknown symmetry flag: {reprlib.repr(self.symmetry)}")
         dev = flag_violation(M, self.symmetry, tol.flag_check)
         if dev:
             flag = "hermitian" if self.symmetry == "hermitian" else "skew"
@@ -297,19 +298,18 @@ def build_named(name: str, basis: BasisSpec) -> OperatorMatrix:
 
 
 def commutator(A: OperatorMatrix, B: OperatorMatrix, tol: Tolerances = DEFAULT) -> OperatorMatrix:
-    """AB - BA with added bands and the inferred symmetry flag."""
+    """AB - BA with added bands and the inferred symmetry flag.  With A and B
+    flagged Hermitian or skew, X = AB is formed once and BA = -/+X^H, so a like
+    pair gives X - X^H, exactly skew, and a mixed pair X + X^H, exactly Hermitian."""
     if A.basis != B.basis:
         raise BasisMismatch("commutator requires one common basis")
-    K = A.matrix @ B.matrix - B.matrix @ A.matrix
-    flags = {A.symmetry, B.symmetry}
-    if flags == {"hermitian"} or flags == {"skew_hermitian"}:
-        symmetry = "skew_hermitian"
-        K = (K - K.conj().T) / 2.0
-    elif flags == {"hermitian", "skew_hermitian"}:
-        symmetry = "hermitian"
-        K = (K + K.conj().T) / 2.0
+    X = A.matrix @ B.matrix
+    if "none" in (A.symmetry, B.symmetry):
+        symmetry, K = "none", X - B.matrix @ A.matrix
+    elif A.symmetry == B.symmetry:
+        symmetry, K = "skew_hermitian", X - X.conj().T
     else:
-        symmetry = "none"
+        symmetry, K = "hermitian", X + X.conj().T
     n = A.basis.size
     rb = min(n - 1, A.raise_band + B.raise_band)
     lb = min(n - 1, A.lower_band + B.lower_band)

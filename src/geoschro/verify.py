@@ -16,6 +16,7 @@ import numpy as np
 
 from .dynamics import (
     IntegratorSpec,
+    average_value,
     differential_of_average,
     hamiltonian_field_residual,
     oscillator_hamiltonian,
@@ -152,9 +153,8 @@ def suite_operators(size: int, seed: int, tol: Tolerances) -> list[VerifyCase]:
     H = metaplectic_set(basis)
     rng = _rng(seed, 2)
 
-    built = list(H)
-    built.extend(build_angular_momentum(BasisSpec.hermite3d(6)))
-    built.append(build_fourier_p_squared(BasisSpec.fourier(size, pi)))
+    L = Lx, Ly, Lz = build_angular_momentum(BasisSpec.hermite3d(6))
+    built = [*H, *L, build_fourier_p_squared(BasisSpec.fourier(size, pi))]
     flag = max(flag_violation(op.matrix, "hermitian", 0.0) for op in built)  # max|M - M^H|
 
     # commutators of i H_a must fall back into the real span of {i H_c}
@@ -171,7 +171,6 @@ def suite_operators(size: int, seed: int, tol: Tolerances) -> list[VerifyCase]:
             resid = K - sum(c * blk for c, blk in zip(coeffs, cols))
             closure = max(closure, float(np.max(np.abs(resid))))
 
-    Lx, Ly, Lz = build_angular_momentum(BasisSpec.hermite3d(6))
     su2 = 0.0
     for La, Lb, Lc in ((Lx, Ly, Lz), (Ly, Lz, Lx), (Lz, Lx, Ly)):
         K = La.matrix @ Lb.matrix - Lb.matrix @ La.matrix
@@ -180,9 +179,10 @@ def suite_operators(size: int, seed: int, tol: Tolerances) -> list[VerifyCase]:
     probe = np.zeros(size, dtype=np.complex128)
     probe[:3] = (1.0, 0.5, 0.25)
     psi = StateVector(basis, probe / np.linalg.norm(probe))
+    skew = [op.scaled(1j, tol) for op in H]
     ratio_dev = 0.0
     for a, b in NONCOMMUTING_PAIRS:
-        A, B = H[a].scaled(1j, tol), H[b].scaled(1j, tol)
+        A, B = skew[a], skew[b]
         target = commutator(A, B, tol).apply(psi).coefficients
         e = {}
         for h in (2e-3, 1e-3):
@@ -191,7 +191,7 @@ def suite_operators(size: int, seed: int, tol: Tolerances) -> list[VerifyCase]:
 
     null = 0.0
     for a, b in COMMUTING_PAIRS:
-        A, B = H[a].scaled(1j, tol), H[b].scaled(1j, tol)
+        A, B = skew[a], skew[b]
         null = max(null, float(np.linalg.norm(flow_commutator(A, B, psi, 1e-3, tol).coefficients)))
 
     base_state = monomial_gaussian_state(2, size)
@@ -286,8 +286,8 @@ def suite_dynamics(size: int, seed: int, tol: Tolerances) -> list[VerifyCase]:
     exact = differential_of_average(x_op, psi0, TangentVector(psi0, gen))
 
     def big_c(t: float) -> float:
-        fp = complex(np.vdot(apply_exp_step(es, t, two), x_op.matrix @ apply_exp_step(es, t, two))).real
-        fm = complex(np.vdot(apply_exp_step(es, -t, two), x_op.matrix @ apply_exp_step(es, -t, two))).real
+        fp, fm = (average_value(x_op, StateVector(basis, apply_exp_step(es, s, two)))
+                  for s in (t, -t))
         return abs((fp - fm) / (2 * t) - exact) / t ** 2
 
     gateaux = abs(big_c(1e-3) / big_c(1e-4) - 1.0)

@@ -538,9 +538,12 @@ def _nested(value, depth):
     return value
 
 
+def _coefficient(coefficient):
+    return {"hamiltonian": [{"operator": "x2", "coefficient": coefficient}]}
+
+
 def _table_term(points):
-    return {"hamiltonian": [{"operator": "x2",
-                             "coefficient": {"kind": "table", "points": points}}]}
+    return _coefficient({"kind": "table", "points": points})
 
 
 def _first_operator(name):
@@ -625,6 +628,30 @@ _ERROR_CORPUS = [
      _PSI_STATE, 1, _PSI_AT),
     ("op_nested_too_deep_to_decode", {"op.json": _TOO_DEEP}, _OP_TERM, 1, "op.json"),
     ("summary_nested_too_deep_to_decode", {"summary.json": _TOO_DEEP}, None, 1, "summary.json"),
+    ("points_triples", {}, _table_term([[0, 1, 2], [1, 2, 3]]), 1, f"{_POINTS_AT}: "),
+    ("points_flat", {}, _table_term([0, 1]), 1, f"{_POINTS_AT}: "),
+    ("coeffs_of_lists", {}, _coefficient({"kind": "polynomial", "coeffs": [[1.0, 2.0]]}), 1,
+     "/hamiltonian/0/coefficient/coeffs: "),
+    ("c_is_a_list", {}, _coefficient({"kind": "constant", "c": [0.5]}), 1,
+     "/hamiltonian/0/coefficient/c: "),
+    ("basis_kind_900_deep", {}, {"basis": {"kind": _nested(0, 900), "size": 8}}, 1,
+     "/basis/kind: "),
+    ("method_900_deep", {}, {"integrator": {"method": _nested(0, 900), "dt": 0.1}}, 1,
+     "/integrator/method: "),
+    ("initial_state_kind_900_deep", {}, {"initial_state": {"kind": _nested(0, 900)}}, 1,
+     "/initial_state/kind: "),
+    ("coefficient_kind_900_deep", {}, _coefficient({"kind": _nested(0, 900)}), 1,
+     "/hamiltonian/0/coefficient/kind: "),
+    ("unknown_operator", {}, _first_operator("foo"), 1, f"{_OP_AT}: unknown operator 'foo'"),
+    ("unknown_operator_5000_long", {}, _first_operator("f" * 5000), 1, f"{_OP_AT}: "),
+    ("op_basis_kind_5000_long",
+     {"op.json": _edited(_x_file(8), basis={"kind": "k" * 5000, "size": 8})}, _OP_TERM, 1,
+     f"{_OP_AT}: "),
+    ("op_symmetry_900_deep", {"op.json": _edited(_x_file(8), symmetry=_nested(0, 900))},
+     _OP_TERM, 1, f"{_OP_AT}: "),
+    ("psi_basis_kind_900_deep",
+     {"psi.json": _edited(_psi_file(8), basis={"kind": _nested(0, 900), "size": 8})},
+     _PSI_STATE, 1, f"{_PSI_AT}: "),
 ]
 
 
@@ -633,8 +660,8 @@ _ERROR_CORPUS = [
                          ids=[case[0] for case in _ERROR_CORPUS])
 def test_error_contract_corpus(tmp_path, files, overrides, code, fragment):
     """Each bad input a config can name exits with its documented code, names
-    the field or file at fault in one stderr line, prints no traceback or
-    warning and writes nothing."""
+    the field or file at fault in one stderr line of at most 200 characters,
+    prints no traceback or warning and writes nothing."""
     for name, content in files.items():
         raw = content if isinstance(content, bytes) else json.dumps(content).encode()
         (tmp_path / name).write_bytes(raw)
@@ -647,6 +674,7 @@ def test_error_contract_corpus(tmp_path, files, overrides, code, fragment):
     proc = _run_cli(*argv)
     assert proc.returncode == code, proc.stderr
     assert fragment in proc.stderr and len(proc.stderr.splitlines()) == 1
+    assert len(proc.stderr.rstrip("\n")) <= 200
     assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
     assert sorted(tmp_path.iterdir()) == before
 

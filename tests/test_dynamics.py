@@ -410,14 +410,34 @@ class TestSymplecticPreservation:
         assert symplectic_preservation_check(H, u, u, IntegratorSpec("magnus2", 1e-2),
                                              0.0, 1.0) == 0.0
 
-    def test_random_pair_preserved(self):
+    @pytest.mark.parametrize("method", ["magnus2", "cayley2"])
+    def test_random_pair_preserved(self, method):
         H = _driven(12)
         base = random_state(12, 0)
         u = TangentVector(base, random_state(12, 1))
         v = TangentVector(base, random_state(12, 2))
-        drift = symplectic_preservation_check(H, u, v, IntegratorSpec("magnus2", 1e-3),
-                                              0.0, 1.0)
+        drift = symplectic_preservation_check(H, u, v, IntegratorSpec(method, 1e-3), 0.0, 1.0)
         assert drift < 1e-12
+
+    def test_runs_propagate_on_each_direction(self, monkeypatch):
+        """The check takes Uu and Uv from the final records of propagate."""
+        H = _driven(8)
+        base = random_state(8, 0)
+        u, v = (TangentVector(base, random_state(8, k)) for k in (1, 2))
+        spec = IntegratorSpec("magnus2", 1e-2)
+        seen = []
+
+        def spy(H, psi0, spec, t0, t1, stride=1, tol=DEFAULT):
+            seen.append((psi0, stride))
+            return propagate(H, psi0, spec, t0, t1, stride, tol)
+
+        monkeypatch.setattr(dynamics, "propagate", spy)
+        drift = symplectic_preservation_check(H, u, v, spec, 0.0, 1.0)
+        (psi_u, stride_u), (psi_v, stride_v) = seen
+        assert psi_u is u.direction and psi_v is v.direction
+        assert stride_u == stride_v == dynamics.MAX_STEPS
+        Uu, Uv = (propagate(H, w.direction, spec, 0.0, 1.0)[-1].state for w in (u, v))
+        assert drift == abs(inner(Uu, Uv).imag - inner(u.direction, v.direction).imag)
 
     def test_identity_hamiltonian_is_pure_phase(self):
         basis = BasisSpec.hermite(8)

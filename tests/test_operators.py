@@ -1,5 +1,7 @@
 """Operator builders, band accounting, flow commutators, certificates."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -237,6 +239,32 @@ class TestCommutator:
     def test_basis_mismatch(self):
         with pytest.raises(BasisMismatch):
             commutator(build_position(HERMITE12), build_position(BasisSpec.hermite(6)))
+
+    @pytest.mark.parametrize("scale_a,scale_b", [(1, 1), (1j, 1j), (1, 1j), (1j, 1)],
+                             ids=["hermitian", "skew", "hermitian_skew", "skew_hermitian"])
+    def test_flagged_pairs_are_exactly_symmetric(self, scale_a, scale_b):
+        """For every pair of builtins, each taken Hermitian or times i (skew),
+        [A, B] is bit for bit minus its conjugate transpose for a like pair,
+        plus it for a mixed one, and is A @ B - B @ A to roundoff."""
+        names = ("p2", "x2", "xp_px", "p", "x", "id")  # the builtins on a 1-d Hermite basis
+        sign = -1 if scale_a == scale_b else 1
+        for a, b in itertools.product(names, names):
+            A = build_named(a, HERMITE12).scaled(scale_a)
+            B = build_named(b, HERMITE12).scaled(scale_b)
+            K = commutator(A, B)
+            assert K.symmetry == ("skew_hermitian" if sign < 0 else "hermitian")
+            assert np.array_equal(K.matrix, sign * K.matrix.conj().T), (a, b)
+            want = oracles.matrix_commutator(A.matrix, B.matrix)
+            assert np.max(np.abs(K.matrix - want)) <= 1e-13, (a, b)
+
+    def test_unflagged_operator_keeps_both_products(self):
+        x = build_position(HERMITE12)
+        raising = OperatorMatrix.from_matrix(HERMITE12, np.tril(x.matrix))
+        assert raising.symmetry == "none"
+        for A, B in ((raising, x), (x, raising)):
+            K = commutator(A, B)
+            assert K.symmetry == "none"
+            assert np.array_equal(K.matrix, A.matrix @ B.matrix - B.matrix @ A.matrix)
 
 
 class TestSupportAccounting:

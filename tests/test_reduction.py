@@ -341,11 +341,13 @@ class TestProjectors:
         back = dominant_ray(projector_of(r))
         assert fubini_study_distance(r, back) < 1e-12
 
-    def test_rank_collapse_detected(self):
-        basis = BasisSpec.hermite(2)
-        mixed = ProjectorState(basis, np.eye(2, dtype=complex) / 2)
+    @pytest.mark.parametrize("matrix", [np.eye(2, dtype=complex) / 2, np.zeros((2, 2), complex)],
+                             ids=["mixed", "zero"])
+    def test_rank_collapse_detected(self, matrix):
+        """A zero column has no Ritz vector, so the zero matrix reaches the
+        dense path, whose dominant eigenvalue 0 is a collapse."""
         with pytest.raises(RankCollapse):
-            dominant_ray(mixed)
+            dominant_ray(ProjectorState(BasisSpec.hermite(2), matrix))
 
 
 def _dense_ray(P):

@@ -95,7 +95,7 @@ def test_pairs_alternate_which_side_runs_first(monkeypatch, capsys, tmp_path):
 def test_pairs_give_every_end_to_end_metric_a_verdict(monkeypatch, capsys, tmp_path):
     """run_s 3% slower and steady, cpu_s 40% slower (a regression past its
     0.25 bound), setup_s 5% slower with a 50% spread (unresolved),
-    peak_rss_mb and pass_rate equal."""
+    peak_rss_mb and pass_rate equal; then every workload when none is named."""
     bench = _script("bench")
     wobble = [0.2, 0.45, 0.3, 0.15, 0.4, 0.25]
 
@@ -110,9 +110,10 @@ def test_pairs_give_every_end_to_end_metric_a_verdict(monkeypatch, capsys, tmp_p
     assert bench.run_pairs(6, tmp_path, "large_basis", 1, 15) == 1
     head, *out = capsys.readouterr().out.splitlines()
     assert head == 'env {"PYTHONDONTWRITEBYTECODE": "1"}'
-    assert out[0] == ("pair 1 (base first): run_s 10/10.3, cpu_s 10/14, peak_rss_mb 40/40, "
+    assert out[0] == "workload large_basis"
+    assert out[1] == ("pair 1 (base first): run_s 10/10.3, cpu_s 10/14, peak_rss_mb 40/40, "
                       "setup_s 0.2/0.21, pass_rate 1/1")
-    verdicts = {line.split(" (")[0]: line.rsplit(": ", 1)[1] for line in out[6:11]}
+    verdicts = {line.split(" (")[0]: line.rsplit(": ", 1)[1] for line in out[7:12]}
     assert verdicts == {"run_s": "within bound", "cpu_s": "regression",
                         "peak_rss_mb": "within bound", "setup_s": "unresolved",
                         "pass_rate": "within bound"}
@@ -121,6 +122,27 @@ def test_pairs_give_every_end_to_end_metric_a_verdict(monkeypatch, capsys, tmp_p
     assert result["verdicts"]["cpu_s"]["worse"] == pytest.approx(0.4)
     assert result["verdicts"]["setup_s"]["base"]["median"] == pytest.approx(0.275)
     assert not result["gain"]["holds"]
+
+    # no workload named: every workload gets its pairs and verdicts in turn,
+    # and a regression in the last one alone makes the exit code 1
+    calls = []
+
+    def fake_run(workload, seed, seconds, trace, root):
+        calls.append(workload)
+        slower = root != tmp_path and workload == "coefficient_dump"
+        return ({"correct": True, "metrics": {n: {"value": v} for n, v in
+                                              _metrics(1.5 if slower else 1.0).items()}},
+                {"env": {}})
+
+    monkeypatch.setattr(bench, "run_once", fake_run)
+    assert bench.run_pairs(2, tmp_path, None, 1, 15) == 1
+    assert calls == [w for w in bench.WORKLOADS for _ in range(4)]
+    results = [json.loads(line) for line in capsys.readouterr().out.splitlines()
+               if line.startswith("{")]
+    assert [r["workload"] for r in results] == list(bench.WORKLOADS)
+    assert [r["verdicts"]["run_s"]["verdict"] for r in results] == [
+        "within bound", "within bound", "within bound", "regression"]
+    assert bench.main(["--pairs", "2", "--against", str(tmp_path)]) == 1
 
 
 def test_metric_verdict_follows_the_direction_and_the_spread():
