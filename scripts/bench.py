@@ -26,10 +26,13 @@ metric each side's median and quartiles and a verdict: "regression" when the
 change's median is worse than the base's by more than the metric's bound,
 relative to the base's median; else "unresolved" when either side's quartile
 spread, relative to the same median, exceeds the bound, unless every change
-run reads better than every base run; else "within bound".  For ``run_s`` it
-also prints the change's wins: a gain holds when the change wins at least
-nine tenths of the pairs, ties counting for neither, and the medians differ
-by more than the distance between the base's quartiles.
+run reads better than every base run; else "within bound".  For every metric
+it also prints the change's wins, in the metric's direction (``better`` in
+BENCHMARK.json): a gain holds when the change wins at least nine tenths of
+the pairs, ties counting for neither, and its median is better than the
+base's by more than the distance between the base's quartiles.  The last
+line is the workload's result as JSON, with each metric's gain under
+``gain``.
 
 Exits 1 when a run fails or reports ``correct: false``, or when a metric is
 a regression on any workload.
@@ -79,14 +82,17 @@ def _quartiles(base: list, change: list) -> tuple:
     return summary(base), summary(change)
 
 
-def pair_stats(base: list, change: list) -> dict:
-    """The pair rule on run_s values of the same pairs: each side's median
-    and quartiles, the change's wins and ties, and whether the gain holds."""
+def pair_stats(base: list, change: list, better: str = "lower") -> dict:
+    """The gain rule on one metric's values of the same pairs, ``better``
+    "lower" or "higher": each side's median and quartiles, the change's wins
+    and ties, the gap by which its median is better, and whether the gain
+    holds."""
     b, c = _quartiles(base, change)
-    wins = sum(c < b for b, c in zip(base, change))
+    sign = 1.0 if better == "lower" else -1.0
+    wins = sum(sign * c < sign * b for b, c in zip(base, change))
     ties = sum(c == b for b, c in zip(base, change))
     spread = b["q3"] - b["q1"]
-    gap = b["median"] - c["median"]
+    gap = sign * (b["median"] - c["median"]) + 0.0  # + 0.0: no "-0" for equal medians
     return {"pairs": len(base), "wins": wins, "ties": ties, "base": b, "change": c,
             "gap": gap, "base_iqr": spread,
             "holds": wins >= math.ceil(0.9 * len(base)) and gap > spread}
@@ -147,12 +153,15 @@ def _workload_pairs(pairs: int, against: Path, workload: str, seed: int, seconds
               f"{b['median']:.4g} [{b['q1']:.4g}, {b['q3']:.4g}], change median {c['median']:.4g} "
               f"[{c['q1']:.4g}, {c['q3']:.4g}]; worse by {v['worse']:+.1%}, spread "
               f"{v['spread']:.1%}, bound {v['bound']:.0%}: {v['verdict']}")
-    st = pair_stats(runs["run_s"]["base"], runs["run_s"]["change"])
-    print(f"run_s: change wins {st['wins']} of {st['pairs']} (ties {st['ties']}); median gap "
-          f"{st['gap']:.3f} s against base IQR {st['base_iqr']:.3f} s: gain "
-          f"{'holds' if st['holds'] else 'not shown'}")
+    gains = {}
+    for spec in specs:
+        name, unit = spec["name"], spec["unit"]
+        st = gains[name] = pair_stats(runs[name]["base"], runs[name]["change"], spec["better"])
+        print(f"{name}: change wins {st['wins']} of {st['pairs']} (ties {st['ties']}); median "
+              f"gap {st['gap']:.4g} {unit} against base IQR {st['base_iqr']:.4g} {unit}: gain "
+              f"{'holds' if st['holds'] else 'not shown'}")
     print(json.dumps({"workload": workload, "seed": seed, "seconds": seconds, "runs": runs,
-                      "verdicts": verdicts, "gain": st}))
+                      "verdicts": verdicts, "gain": gains}))
     return 1 if any(v["verdict"] == "regression" for v in verdicts.values()) else 0
 
 

@@ -7,78 +7,94 @@ unreadable file, 4 verification suite failure.
 from __future__ import annotations
 
 import argparse
+import os
+import shutil
 import sys
+import tempfile
+from contextlib import contextmanager, suppress
 from pathlib import Path
 
 from .config import SimulationConfig, build_hamiltonian, build_initial_state, parse_config
 from .dynamics import propagate
-from .errors import ConfigError, MissingInput, NumericError, ParseError, SchemaError
+from .errors import (ConfigError, MissingInput, NumericError, ParseError, SchemaError,
+                     quoted_path)
 from .reduction import diagram_residuals, paired_records
 from .serialize import (
+    TrajectoryWriter,
     emit_plot_script,
     write_rays_csv,
     write_rays_jsonl,
     write_summary,
-    write_trajectory_csv,
-    write_trajectory_jsonl,
 )
 from .tolerances import parse_overrides
 from .verify import run_verify
 
 
-def _trajectory_summary(records) -> dict:
-    first = records[0]
-    return {
-        "records": len(records),
-        "max_norm_drift": max(abs(r.norm - first.norm) for r in records),
-        "max_J_drift": max(abs(r.momentum_J - first.momentum_J) for r in records),
-        "final": {
-            "t": records[-1].t,
-            "norm": records[-1].norm,
-            "J": records[-1].momentum_J,
-            "energy": records[-1].energy,
-        },
-    }
+@contextmanager
+def _staged(out_dir: Path):
+    """A staging directory inside out_dir, made for one run.  When the block
+    exits cleanly its files are published into out_dir by os.replace; on any
+    exception, an interrupt included, the stage and every directory made for
+    it are removed, so a failed run leaves out_dir as it was."""
+    made = [d for d in (out_dir, *out_dir.parents) if not d.exists()]  # innermost first
+    stage = None
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        stage = Path(tempfile.mkdtemp(prefix=".staging-", dir=out_dir))
+        yield stage
+        for path in sorted(stage.iterdir()):
+            os.replace(path, out_dir / path.name)
+        made = []
+    finally:
+        if stage is not None:
+            shutil.rmtree(stage, ignore_errors=True)
+        for d in made:
+            with suppress(OSError):
+                d.rmdir()
 
 
-def _write_run(config: SimulationConfig, out_dir: Path, seed: int, up,
+def _write_run(config: SimulationConfig, stage: Path, seed: int, up: TrajectoryWriter,
                reduced=None) -> dict:
-    """Write a run's trajectory files, summary.json and (with diagnostics)
-    plot.gp, and return the summary.  ``reduced`` = (down records, residuals,
-    drifts) marks a reduce run: it adds the ray files and their summary keys."""
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_trajectory_jsonl(out_dir / "trajectory.jsonl", up, config.outputs.coefficients)
-    write_trajectory_csv(out_dir / "trajectory.csv", up)
+    """Write summary.json, (with diagnostics) plot.gp and, for a reduce run,
+    the ray files into ``stage`` next to the trajectory files of ``up``, and
+    return the summary.  ``reduced`` = (down records, residuals, drifts)
+    marks a reduce run: it adds the ray files and their summary keys."""
     files = {"trajectory_jsonl": "trajectory.jsonl", "trajectory_csv": "trajectory.csv"}
     summary = {"kind": "simulate", "seed": seed, "basis": config.basis.to_json_dict()}
     if reduced is not None:
         down, residuals, drifts = reduced
-        write_rays_jsonl(out_dir / "rays.jsonl", down)
-        write_rays_csv(out_dir / "rays.csv", down, residuals)
+        write_rays_jsonl(stage / "rays.jsonl", down)
+        write_rays_csv(stage / "rays.csv", down, residuals)
         files.update(rays_jsonl="rays.jsonl", rays_csv="rays.csv")
         summary.update(kind="reduce", mu=config.reduction.mu,
                        dt_reduced=config.reduction.dt_reduced)
     summary["integrator"] = {"method": config.integrator.method, "dt": config.integrator.dt}
     summary["time"] = {"t0": config.time.t0, "t1": config.time.t1, "stride": config.time.stride}
-    summary.update(_trajectory_summary(up))
+    summary.update(up.summary())
     if reduced is not None:
         summary.update(max_residual=max(residuals), projector_drifts=drifts)
     summary["files"] = files
-    write_summary(out_dir / "summary.json", summary)
+    write_summary(stage / "summary.json", summary)
     if config.outputs.diagnostics:
-        emit_plot_script(out_dir / "summary.json")
+        emit_plot_script(stage / "summary.json")
     return summary
 
 
 def run_simulate(config: SimulationConfig, out_dir: Path, seed: int = 0) -> dict:
+    """Stream the trajectory into a stage, one record at a time, and publish
+    the run's files into out_dir only when it succeeds."""
     H = build_hamiltonian(config)
     psi0 = build_initial_state(config)
-    records = propagate(H, psi0, config.integrator, config.time.t0, config.time.t1,
-                        stride=config.time.stride)
-    return _write_run(config, out_dir, seed, records)
+    with _staged(out_dir) as stage:
+        with TrajectoryWriter(stage, config.outputs.coefficients) as up:
+            propagate(H, psi0, config.integrator, config.time.t0, config.time.t1,
+                      stride=config.time.stride, sink=up)
+        return _write_run(config, stage, seed, up)
 
 
 def run_reduce(config: SimulationConfig, out_dir: Path, seed: int = 0) -> dict:
+    """The paired flows, whose upstairs records the residuals need, written
+    through a stage like run_simulate's."""
     if config.reduction is None:
         raise SchemaError("/reduction", "reduce needs a reduction block")
     H = build_hamiltonian(config)
@@ -86,7 +102,12 @@ def run_reduce(config: SimulationConfig, out_dir: Path, seed: int = 0) -> dict:
     up, down, drifts = paired_records(H, psi0, config.reduction.mu, config.integrator,
                                       config.reduction.dt_reduced, config.time.t0,
                                       config.time.t1, stride=config.time.stride)
-    return _write_run(config, out_dir, seed, up, (down, diagram_residuals(up, down), drifts))
+    residuals = diagram_residuals(up, down)
+    with _staged(out_dir) as stage:
+        with TrajectoryWriter(stage, config.outputs.coefficients) as writer:
+            for record in up:
+                writer(record)
+        return _write_run(config, stage, seed, writer, (down, residuals, drifts))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -168,7 +189,8 @@ def main(argv=None) -> int:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
+        where = "" if exc.filename is None else f": {quoted_path(exc.filename)}"
+        print(f"i/o error: {exc.strerror or exc}{where}", file=sys.stderr)
         return 3
 
 

@@ -37,7 +37,7 @@ from math import isfinite, sin
 
 import numpy as np
 
-from .errors import BasisMismatch, IntegratorMismatch, NotHermitian, NumericError
+from .errors import BasisMismatch, IntegratorMismatch, NotHermitian, NumericError, ZeroVector
 from .hilbert import BasisSpec, StateVector, TangentVector, inner, symplectic_form
 from .numerics import (
     InvariantBlocks,
@@ -407,16 +407,24 @@ def _walk(step, vec0: np.ndarray, what: str, t0: float, t1: float, dt: float,
 
 def propagate(H: TDepHamiltonian, psi0: StateVector, spec: IntegratorSpec,
               t0: float, t1: float, stride: int = 1,
-              tol: Tolerances = DEFAULT) -> list[TrajectoryRecord]:
+              tol: Tolerances = DEFAULT, sink=None) -> list[TrajectoryRecord] | None:
     """Propagate psi0 from t0 to t1, recording every stride-th step plus the
     endpoints.  The grid walks in steps of spec.dt with the final step
-    shortened to land exactly on t1."""
+    shortened to land exactly on t1.  Returns the records; with ``sink``,
+    each record is handed to sink(record) as it is made, none is kept, and
+    None is returned.  A psi0 whose norm is not above tol.zero_vector is a
+    ZeroVector: no record of it has an energy."""
     if psi0.basis != H.basis:
         raise BasisMismatch("initial state basis does not match the Hamiltonian")
+    if not float(np.linalg.norm(psi0.coefficients)) > tol.zero_vector:
+        raise ZeroVector("cannot propagate the zero vector")
     vec0 = psi0.coefficients[H.blocks.order]
     step = _step_operators(H, spec, tol, t0, vec0)
-    return [_record(H, t, vec) for t, vec in _walk(step, vec0, f"{spec.method} step",
-                                                   t0, t1, spec.dt, stride)]
+    records = []
+    keep = records.append if sink is None else sink
+    for t, vec in _walk(step, vec0, f"{spec.method} step", t0, t1, spec.dt, stride):
+        keep(_record(H, t, vec))
+    return records if sink is None else None
 
 
 def symplectic_preservation_check(H: TDepHamiltonian, u: TangentVector, v: TangentVector,

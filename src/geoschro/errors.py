@@ -4,6 +4,8 @@ Three families matter for the CLI exit-code mapping: configuration errors
 (exit 1), numeric-domain errors (exit 2) and I/O errors (exit 3).
 """
 
+import reprlib
+
 
 class GeoschroError(Exception):
     """Base class for all package-specific errors."""
@@ -92,8 +94,20 @@ class IntegratorMismatch(NumericError):
 
 
 class MissingInput(GeoschroError):
-    """A referenced input file does not exist."""
+    """A referenced input file does not exist or cannot be read; ``reason``
+    says why when it is not simply absent."""
 
-    def __init__(self, path):
+    def __init__(self, path, reason: str | None = None):
         self.path = str(path)
-        super().__init__(f"missing input file: {self.path}")
+        super().__init__(f"missing input file: {quoted_path(path)}"
+                         + ("" if reason is None else f": {reason}"))
+
+
+_PATHS = reprlib.Repr()
+_PATHS.maxstring = 60
+
+
+def quoted_path(path) -> str:
+    """path as a quoted string, cut in the middle past 60 characters, so an
+    error line that names it stays short whatever its length."""
+    return _PATHS.repr(str(path))

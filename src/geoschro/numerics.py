@@ -51,11 +51,22 @@ def matmul(A: np.ndarray, X: np.ndarray, out: np.ndarray | None = None) -> np.nd
     return Y.view(np.complex128)
 
 
-def hermitian_part(M: np.ndarray) -> np.ndarray:
+def hermitian_part(M: np.ndarray, out: np.ndarray | None = None,
+                   work: np.ndarray | None = None) -> np.ndarray:
     """The exact Hermitian part of M: 0.5 M + 0.5 M^H, which cannot overflow,
-    where M differs from M^H, and bit for bit M elsewhere."""
-    Mh = M.conj().T
-    return np.where(M == Mh, M, 0.5 * M + 0.5 * Mh)
+    where M differs from M^H, and bit for bit M elsewhere.  It is written
+    into ``out``, a fresh array when None or else M itself, with ``work``,
+    two arrays of M's shape and dtype, as scratch; given both, it allocates
+    only the mask of the entries that differ."""
+    Mh, S = np.empty((2, *M.shape), dtype=M.dtype) if work is None else work
+    np.conjugate(M.T, out=Mh)
+    differ = np.not_equal(M, Mh)
+    np.multiply(0.5, M, out=S)
+    np.multiply(0.5, Mh, out=Mh)
+    np.add(S, Mh, out=S)
+    out = M.copy() if out is None else out
+    np.copyto(out, S, where=differ)
+    return out
 
 
 @dataclass(frozen=True, eq=False)

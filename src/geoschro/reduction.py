@@ -13,8 +13,11 @@ the unitary steps' overflow guard.  P is held in the block order of H from
 birth (``projector_of`` of the permuted ray) to ray (``dominant_ray`` returns
 only its N-vector to basis order), each stage forms H P as one batched product
 per group of blocks on a slice of rows, and the stages and the drift, which no
-permutation changes, run in three fixed N x N buffers.  After every step P is
-bit for bit the permuted dense flow's; drifts and rays match it to roundoff.
+permutation changes, run in three fixed N x N buffers.  Every projector_of,
+the first and each re-projection, is built in P's own buffer with two of
+those as scratch, and an RK4 step holds one H(t) at a time, so the flow holds
+four N x N buffers and one H(t).  After every step P is bit for bit the
+permuted dense flow's; drifts and rays match it to roundoff.
 ``projector_of`` is bitwise Hermitian and RK4 keeps it so (X - X^H, X = HP,
 is exactly anti-Hermitian, and RK4 carries the -i in its weights), so P is
 never repaired; a step whose idempotency drift passes 1 - rank_dominance
@@ -255,14 +258,18 @@ def _idempotency(P: np.ndarray, work: np.ndarray) -> float:
     return float(np.abs(X, out=A.real).max()) * ldexp(1.0, -k)
 
 
-def projector_of(ray: Ray, blocks: InvariantBlocks | None = None) -> ProjectorState:
+def projector_of(ray: Ray, blocks: InvariantBlocks | None = None, out: np.ndarray | None = None,
+                 work: np.ndarray | None = None) -> ProjectorState:
     """|r><r| as the exact Hermitian part of the outer product: bitwise
     Hermitian.  With ``blocks`` it is built from the ray permuted to their
-    block order, entry for entry the permuted basis-order projector."""
+    block order, entry for entry the permuted basis-order projector.  With
+    ``out``, an N x N complex buffer, and ``work``, two more as scratch, it
+    is built in ``out`` and no complex N x N array is allocated."""
     c = ray.representative.coefficients
     if blocks is not None:
         c = c[blocks.order]
-    return ProjectorState(ray.representative.basis, hermitian_part(np.outer(c, c.conj())),
+    M = np.outer(c, c.conj(), out=out)
+    return ProjectorState(ray.representative.basis, hermitian_part(M, M, work),
                           None if blocks is None else blocks.inverse)
 
 
@@ -346,24 +353,25 @@ def _rk4_projector_step(H: TDepHamiltonian, t: float, h: float, P: np.ndarray,
     of H.blocks, written into P and returned.  ``work`` is three N x N complex
     buffers: the stage input, the stage commutator and their weighted sum.
     Each slope's -i rides in the weights -i c and -i h/6: times -i, parts
-    only swap and negate, so every float is the one -i[M, Q] gives."""
+    only swap and negate, so every float is the one -i[M, Q] gives.  H(t),
+    H(t + h/2) and H(t + h) are assembled in turn, each when its first slope
+    needs it, and only one is held at a time."""
     Q, K, A = work
-    M0 = assemble(H, t)
-    Mm = assemble(H, t + 0.5 * h)
-    M1 = assemble(H, t + h)
 
     def slope(M, c):  # K = [M, P - i c K]
         np.multiply(-1j * c, K, out=Q)
         np.add(P, Q, out=Q)
         _commutator(H.blocks, M, Q, K, Q)
 
-    _commutator(H.blocks, M0, P, K, Q)  # k1 = -i K
+    _commutator(H.blocks, assemble(H, t), P, K, Q)  # k1 = -i K
     np.copyto(A, K)
+    M = assemble(H, t + 0.5 * h)
     for c in (0.5 * h, 0.5 * h):
-        slope(Mm, c)           # k2, then k3
+        slope(M, c)            # k2, then k3
         np.multiply(2.0, K, out=Q)
         np.add(A, Q, out=A)
-    slope(M1, h)               # k4
+    del M
+    slope(assemble(H, t + h), h)  # k4
     np.add(A, K, out=A)
     np.multiply(-1j * (h / 6.0), A, out=A)
     return np.add(P, A, out=P)
@@ -403,14 +411,13 @@ def reduced_propagate(H: TDepHamiltonian, ray0: Ray, dt: float, t0: float, t1: f
         for key in drifts:
             drifts[key] = max(drifts[key], state[key])
         if taken % reproject_every == 0:
-            P = projector_of(dominant_ray(P, tol), blocks)
+            P = projector_of(dominant_ray(P, tol), blocks, P.matrix, work[:2])
         return P
 
+    P = projector_of(ray0, blocks, np.empty((n, n), dtype=np.complex128), work[:2])
     records = []
-    for t, P in _walk(step, projector_of(ray0, blocks), "projector flow", t0, t1, dt, stride,
-                      record_times):
+    for t, P in _walk(step, P, "projector flow", t0, t1, dt, stride, record_times):
         ray = dominant_ray(P, tol) if taken else ray0
-        del P  # the walk steps on to the next record; hold no projector meanwhile
         records.append(ReducedRecord(t, ray, fubini_study_distance(ray, ray0) if taken else 0.0))
     return records, drifts
 

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import LengthMismatch, MissingInput, NumericError, ParseError
+from .errors import LengthMismatch, MissingInput, NumericError, ParseError, quoted_path
 from .floatrepr import join_reprs
 
 TRAJECTORY_CSV_HEADER = "# t,norm,norm_drift,J,energy"
@@ -27,6 +27,10 @@ RAYS_CSV_HEADER = "# t,fs_distance_to_initial,fs_residual"
 # Floats per join_reprs call: enough to spread its per-call cost, few enough
 # that its temporaries stay small next to the records being written.
 _BATCH_FLOATS = 4096
+# join_reprs batches a TrajectoryWriter formats per flush, about 1 MB of
+# states: flushing after every batch formats measurably slower on a long
+# coefficient dump, and holding every record grows with the run.
+_FLUSH_BATCHES = 16
 
 _COMPACT = json.JSONEncoder(separators=(",", ":"), allow_nan=False)
 _INDENTED = json.JSONEncoder(indent=2, allow_nan=False)
@@ -89,21 +93,25 @@ def json_integer(value, name: str = "value") -> int:
 
 
 def load_json(path) -> object:
-    """The JSON value in the file at path.  A missing or non-UTF-8 file is
-    MissingInput; bad JSON, NaN or Infinity spelled out or overflowed, or
-    nesting deeper than the decoder's recursion allows, is a ParseError
-    naming the file."""
+    """The JSON value in the file at path.  A file that is missing, that the
+    OS cannot open (a name too long for the filesystem included) or that is
+    not UTF-8 is MissingInput; bad JSON, NaN or Infinity spelled out or
+    overflowed, or nesting deeper than the decoder's recursion allows, is a
+    ParseError naming the file.  Messages quote the path through
+    errors.quoted_path, so they stay one short line."""
     path = Path(path)
-    if not path.is_file():
-        raise MissingInput(str(path))
     try:
+        if not path.is_file():
+            raise MissingInput(path)
         text = path.read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise MissingInput(f"{path}: {exc}") from exc
+    except OSError as exc:
+        raise MissingInput(path, exc.strerror) from exc
+    except UnicodeDecodeError as exc:
+        raise MissingInput(path, str(exc)) from exc
     try:
         return json.loads(text, parse_constant=_finite_float, parse_float=_finite_float)
     except (RecursionError, ValueError) as exc:  # json.JSONDecodeError included
-        raise ParseError(f"{path}: {exc}") from exc
+        raise ParseError(f"{quoted_path(path)}: {exc}") from exc
 
 
 def dumps_compact(obj) -> str:
@@ -117,28 +125,112 @@ def write_jsonl(path: Path, dicts) -> None:
             fh.write("\n")
 
 
+def _trajectory_lines(records, include_coefficients: bool):
+    """The JSONL lines of records: t, norm, J and energy, then with
+    include_coefficients the state's "re" and "im" arrays, formatted one
+    join_reprs batch of records at a time."""
+    if not include_coefficients:
+        for r in records:
+            yield dumps_compact(r.to_json_dict()) + "\n"
+        return
+    per_batch = _batch_records(records[0]) if records else 1
+    for start in range(0, len(records), per_batch):
+        batch = records[start:start + per_batch]
+        c = np.array([r.state.coefficients for r in batch])
+        for r, re, im in zip(batch, join_reprs(c.real), join_reprs(c.imag)):
+            yield f'{dumps_compact(r.to_json_dict())[:-1]},"re":[{re}],"im":[{im}]}}\n'
+
+
+def _batch_records(r) -> int:
+    """Records per join_reprs batch, for records of r's size."""
+    return max(1, _BATCH_FLOATS // r.state.coefficients.size)
+
+
+def _csv_line(r, norm0: float) -> str:
+    return ",".join(repr(v) for v in (r.t, r.norm, r.norm - norm0, r.momentum_J, r.energy)) + "\n"
+
+
 def write_trajectory_jsonl(path: Path, records, include_coefficients: bool) -> None:
     """One JSON object per record: t, norm, J and energy, then with
     include_coefficients the state's "re" and "im" arrays."""
-    if not include_coefficients:
-        write_jsonl(path, (r.to_json_dict() for r in records))
-        return
-    size = records[0].state.coefficients.size if records else 1
-    per_batch = max(1, _BATCH_FLOATS // size)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for start in range(0, len(records), per_batch):
-            batch = records[start:start + per_batch]
-            c = np.array([r.state.coefficients for r in batch])
-            for r, re, im in zip(batch, join_reprs(c.real), join_reprs(c.imag)):
-                fh.write(f'{dumps_compact(r.to_json_dict())[:-1]},"re":[{re}],"im":[{im}]}}\n')
+        fh.writelines(_trajectory_lines(records, include_coefficients))
 
 
 def write_trajectory_csv(path: Path, records) -> None:
     norm0 = records[0].norm
-    lines = [TRAJECTORY_CSV_HEADER]
-    for r in records:
-        lines.append(",".join(repr(v) for v in (r.t, r.norm, r.norm - norm0, r.momentum_J, r.energy)))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(TRAJECTORY_CSV_HEADER + "\n")
+        fh.writelines(_csv_line(r, norm0) for r in records)
+
+
+class TrajectoryWriter:
+    """trajectory.jsonl and trajectory.csv in ``directory``, streamed one
+    record at a time: a TrajectoryWriter is a ``propagate`` sink, and its
+    memory does not grow with the record count.  It keeps only the running
+    values of the run summary (``summary``) and the records waiting for the
+    next flush, which writes _FLUSH_BATCHES join_reprs batches of them
+    (about 1 MB of states) at once, so the formatting keeps the locality of
+    long batches instead of interleaving with the steps.  The bytes are those
+    of write_trajectory_jsonl and write_trajectory_csv on the same records.
+    Used as a context manager: the pending records are written on a clean
+    exit, and the files are closed either way."""
+
+    def __init__(self, directory: Path, include_coefficients: bool):
+        self.include_coefficients = include_coefficients
+        self.pending: list = []
+        self.flush_at = 0        # pending records per flush, set by the first record
+        self.records = 0
+        self.first = None        # (norm, J) of the first record
+        self.max_norm_drift = self.max_J_drift = self.final = None
+        self.jsonl = open(directory / "trajectory.jsonl", "w", encoding="utf-8", newline="\n")
+        try:
+            self.csv = open(directory / "trajectory.csv", "w", encoding="utf-8", newline="\n")
+        except BaseException:
+            self.jsonl.close()
+            raise
+        self.csv.write(TRAJECTORY_CSV_HEADER + "\n")
+
+    def __enter__(self) -> "TrajectoryWriter":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        try:
+            if exc_type is None:
+                self.flush()
+        finally:
+            self.jsonl.close()
+            self.csv.close()
+
+    def __call__(self, r) -> None:
+        if self.first is None:
+            self.first = r.norm, r.momentum_J
+            self.flush_at = _FLUSH_BATCHES * _batch_records(r)
+        norm0, J0 = self.first
+        self.records += 1
+        self.max_norm_drift = _running_max(self.max_norm_drift, abs(r.norm - norm0))
+        self.max_J_drift = _running_max(self.max_J_drift, abs(r.momentum_J - J0))
+        self.final = {"t": r.t, "norm": r.norm, "J": r.momentum_J, "energy": r.energy}
+        self.pending.append(r)
+        if len(self.pending) >= self.flush_at:
+            self.flush()
+
+    def flush(self) -> None:
+        self.jsonl.writelines(_trajectory_lines(self.pending, self.include_coefficients))
+        self.csv.writelines(_csv_line(r, self.first[0]) for r in self.pending)
+        self.pending.clear()
+
+    def summary(self) -> dict:
+        """records, max_norm_drift, max_J_drift and final: the trajectory
+        keys of summary.json."""
+        return {"records": self.records, "max_norm_drift": self.max_norm_drift,
+                "max_J_drift": self.max_J_drift, "final": self.final}
+
+
+def _running_max(best, value):
+    """max() over a stream: the first value, then a later one only when it
+    is larger, as max() takes them from a list."""
+    return value if best is None or value > best else best
 
 
 def write_rays_jsonl(path: Path, records) -> None:

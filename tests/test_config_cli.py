@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ import pytest
 
 import geoschro.cli as cli
 import oracles
+from geoschro import dynamics
 from geoschro.config import (
     build_hamiltonian,
     build_initial_state,
@@ -644,6 +646,8 @@ _ERROR_CORPUS = [
      "/hamiltonian/0/coefficient/kind: "),
     ("unknown_operator", {}, _first_operator("foo"), 1, f"{_OP_AT}: unknown operator 'foo'"),
     ("unknown_operator_5000_long", {}, _first_operator("f" * 5000), 1, f"{_OP_AT}: "),
+    ("op_file_name_too_long", {}, _first_operator("f" * 5000 + ".json"), 3,
+     "fff.json': File name too long"),
     ("op_basis_kind_5000_long",
      {"op.json": _edited(_x_file(8), basis={"kind": "k" * 5000, "size": 8})}, _OP_TERM, 1,
      f"{_OP_AT}: "),
@@ -747,6 +751,78 @@ def test_stepping_escapes_are_numeric_errors(tmp_path, cfg, fragment):
     assert proc.stderr.startswith("numeric error:") and fragment in proc.stderr
     assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
     assert not (tmp_path / "o").exists()
+
+
+def test_a_failed_run_leaves_the_output_directory_as_it_was(tmp_path, monkeypatch, capsys):
+    """The sinusoid overflow stops the run at t=1.8, after 18 records have
+    streamed into the stage: the old trajectory.jsonl keeps its bytes and
+    no stage is left behind."""
+    cfg = next(c for name, c, _ in _STEPPING_ESCAPES if name == "sinusoid_argument_overflows")
+    out = tmp_path / "o"
+    out.mkdir()
+    old = b'{"t":0.0,"norm":1.0}\n'
+    (out / "trajectory.jsonl").write_bytes(old)
+    streamed = []
+
+    class Counting(cli.TrajectoryWriter):
+        def __call__(self, r):
+            streamed.append(r.t)
+            super().__call__(r)
+
+    monkeypatch.setattr(cli, "TrajectoryWriter", Counting)
+    argv = ["simulate", "--config", str(_write_config(tmp_path, cfg)), "--out", str(out)]
+    assert cli.main(argv) == 2
+    assert "sinusoid argument" in capsys.readouterr().err
+    assert len(streamed) == 18
+    assert [p.name for p in out.iterdir()] == ["trajectory.jsonl"]
+    assert (out / "trajectory.jsonl").read_bytes() == old
+
+
+def test_an_interrupted_run_removes_the_directories_it_made(tmp_path, monkeypatch):
+    """An interrupt after five streamed records leaves neither the stage
+    nor the two directories that --out a/b made."""
+    records = []
+
+    def interrupted(*args, sink, **kwargs):
+        def stop_after_five(r):
+            sink(r)
+            records.append(r)
+            if len(records) == 5:
+                raise KeyboardInterrupt
+        return dynamics.propagate(*args, sink=stop_after_five, **kwargs)
+
+    monkeypatch.setattr(cli, "propagate", interrupted)
+    config = _write_config(tmp_path, _base_config(integrator={"method": "magnus2", "dt": 0.1}))
+    with pytest.raises(KeyboardInterrupt):
+        cli.main(["simulate", "--config", str(config), "--out", str(tmp_path / "a" / "b")])
+    assert len(records) == 5
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
+def test_simulate_memory_does_not_grow_with_the_record_count(tmp_path):
+    """Coefficients at stride 1 and N = 64 flush every 1,024 records:
+    doubling 2,501 records to 5,001 moves the traced peak of run_simulate by
+    under 5%.  Holding every record until the end, it grew by 70%."""
+    def config(t1):
+        return parse_config_dict(_base_config(
+            basis={"kind": "hermite1d_orthonormal", "size": 64},
+            initial_state={"kind": "coherent", "alpha": 0.5},
+            integrator={"method": "exact_eig", "dt": 0.004},
+            time={"t0": 0.0, "t1": t1, "stride": 1},
+            outputs={"coefficients": True, "diagnostics": False}), tmp_path)
+
+    def peak(t1):
+        tracemalloc.start()
+        try:
+            records = cli.run_simulate(config(t1), tmp_path / f"o{t1}")["records"]
+            return records, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    cli.run_simulate(config(0.1), tmp_path / "warm")  # floatrepr builds its tables on first use
+    (n1, peak1), (n2, peak2) = peak(10.0), peak(20.0)
+    assert (n1, n2) == (2501, 5001)
+    assert peak2 < 1.05 * peak1
 
 
 @pytest.mark.parametrize("command,method", [("simulate", "magnus2"), ("simulate", "exact_eig"),

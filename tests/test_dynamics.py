@@ -12,7 +12,8 @@ from numpy.polynomial import polynomial as P
 
 import oracles
 from geoschro import dynamics
-from geoschro.errors import BasisMismatch, IntegratorMismatch, NotHermitian, NumericError
+from geoschro.errors import (BasisMismatch, IntegratorMismatch, NotHermitian, NumericError,
+                             ZeroVector)
 from geoschro.dynamics import (
     CoefficientFn,
     IntegratorSpec,
@@ -395,6 +396,27 @@ class TestRecordGrid:
         assert ts[0] == 0.0 and ts[-1] == 1.0
         assert len(ts) == 5  # t0, k=3, 6, 9, final
 
+    @pytest.mark.parametrize("method", ["exact_eig", "magnus2", "cayley2"])
+    def test_a_sink_takes_every_record_as_it_is_made(self, method):
+        H = _oscillator(6) if method == "exact_eig" else _driven(6)
+        args = (H, random_state(6, 1), IntegratorSpec(method, 0.1), 0.0, 0.55, 2)
+        handed = []
+        assert propagate(*args, sink=handed.append) is None
+        kept = propagate(*args)
+        assert [r.to_json_dict() for r in handed] == [r.to_json_dict() for r in kept]
+        assert all(np.array_equal(a.state.coefficients, b.state.coefficients)
+                   for a, b in zip(handed, kept))
+
+    @pytest.mark.parametrize("method", ["exact_eig", "magnus2", "cayley2"])
+    def test_zero_state_is_a_zero_vector_before_the_first_step(self, method):
+        """A zero state has no record energy: ZeroVector, as ray_of raises,
+        not a ZeroDivisionError from the first record."""
+        handed = []
+        with pytest.raises(ZeroVector, match="zero vector"):
+            propagate(_oscillator(8), StateVector(BasisSpec.hermite(8), np.zeros(8)),
+                      IntegratorSpec(method, 0.1), 0.0, 1.0, sink=handed.append)
+        assert handed == []
+
     def test_record_json_shape(self):
         rec = propagate(_oscillator(4), random_state(4, 0),
                         IntegratorSpec("exact_eig", 0.1), 0.0, 0.1)[-1]
@@ -438,6 +460,15 @@ class TestSymplecticPreservation:
         assert stride_u == stride_v == dynamics.MAX_STEPS
         Uu, Uv = (propagate(H, w.direction, spec, 0.0, 1.0)[-1].state for w in (u, v))
         assert drift == abs(inner(Uu, Uv).imag - inner(u.direction, v.direction).imag)
+
+    def test_zero_direction_is_a_zero_vector(self):
+        H = _driven(8)
+        base = random_state(8, 0)
+        u = TangentVector(base, random_state(8, 1))
+        zero = TangentVector(base, StateVector(base.basis, np.zeros(8)))
+        for a, b in ((u, zero), (zero, u)):
+            with pytest.raises(ZeroVector):
+                symplectic_preservation_check(H, a, b, IntegratorSpec("magnus2", 1e-2), 0.0, 0.1)
 
     def test_identity_hamiltonian_is_pure_phase(self):
         basis = BasisSpec.hermite(8)

@@ -92,6 +92,22 @@ def test_hermitian_part_keeps_the_bits_of_a_hermitian_entry_pair():
         assert np.array_equal(S, np.stack([hermitian_part(B) for B in T]))
 
 
+def test_hermitian_part_in_place_has_the_bits_of_the_fresh_one():
+    """On entries from 1e-320 to 1e300 with a NaN, 1e308 and signed zeros,
+    the fresh result has the bits of np.where(M == M^H, M, 0.5 M + 0.5 M^H),
+    and the one built in M's own buffer, with stale scratch, has its bits."""
+    rng = np.random.default_rng(11)
+    M = (10.0 ** rng.uniform(-320, 300, (7, 7))) * np.exp(2j * np.pi * rng.uniform(size=(7, 7)))
+    M[1, 2], M[3, 0], M[4, 4], M[5, 6] = np.nan, 1e308, -0.0, complex(0.0, -0.0)
+    want = hermitian_part(M)
+    Mh = M.conj().T
+    old = np.where(M == Mh, M, 0.5 * M + 0.5 * Mh)
+    assert np.array_equal(want.view(np.uint64), old.view(np.uint64))
+    work = np.full((2, 7, 7), np.nan, dtype=np.complex128)
+    assert hermitian_part(M, M, work) is M
+    assert np.array_equal(M.view(np.uint64), want.view(np.uint64))
+
+
 def test_matmul_real_times_complex_matches_plain_product():
     rng = np.random.default_rng(6)
     n = 9

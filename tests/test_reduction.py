@@ -699,6 +699,21 @@ class TestBlockOrderFlow:
         assert np.array_equal(born.matrix.view(np.uint64), want.view(np.uint64))
         assert np.array_equal(born.rows, H.blocks.inverse)
 
+    @pytest.mark.parametrize("case", sorted(FLOW_CASES))
+    def test_projector_built_in_a_buffer_is_projector_of(self, case):
+        """Built in a buffer and scratch that hold stale values, as the flow's
+        do at a re-projection, P has the bits of a fresh projector_of, in
+        basis and in block order."""
+        H, psi, _ = FLOW_CASES[case]()
+        ray, n = ray_of(psi), H.basis.size
+        for blocks in (None, H.blocks):
+            out = np.full((n, n), np.nan + 1j, dtype=np.complex128)
+            work = np.full((2, n, n), -7.5 + np.inf * 1j, dtype=np.complex128)
+            got = projector_of(ray, blocks, out, work)
+            want = projector_of(ray, blocks)
+            assert got.matrix is out
+            assert np.array_equal(got.matrix.view(np.uint64), want.matrix.view(np.uint64))
+
     def test_birth_under_random_permutations_is_the_permuted_projector(self):
         """Coefficient magnitudes drawn from 1e-300 to 1e300, scaled to a unit
         ray, so the outer product holds normal, subnormal and zero parts."""
@@ -769,6 +784,24 @@ class TestBlockOrderFlow:
         finally:
             tracemalloc.stop()
         assert peak <= 10_097_456
+
+
+    def test_reduced_propagate_holds_under_five_n_by_n_arrays_at_n256(self):
+        """P, the three-buffer workspace and one H(t): every re-projection is
+        built in P's buffer and each RK4 step holds one H(t) at a time.  With
+        a fresh outer product and Hermitian part per re-projection and three
+        H(t) per step, this flow peaked at 8.2 N x N complex arrays."""
+        H = _driven(256)
+        ray0 = ray_of(coherent_state(0.5 + 0.2j, 256))
+        reduced_propagate(H, ray0, 1e-3, 0.0, 1e-3)  # first calls allocate caches
+        tracemalloc.start()
+        try:
+            records, _ = reduced_propagate(H, ray0, 1e-3, 0.0, 0.02, reproject_every=3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(records) == 21
+        assert peak <= 5 * 256 * 256 * 16
 
 
 class TestCommutingDiagram:

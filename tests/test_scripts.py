@@ -95,7 +95,8 @@ def test_pairs_alternate_which_side_runs_first(monkeypatch, capsys, tmp_path):
 def test_pairs_give_every_end_to_end_metric_a_verdict(monkeypatch, capsys, tmp_path):
     """run_s 3% slower and steady, cpu_s 40% slower (a regression past its
     0.25 bound), setup_s 5% slower with a 50% spread (unresolved),
-    peak_rss_mb and pass_rate equal; then every workload when none is named."""
+    peak_rss_mb 7% lower and steady (a gain), pass_rate equal; then every
+    workload when none is named."""
     bench = _script("bench")
     wobble = [0.2, 0.45, 0.3, 0.15, 0.4, 0.25]
 
@@ -103,6 +104,7 @@ def test_pairs_give_every_end_to_end_metric_a_verdict(monkeypatch, capsys, tmp_p
         slower = side == "change"
         return _metrics(run_s=10.0 * (1.03 if slower else 1.0) + 0.01 * k,
                         cpu_s=10.0 * (1.4 if slower else 1.0),
+                        peak_rss_mb=(41.5 if slower else 44.5) + 0.01 * k,
                         setup_s=wobble[k] * (1.05 if slower else 1.0))
 
     _fake_runs(monkeypatch, bench, tmp_path, metrics)
@@ -111,17 +113,25 @@ def test_pairs_give_every_end_to_end_metric_a_verdict(monkeypatch, capsys, tmp_p
     head, *out = capsys.readouterr().out.splitlines()
     assert head == 'env {"PYTHONDONTWRITEBYTECODE": "1"}'
     assert out[0] == "workload large_basis"
-    assert out[1] == ("pair 1 (base first): run_s 10/10.3, cpu_s 10/14, peak_rss_mb 40/40, "
+    assert out[1] == ("pair 1 (base first): run_s 10/10.3, cpu_s 10/14, peak_rss_mb 44.5/41.5, "
                       "setup_s 0.2/0.21, pass_rate 1/1")
     verdicts = {line.split(" (")[0]: line.rsplit(": ", 1)[1] for line in out[7:12]}
     assert verdicts == {"run_s": "within bound", "cpu_s": "regression",
                         "peak_rss_mb": "within bound", "setup_s": "unresolved",
                         "pass_rate": "within bound"}
+    gains = {line.split(":")[0]: line.rsplit(": ", 1)[1] for line in out[12:17]}
+    assert gains == {"run_s": "gain not shown", "cpu_s": "gain not shown",
+                     "peak_rss_mb": "gain holds", "setup_s": "gain not shown",
+                     "pass_rate": "gain not shown"}
+    assert out[14] == ("peak_rss_mb: change wins 6 of 6 (ties 0); median gap 3 MB against "
+                       "base IQR 0.025 MB: gain holds")
     result = json.loads(out[-1])
     assert result["runs"]["cpu_s"] == {"base": [10.0] * 6, "change": [14.0] * 6}
     assert result["verdicts"]["cpu_s"]["worse"] == pytest.approx(0.4)
     assert result["verdicts"]["setup_s"]["base"]["median"] == pytest.approx(0.275)
-    assert not result["gain"]["holds"]
+    assert set(result["gain"]) == {"run_s", "cpu_s", "peak_rss_mb", "setup_s", "pass_rate"}
+    assert result["gain"]["peak_rss_mb"]["holds"] and not result["gain"]["run_s"]["holds"]
+    assert result["gain"]["pass_rate"]["ties"] == 6
 
     # no workload named: every workload gets its pairs and verdicts in turn,
     # and a regression in the last one alone makes the exit code 1
@@ -159,3 +169,14 @@ def test_metric_verdict_follows_the_direction_and_the_spread():
     assert bench.metric_verdict(lower, wide, [w - 21.0 for w in wide])["verdict"] == "within bound"
     assert bench.metric_verdict(higher, [1.0] * 4, [0.9] * 4)["verdict"] == "regression"
     assert bench.metric_verdict(higher, [0.9] * 4, [1.0] * 4)["worse"] == pytest.approx(-1 / 9)
+
+
+def test_pair_stats_read_the_metric_direction():
+    """A metric where higher is better wins by reading higher, and its gap
+    is positive when the change's median is the higher one."""
+    bench = _script("bench")
+    base = [0.90, 0.91, 0.89, 0.90]
+    st = bench.pair_stats(base, [b + 0.1 for b in base], "higher")
+    assert st["wins"] == 4 and st["gap"] == pytest.approx(0.1) and st["holds"]
+    st = bench.pair_stats(base, [b + 0.1 for b in base], "lower")
+    assert st["wins"] == 0 and st["gap"] == pytest.approx(-0.1) and not st["holds"]
