@@ -180,7 +180,7 @@ def main(argv=None) -> int:
             return _cmd_plot(args)
         return _cmd_run(args)
     except MissingInput as exc:
-        print(f"error: missing input: {exc}", file=sys.stderr)
+        print(f"error: {exc}", file=sys.stderr)
         return 3
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

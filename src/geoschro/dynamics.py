@@ -117,13 +117,6 @@ class CoefficientFn:
         ts, vs = zip(*self.points)
         return float(np.interp(t, ts, vs))
 
-    def to_json_dict(self) -> dict:
-        out = {"kind": self.kind}
-        for key in COEFFICIENT_FIELDS[self.kind]:
-            value = getattr(self, key)
-            out[key] = np.asarray(value).tolist() if isinstance(value, tuple) else value
-        return out
-
     @staticmethod
     def from_json_dict(d: dict) -> "CoefficientFn":
         """The constructor named by d["kind"] on its COEFFICIENT_FIELDS; a

@@ -188,12 +188,6 @@ def to_real_chart(psi: StateVector) -> RealChartPoint:
     return RealChartPoint(c.real.copy(), c.imag.copy())
 
 
-def from_real_chart(x: RealChartPoint, basis: BasisSpec) -> StateVector:
-    if x.q.shape[0] != basis.size:
-        raise LengthMismatch("chart length does not match basis size")
-    return StateVector(basis, x.q + 1j * x.p)
-
-
 def chart_norm(x: RealChartPoint) -> float:
     return float(sqrt(np.dot(x.q, x.q) + np.dot(x.p, x.p)))
 
@@ -206,21 +200,19 @@ def tautological_one_form(x: RealChartPoint, u: TangentVector) -> float:
     return float(np.dot(x.p, du.real))
 
 
-def coherent_state(alpha: complex, size: int, normalize: bool = True) -> StateVector:
-    """Displaced Gaussian in the orthonormal Hermite basis:
-    c_n = e^{-|alpha|^2/2} alpha^n / sqrt(n!), truncated at `size` terms."""
+def coherent_state(alpha: complex, size: int) -> StateVector:
+    """Displaced Gaussian in the orthonormal Hermite basis: c_n = e^{-|alpha|^2/2}
+    alpha^n / sqrt(n!), truncated at `size` terms, then scaled to unit norm."""
     n = np.arange(size)
     log_fact = np.cumsum(np.concatenate(([0.0], np.log(np.arange(1, size)))))
     mod = np.exp(-abs(alpha) ** 2 / 2.0 + n * np.log(abs(alpha)) - log_fact / 2.0) if alpha != 0 \
         else np.concatenate(([1.0], np.zeros(size - 1)))
     phase = np.exp(1j * n * np.angle(alpha)) if alpha != 0 else np.ones(size)
     c = mod * phase
-    if normalize:
-        nrm = np.linalg.norm(c)
-        if nrm == 0.0:
-            raise ZeroVector(f"coherent amplitudes underflow at alpha={alpha!r}, size {size}")
-        c = c / nrm
-    return StateVector(BasisSpec.hermite(size), c)
+    nrm = np.linalg.norm(c)
+    if nrm == 0.0:
+        raise ZeroVector(f"coherent amplitudes underflow at alpha={alpha!r}, size {size}")
+    return StateVector(BasisSpec.hermite(size), c / nrm)
 
 
 def monomial_gaussian_state(m: int, size: int) -> StateVector:

@@ -35,7 +35,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConvergenceFailure, NotHermitian
-from .hilbert import BasisSpec, StateVector
 from .tolerances import DEFAULT, Tolerances
 
 
@@ -206,13 +205,3 @@ def apply_exp_step(es: EigenSystem, tau: float, vec: np.ndarray) -> np.ndarray:
     return out
 
 
-def random_state(dim: int, seed: int, basis: BasisSpec | None = None) -> StateVector:
-    """Deterministic unit-norm random state for (dim, seed)."""
-    if dim < 1:
-        raise ValueError("dim must be >= 1")
-    rng = np.random.default_rng(seed)
-    c = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    c /= np.linalg.norm(c)
-    if basis is None:
-        basis = BasisSpec.hermite(dim)
-    return StateVector(basis, c)

@@ -120,16 +120,6 @@ class OperatorMatrix:
     def max_norm(self) -> float:
         return float(np.max(np.abs(self.matrix)))
 
-    def to_json_dict(self) -> dict:
-        return {
-            "basis": self.basis.to_json_dict(),
-            "symmetry": self.symmetry,
-            "raise_band": self.raise_band,
-            "lower_band": self.lower_band,
-            "re": self.matrix.real.tolist(),
-            "im": self.matrix.imag.tolist(),
-        }
-
     @staticmethod
     def from_json_dict(d: dict) -> "OperatorMatrix":
         basis = BasisSpec.from_json_dict(d["basis"])

@@ -132,10 +132,6 @@ class Ray:
     def to_json_dict(self) -> dict:
         return self.representative.to_json_dict()
 
-    @staticmethod
-    def from_json_dict(d: dict) -> "Ray":
-        return Ray(StateVector.from_json_dict(d))
-
 
 def _anchor_index(c: np.ndarray, floor: float) -> int:
     idx = np.nonzero(np.abs(c) > floor)[0]
@@ -219,14 +215,13 @@ class ProjectorState:
 
     basis: BasisSpec
     matrix: np.ndarray
-    rows: np.ndarray | None = None
+    rows: np.ndarray
 
-    def drift(self, fresh: bool = True, work: np.ndarray | None = None) -> dict:
+    def drift(self, fresh: bool, work: np.ndarray) -> dict:
         """Hermiticity is measured only on a ``fresh`` P, one step from a
         projector_of; P is bitwise Hermitian, so elsewhere it reads 0.0.
         P - P^H and P @ P run in ``work``, three N x N complex buffers."""
         P = self.matrix
-        work = np.empty((3, *P.shape), dtype=np.complex128) if work is None else work
         D, _, A = work
         if fresh:  # D is read below, before the idempotency product reuses it
             np.subtract(P, np.conjugate(P.T, out=D), out=D)
@@ -258,19 +253,16 @@ def _idempotency(P: np.ndarray, work: np.ndarray) -> float:
     return float(np.abs(X, out=A.real).max()) * ldexp(1.0, -k)
 
 
-def projector_of(ray: Ray, blocks: InvariantBlocks | None = None, out: np.ndarray | None = None,
-                 work: np.ndarray | None = None) -> ProjectorState:
+def projector_of(ray: Ray, blocks: InvariantBlocks, out: np.ndarray,
+                 work: np.ndarray) -> ProjectorState:
     """|r><r| as the exact Hermitian part of the outer product: bitwise
-    Hermitian.  With ``blocks`` it is built from the ray permuted to their
-    block order, entry for entry the permuted basis-order projector.  With
-    ``out``, an N x N complex buffer, and ``work``, two more as scratch, it
-    is built in ``out`` and no complex N x N array is allocated."""
-    c = ray.representative.coefficients
-    if blocks is not None:
-        c = c[blocks.order]
+    Hermitian.  It is built from the ray permuted to the block order of
+    ``blocks``, entry for entry the permuted basis-order projector, in
+    ``out``, an N x N complex buffer, with ``work``, two more, as scratch, so
+    no complex N x N array is allocated."""
+    c = ray.representative.coefficients[blocks.order]
     M = np.outer(c, c.conj(), out=out)
-    return ProjectorState(ray.representative.basis, hermitian_part(M, M, work),
-                          None if blocks is None else blocks.inverse)
+    return ProjectorState(ray.representative.basis, hermitian_part(M, M, work), blocks.inverse)
 
 
 def dominant_ray(P: ProjectorState, tol: Tolerances = DEFAULT) -> Ray:
@@ -294,7 +286,7 @@ def dominant_ray(P: ProjectorState, tol: Tolerances = DEFAULT) -> Ray:
         if not lam >= tol.rank_dominance:
             raise RankCollapse(f"dominant eigenvalue {lam:.6f} below {tol.rank_dominance}")
         y = V[0, :, -1]
-    return ray_of(StateVector(P.basis, y if P.rows is None else y[P.rows]), tol)
+    return ray_of(StateVector(P.basis, y[P.rows]), tol)
 
 
 def _ritz_vector(P: np.ndarray, tol: Tolerances):

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -118,50 +119,35 @@ def dumps_compact(obj) -> str:
     return _encode(_COMPACT, obj)
 
 
-def write_jsonl(path: Path, dicts) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for d in dicts:
-            fh.write(dumps_compact(d))
-            fh.write("\n")
-
-
-def _trajectory_lines(records, include_coefficients: bool):
-    """The JSONL lines of records: t, norm, J and energy, then with
-    include_coefficients the state's "re" and "im" arrays, formatted one
-    join_reprs batch of records at a time."""
-    if not include_coefficients:
-        for r in records:
-            yield dumps_compact(r.to_json_dict()) + "\n"
-        return
-    per_batch = _batch_records(records[0]) if records else 1
-    for start in range(0, len(records), per_batch):
-        batch = records[start:start + per_batch]
-        c = np.array([r.state.coefficients for r in batch])
-        for r, re, im in zip(batch, join_reprs(c.real), join_reprs(c.imag)):
-            yield f'{dumps_compact(r.to_json_dict())[:-1]},"re":[{re}],"im":[{im}]}}\n'
-
-
 def _batch_records(r) -> int:
     """Records per join_reprs batch, for records of r's size."""
     return max(1, _BATCH_FLOATS // r.state.coefficients.size)
 
 
-def _csv_line(r, norm0: float) -> str:
-    return ",".join(repr(v) for v in (r.t, r.norm, r.norm - norm0, r.momentum_J, r.energy)) + "\n"
+def write_trajectory_jsonl(fh, records, include_coefficients: bool) -> None:
+    """One JSON line per record to the open text file fh: t, norm, J and
+    energy, then with include_coefficients the state's "re" and "im" arrays,
+    formatted one join_reprs batch of records at a time."""
+    if not include_coefficients:
+        fh.writelines(dumps_compact(r.to_json_dict()) + "\n" for r in records)
+        return
+
+    def lines():
+        per_batch = _batch_records(records[0]) if records else 1
+        for start in range(0, len(records), per_batch):
+            batch = records[start:start + per_batch]
+            c = np.array([r.state.coefficients for r in batch])
+            for r, re, im in zip(batch, join_reprs(c.real), join_reprs(c.imag)):
+                yield f'{dumps_compact(r.to_json_dict())[:-1]},"re":[{re}],"im":[{im}]}}\n'
+
+    fh.writelines(lines())
 
 
-def write_trajectory_jsonl(path: Path, records, include_coefficients: bool) -> None:
-    """One JSON object per record: t, norm, J and energy, then with
-    include_coefficients the state's "re" and "im" arrays."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.writelines(_trajectory_lines(records, include_coefficients))
-
-
-def write_trajectory_csv(path: Path, records) -> None:
-    norm0 = records[0].norm
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(TRAJECTORY_CSV_HEADER + "\n")
-        fh.writelines(_csv_line(r, norm0) for r in records)
+def write_trajectory_csv(fh, records, norm0: float) -> None:
+    """One CSV line per record to the open text file fh: t, norm, the norm's
+    drift from norm0, J and energy."""
+    fh.writelines(",".join(repr(v) for v in (r.t, r.norm, r.norm - norm0, r.momentum_J, r.energy))
+                  + "\n" for r in records)
 
 
 class TrajectoryWriter:
@@ -171,8 +157,8 @@ class TrajectoryWriter:
     values of the run summary (``summary``) and the records waiting for the
     next flush, which writes _FLUSH_BATCHES join_reprs batches of them
     (about 1 MB of states) at once, so the formatting keeps the locality of
-    long batches instead of interleaving with the steps.  The bytes are those
-    of write_trajectory_jsonl and write_trajectory_csv on the same records.
+    long batches instead of interleaving with the steps, through
+    write_trajectory_jsonl and write_trajectory_csv.
     Used as a context manager: the pending records are written on a clean
     exit, and the files are closed either way."""
 
@@ -216,8 +202,8 @@ class TrajectoryWriter:
             self.flush()
 
     def flush(self) -> None:
-        self.jsonl.writelines(_trajectory_lines(self.pending, self.include_coefficients))
-        self.csv.writelines(_csv_line(r, self.first[0]) for r in self.pending)
+        write_trajectory_jsonl(self.jsonl, self.pending, self.include_coefficients)
+        write_trajectory_csv(self.csv, self.pending, self.first[0])
         self.pending.clear()
 
     def summary(self) -> dict:
@@ -234,7 +220,8 @@ def _running_max(best, value):
 
 
 def write_rays_jsonl(path: Path, records) -> None:
-    write_jsonl(path, (r.to_json_dict() for r in records))
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.writelines(dumps_compact(r.to_json_dict()) + "\n" for r in records)
 
 
 def write_rays_csv(path: Path, records, residuals) -> None:
@@ -253,36 +240,48 @@ set ylabel "{label}"
 plot "{csv}" using 1:{column} with linespoints pointtype 7 pointsize 0.3
 """
 
+# The curves of each CSV mirror: (png, y label, CSV column).
+_CURVES = {
+    "trajectory_csv": (("norm_drift.png", "norm drift", 3), ("energy.png", "energy", 5),
+                       ("momentum_J.png", "J", 4)),
+    "rays_csv": (("fs_residual.png", "Fubini-Study residual", 3),),
+}
+
+# What a gnuplot double-quoted string cannot hold verbatim: its quote, its
+# escape character and control characters.
+_NOT_GNUPLOT_QUOTABLE = re.compile(r'["\\\x00-\x1f\x7f-\x9f]')
+
 
 def emit_plot_script(summary_path) -> Path:
     """Write plot.gp next to the summary; one stanza per diagnostic curve.
 
     The script reads the CSV mirrors named in the summary's "files" block.
     A summary that is not an object, or whose "files" is not an object of
-    file names, is a ParseError; a missing mirror is reported, by path.
-    Both are raised before anything is written.
+    file names, is a ParseError, and so is a mirror's name that a gnuplot
+    double-quoted string cannot hold verbatim (a quote, a backslash or a
+    control character); a missing mirror is reported, by path.  All are
+    raised before anything is written.
     """
     summary_path = Path(summary_path)
     summary = load_json(summary_path)
     out_dir = summary_path.parent
     files = summary.get("files", {}) if isinstance(summary, dict) else None
     if not (isinstance(files, dict) and all(isinstance(v, str) for v in files.values())):
-        raise ParseError(f"{summary_path}: not a summary with a \"files\" object of file names")
+        raise ParseError(f"{quoted_path(summary_path)}: not a summary with a \"files\" object"
+                         " of file names")
 
     stanzas = []
-    traj = files.get("trajectory_csv")
-    if traj is not None:
-        if not (out_dir / traj).is_file():
-            raise MissingInput(str(out_dir / traj))
-        stanzas.append(_STANZA.format(png="norm_drift.png", label="norm drift", csv=traj, column=3))
-        stanzas.append(_STANZA.format(png="energy.png", label="energy", csv=traj, column=5))
-        stanzas.append(_STANZA.format(png="momentum_J.png", label="J", csv=traj, column=4))
-    rays = files.get("rays_csv")
-    if rays is not None:
-        if not (out_dir / rays).is_file():
-            raise MissingInput(str(out_dir / rays))
-        stanzas.append(_STANZA.format(png="fs_residual.png", label="Fubini-Study residual",
-                                      csv=rays, column=3))
+    for key, curves in _CURVES.items():
+        csv = files.get(key)
+        if csv is None:
+            continue
+        if _NOT_GNUPLOT_QUOTABLE.search(csv):
+            raise ParseError(f"{quoted_path(summary_path)}: {key} {quoted_path(csv)} cannot be"
+                             " written into a gnuplot string")
+        if not (out_dir / csv).is_file():
+            raise MissingInput(out_dir / csv)
+        stanzas.extend(_STANZA.format(png=png, label=label, csv=csv, column=column)
+                       for png, label, column in curves)
 
     header = (
         "# gnuplot script; run from this directory: gnuplot plot.gp\n"

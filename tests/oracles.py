@@ -1,6 +1,7 @@
-"""Independent oracle computations used to pin expected values.
+"""Independent oracle computations used to pin expected values, and the
+test-only constructors and encoders that no command needs.
 
-Everything here deliberately avoids the library's own construction routes:
+The oracles deliberately avoid the library's own construction routes:
 matrix elements come from Gauss-Hermite quadrature against explicitly
 evaluated basis functions, evolutions from closed-form solutions, and
 commutators from raw matrix products.
@@ -11,6 +12,12 @@ import json
 import numpy as np
 from math import factorial, pi, sqrt
 from numpy.polynomial import hermite as H
+
+from geoschro.dynamics import COEFFICIENT_FIELDS
+from geoschro.errors import LengthMismatch
+from geoschro.hilbert import BasisSpec, StateVector
+from geoschro.numerics import hermitian_part
+from geoschro.reduction import Ray
 
 
 def _norm_const(n: int) -> float:
@@ -281,3 +288,54 @@ def trajectory_jsonl(records) -> str:
                         "re": r.state.coefficients.real.tolist(),
                         "im": r.state.coefficients.imag.tolist()}) + "\n"
         for r in records)
+
+
+def random_state(dim: int, seed: int, basis=None) -> StateVector:
+    """Deterministic unit-norm random state for (dim, seed), on the Hermite
+    basis of size dim unless ``basis`` is given."""
+    if dim < 1:
+        raise ValueError("dim must be >= 1")
+    rng = np.random.default_rng(seed)
+    c = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    c /= np.linalg.norm(c)
+    return StateVector(BasisSpec.hermite(dim) if basis is None else basis, c)
+
+
+def from_real_chart(x, basis) -> StateVector:
+    """The state of chart point x = (q, p): coefficients q + i p."""
+    if x.q.shape[0] != basis.size:
+        raise LengthMismatch("chart length does not match basis size")
+    return StateVector(basis, x.q + 1j * x.p)
+
+
+def operator_json(op) -> dict:
+    """The operator file an OperatorMatrix.from_json_dict reads back as op."""
+    return {
+        "basis": op.basis.to_json_dict(),
+        "symmetry": op.symmetry,
+        "raise_band": op.raise_band,
+        "lower_band": op.lower_band,
+        "re": op.matrix.real.tolist(),
+        "im": op.matrix.imag.tolist(),
+    }
+
+
+def coefficient_json(f) -> dict:
+    """The coefficient block a CoefficientFn.from_json_dict reads back as f."""
+    out = {"kind": f.kind}
+    for key in COEFFICIENT_FIELDS[f.kind]:
+        value = getattr(f, key)
+        out[key] = np.asarray(value).tolist() if isinstance(value, tuple) else value
+    return out
+
+
+def ray_from_json(d: dict) -> Ray:
+    """The ray whose representative's JSON form is d."""
+    return Ray(StateVector.from_json_dict(d))
+
+
+def projector(ray) -> np.ndarray:
+    """|r><r| in basis order, as the exact Hermitian part of the outer
+    product: the matrix the projector flow permutes to block order."""
+    c = ray.representative.coefficients
+    return hermitian_part(np.outer(c, c.conj()))

@@ -2,16 +2,18 @@
 name and reads the step-grid arguments of the two grid roots; a rename here
 would break it, so the names it binds are checked against the package."""
 
+import functools
 import importlib.util
 import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
-from geoschro import dynamics, reduction
+from oracles import random_state
+from geoschro import cli, dynamics, reduction
 from geoschro.dynamics import IntegratorSpec, oscillator_hamiltonian
-from geoschro.numerics import random_state
 from geoschro.reduction import ray_of
 
 TRACED = Path(__file__).resolve().parent.parent / "perfbench" / "traced.py"
@@ -31,6 +33,58 @@ def test_every_wrapped_name_exists():
     for cls, attr, _ in traced.METHODS:
         assert callable(getattr(cls, attr, None)), f"{cls.__name__}.{attr}"
     assert callable(getattr(dynamics, "_step_operators", None))
+
+
+def test_every_wrapped_name_is_called_by_some_command(tmp_path, monkeypatch, capsys):
+    """simulate with coefficients, reduce, plot and a small verify call every
+    function and method the traced run wraps, so no layer of the benchmark
+    can read zero because the program stopped calling what it wraps."""
+    traced = _load_traced()
+    calls = Counter()
+
+    def counting(key, fn):
+        @functools.wraps(fn)
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for cls, attr, _ in traced.METHODS:
+        monkeypatch.setattr(cls, attr, counting(f"{cls.__name__}.{attr}", getattr(cls, attr)))
+    bound = []
+    try:
+        for module, attr, _ in traced.FUNCTIONS:
+            original = getattr(module, attr)
+            wrapper = counting(f"{module.__name__}.{attr}", original)
+            assert traced._rebind(original, wrapper) > 0
+            bound.append((wrapper, original))
+        cfg = {
+            "basis": {"kind": "hermite1d_orthonormal", "size": 6},
+            "hamiltonian": [
+                {"operator": "p2", "coefficient": {"kind": "constant", "c": 0.5}},
+                {"operator": "x2", "coefficient": {"kind": "sinusoid", "a": 0.5, "omega": 1.0}},
+            ],
+            "initial_state": {"kind": "coherent", "alpha": [0.5, 0.2]},
+            "integrator": {"method": "magnus2", "dt": 0.05},
+            "time": {"t0": 0.0, "t1": 0.2, "stride": 2},
+            "reduction": {"mu": -0.5, "dt_reduced": 0.05},
+            "outputs": {"coefficients": True},
+        }
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(cfg), encoding="utf-8")
+        for command in ("simulate", "reduce"):
+            argv = [command, "--config", str(config), "--out", str(tmp_path / command)]
+            assert cli.main(argv) == 0
+        assert cli.main(["plot", "--summary", str(tmp_path / "reduce" / "summary.json")]) == 0
+        assert cli.main(["verify", "--suite", "symplectic", "--size", "4", "--seed", "1",
+                         "--out", str(tmp_path / "report.json")]) == 0
+    finally:
+        for wrapper, original in reversed(bound):
+            traced._rebind(wrapper, original)
+    capsys.readouterr()
+    wrapped = [f"{m.__name__}.{a}" for m, a, _ in traced.FUNCTIONS]
+    wrapped += [f"{c.__name__}.{a}" for c, a, _ in traced.METHODS]
+    assert [key for key in wrapped if calls[key] == 0] == []
 
 
 def test_grid_roots_bind_the_arguments_the_hooks_read():

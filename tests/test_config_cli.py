@@ -22,7 +22,7 @@ from geoschro.config import (
     parse_config,
     parse_config_dict,
 )
-from geoschro.errors import MissingInput, ParseError, SchemaError, UnknownOperator
+from geoschro.errors import MissingInput, ParseError, SchemaError, UnknownOperator, quoted_path
 from geoschro.hilbert import BasisSpec, StateVector
 from geoschro.operators import OperatorMatrix, build_position
 from geoschro.reduction import diagram_residuals, paired_records
@@ -211,7 +211,7 @@ class TestConstruction:
     def test_operator_file_term(self, tmp_path):
         basis = BasisSpec.hermite(8)
         op_path = tmp_path / "custom_x.json"
-        op_path.write_text(json.dumps(build_position(basis).to_json_dict()), encoding="utf-8")
+        op_path.write_text(json.dumps(oracles.operator_json(build_position(basis))), encoding="utf-8")
         cfg = _base_config()
         cfg["hamiltonian"].append(
             {"operator": "custom_x.json", "coefficient": {"kind": "sinusoid", "a": 0.1, "omega": 1.0}})
@@ -520,7 +520,7 @@ def _edited(d, **changes):
 
 def _x_file(size):
     """The operator file of x on the Hermite basis of this size."""
-    return build_position(BasisSpec.hermite(size)).to_json_dict()
+    return oracles.operator_json(build_position(BasisSpec.hermite(size)))
 
 
 def _psi_file(size):
@@ -559,10 +559,19 @@ _OP_AT = "/hamiltonian/0/operator"
 _PSI_AT = "/initial_state/path"
 _POINTS_AT = "/hamiltonian/0/coefficient/points"
 _TOO_DEEP = b"[" * 10 ** 5  # deeper than the JSON decoder's recursion allows
+_NOT_UTF8 = "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
+
+
+def _missing(name, reason):
+    """The whole stderr line of a MissingInput for the file ``name`` in the
+    directory of the config, given that directory."""
+    return lambda d: f"error: missing input file: {quoted_path(d / name)}: {reason}\n"
+
 
 # (id, files to write next to the config: JSON values or raw bytes, config
 #  overrides (None runs `plot` on summary.json instead of `simulate`),
-#  exit code, stderr fragment naming the offending field or file)
+#  exit code, stderr fragment naming the offending field or file, or the
+#  whole stderr line as a function of the directory the files are in)
 _ERROR_CORPUS = [
     ("Lx_on_1d_basis", {}, _first_operator("Lx"), 1, _OP_AT),
     ("fourier_p2_on_1d_basis", {}, _first_operator("fourier_p2"), 1, _OP_AT),
@@ -606,8 +615,9 @@ _ERROR_CORPUS = [
     ("coherent_alpha_overflows", {}, {"initial_state": {"kind": "coherent", "alpha": 1e200}},
      1, "/initial_state/alpha"),
     ("op_not_utf8", {"op.json": b"\xff\xfe" + json.dumps(_x_file(8)).encode()}, _OP_TERM, 3,
-     "op.json"),
-    ("summary_not_utf8", {"summary.json": b'\xff{"files": {}}'}, None, 3, "summary.json"),
+     _missing("op.json", _NOT_UTF8)),
+    ("summary_not_utf8", {"summary.json": b'\xff{"files": {}}'}, None, 3,
+     _missing("summary.json", _NOT_UTF8)),
     ("mu_level_norm_overflows", {}, {"reduction": {"mu": -1e308, "dt_reduced": 1e-3}}, 1,
      "/reduction/mu"),
     ("mu_level_norm_below_zero_floor", {}, {"reduction": {"mu": -1e-30, "dt_reduced": 1e-3}}, 1,
@@ -647,7 +657,7 @@ _ERROR_CORPUS = [
     ("unknown_operator", {}, _first_operator("foo"), 1, f"{_OP_AT}: unknown operator 'foo'"),
     ("unknown_operator_5000_long", {}, _first_operator("f" * 5000), 1, f"{_OP_AT}: "),
     ("op_file_name_too_long", {}, _first_operator("f" * 5000 + ".json"), 3,
-     "fff.json': File name too long"),
+     _missing("f" * 5000 + ".json", "File name too long")),
     ("op_basis_kind_5000_long",
      {"op.json": _edited(_x_file(8), basis={"kind": "k" * 5000, "size": 8})}, _OP_TERM, 1,
      f"{_OP_AT}: "),
@@ -677,7 +687,11 @@ def test_error_contract_corpus(tmp_path, files, overrides, code, fragment):
     before = sorted(tmp_path.iterdir())
     proc = _run_cli(*argv)
     assert proc.returncode == code, proc.stderr
-    assert fragment in proc.stderr and len(proc.stderr.splitlines()) == 1
+    if callable(fragment):
+        assert proc.stderr == fragment(tmp_path)
+    else:
+        assert fragment in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
     assert len(proc.stderr.rstrip("\n")) <= 200
     assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
     assert sorted(tmp_path.iterdir()) == before
@@ -832,7 +846,7 @@ def test_a_term_that_passes_its_flag_check_is_not_checked_again(tmp_path, comman
     (max entry 155, one entry 1.5e-10 off Hermitian) runs under every
     integrator and under reduce: no step re-checks H(t) under another rule."""
     op = OperatorMatrix(BasisSpec.hermite(8), oracles.nearly_hermitian_matrix(), "hermitian", 7, 7)
-    (tmp_path / "op.json").write_text(json.dumps(op.to_json_dict()), encoding="utf-8")
+    (tmp_path / "op.json").write_text(json.dumps(oracles.operator_json(op)), encoding="utf-8")
     cfg = _base_config(
         hamiltonian=[{"operator": "op.json", "coefficient": {"kind": "constant", "c": 1.0}}],
         integrator={"method": method, "dt": 1e-3}, time={"t0": 0.0, "t1": 0.1, "stride": 10},
@@ -855,6 +869,36 @@ def test_malformed_summary_is_1(tmp_path, summary):
     assert "summary.json" in proc.stderr
     assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
     assert sorted(tmp_path.iterdir()) == [path]
+
+
+def test_malformed_summary_deep_in_long_directories_is_one_short_line(tmp_path):
+    """A summary eight directories deep, each name 200 characters long, is
+    quoted cut in the middle: one stderr line of at most 200 characters."""
+    where = tmp_path.joinpath(*(c * 200 for c in "abcdefgh"))
+    where.mkdir(parents=True)
+    path = where / "summary.json"
+    path.write_text("[1, 2]", encoding="utf-8")
+    proc = _run_cli("plot", "--summary", str(path))
+    assert proc.returncode == 1, proc.stderr
+    assert len(proc.stderr.splitlines()) == 1 and len(proc.stderr.rstrip("\n")) <= 200
+    assert "summary.json" in proc.stderr and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("name", ['a.csv"\nprint "INJECTED"\n#', "a\\b.csv", "a\tb.csv"],
+                         ids=["quote_and_newlines", "backslash", "tab"])
+def test_csv_name_a_gnuplot_string_cannot_hold_is_1(tmp_path, name):
+    """plot.gp pastes each CSV name into a double-quoted gnuplot string; a
+    name holding a quote, a backslash or a control character would not
+    stay inside it, so plot refuses it, existing file or not, and writes
+    nothing."""
+    (tmp_path / name).write_text("# t,norm,norm_drift,J,energy\n", encoding="utf-8")
+    path = tmp_path / "summary.json"
+    path.write_text(json.dumps({"files": {"trajectory_csv": name}}), encoding="utf-8")
+    proc = _run_cli("plot", "--summary", str(path))
+    assert proc.returncode == 1, proc.stderr
+    assert len(proc.stderr.splitlines()) == 1 and "trajectory_csv" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "plot.gp").exists()
 
 
 # (id, suite, size, seed, stderr fragment)

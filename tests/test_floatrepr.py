@@ -10,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
+from oracles import random_state
 from geoschro import serialize
 from geoschro.dynamics import (
     CoefficientFn,
@@ -21,7 +22,6 @@ from geoschro.dynamics import (
 from geoschro.errors import NumericError
 from geoschro.floatrepr import join_reprs
 from geoschro.hilbert import BasisSpec, coherent_state
-from geoschro.numerics import random_state
 from geoschro.operators import build_quadratics
 from geoschro.serialize import write_trajectory_jsonl
 
@@ -88,6 +88,11 @@ def _records(count, size, seed=0):
                              random_state(size, seed + i)) for i in range(count)]
 
 
+def _write_jsonl(path, records):
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        write_trajectory_jsonl(fh, records, True)
+
+
 def _oscillator(size):
     x2, p2, _ = build_quadratics(BasisSpec.hermite(size))
     return TDepHamiltonian(((CoefficientFn.constant(0.5), p2, "kinetic"),
@@ -101,7 +106,7 @@ class TestTrajectoryWriter:
                                             (BATCH + 1, 128), (3, 1)])
     def test_bytes_match_the_json_oracle(self, tmp_path, count, size):
         records = _records(count, size)
-        write_trajectory_jsonl(tmp_path / "t.jsonl", records, True)
+        _write_jsonl(tmp_path / "t.jsonl", records)
         assert (tmp_path / "t.jsonl").read_bytes() == \
             oracles.trajectory_jsonl(records).encode("utf-8")
 
@@ -109,7 +114,7 @@ class TestTrajectoryWriter:
         records = _records(3, 8)
         records[2].state.coefficients[5] = complex(0.0, math.nan)
         with pytest.raises(NumericError, match="^non-finite number in output"):
-            write_trajectory_jsonl(tmp_path / "t.jsonl", records, True)
+            _write_jsonl(tmp_path / "t.jsonl", records)
 
     def test_coefficient_dump_records_allocate_little(self, tmp_path):
         """exact_eig at N=128, 2,001 records at stride 1: the json route
@@ -118,11 +123,12 @@ class TestTrajectoryWriter:
         records = propagate(_oscillator(128), coherent_state(0.5 + 0.3j, 128),
                             IntegratorSpec("exact_eig", 5e-3), 0.0, 10.0)
         assert len(records) == 2001
-        write_trajectory_jsonl(tmp_path / "warm.jsonl", records[:1], True)  # builds the tables
-        tracemalloc.start()
-        try:
-            write_trajectory_jsonl(tmp_path / "t.jsonl", records, True)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        _write_jsonl(tmp_path / "warm.jsonl", records[:1])  # builds the tables
+        with open(tmp_path / "t.jsonl", "w", encoding="utf-8", newline="\n") as fh:
+            tracemalloc.start()
+            try:
+                write_trajectory_jsonl(fh, records, True)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
         assert peak <= 2_000_000

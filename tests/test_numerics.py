@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import densify
+from oracles import densify, random_state
 from geoschro.dynamics import CoefficientFn, TDepHamiltonian, assemble, oscillator_hamiltonian
 from geoschro.errors import ConvergenceFailure, NotHermitian
 from geoschro.hilbert import BasisSpec, hermite3d_index_tuples
@@ -15,7 +15,6 @@ from geoschro.numerics import (
     hermitian_part,
     invariant_blocks,
     matmul,
-    random_state,
 )
 from geoschro.operators import build_angular_momentum, build_named
 from geoschro.tolerances import DEFAULT

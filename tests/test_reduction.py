@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from oracles import random_state
 from geoschro import reduction
 from geoschro.errors import (
     BasisMismatch,
@@ -24,8 +25,7 @@ from geoschro.hilbert import (
     coherent_state,
     symplectic_form,
 )
-from geoschro.numerics import (InvariantBlocks, hermitian_eigendecompose, hermitian_part,
-                               random_state)
+from geoschro.numerics import InvariantBlocks, hermitian_eigendecompose, hermitian_part
 from geoschro.operators import (
     build_angular_momentum,
     build_identity,
@@ -181,7 +181,7 @@ class TestRays:
 
     def test_json_round_trip(self):
         r = ray_of(random_state(5, 3))
-        back = Ray.from_json_dict(r.to_json_dict())
+        back = oracles.ray_from_json(r.to_json_dict())
         assert np.array_equal(back.representative.coefficients,
                               r.representative.coefficients)
 
@@ -316,10 +316,32 @@ class TestReducedStructures:
                    - reduced_hamiltonian(x2, r2, -0.5)) < 1e-13
 
 
+def _whole(n):
+    """One block of n in basis order: projector_of on it is held in basis order."""
+    return InvariantBlocks(n, (np.arange(n)[None, :],))
+
+
+def _born(ray, blocks):
+    """projector_of the ray on ``blocks``, in buffers of its own."""
+    n = blocks.size
+    return projector_of(ray, blocks, np.empty((n, n), dtype=np.complex128),
+                        np.empty((2, n, n), dtype=np.complex128))
+
+
+def _basis_order(basis, M):
+    """M as a ProjectorState held in basis order."""
+    return ProjectorState(basis, M, np.arange(basis.size))
+
+
+def _drift(P):
+    """P's drift, hermiticity included, in a workspace of its own."""
+    return P.drift(True, np.empty((3, *P.matrix.shape), dtype=np.complex128))
+
+
 class TestProjectors:
     def test_fresh_projector_is_clean(self):
         r = ray_of(random_state(6, 0))
-        d = projector_of(r).drift()
+        d = _drift(_born(r, _whole(6)))
         assert d["trace"] < 1e-14
         assert d["hermiticity"] < 1e-16
         assert d["idempotency"] < 1e-15
@@ -333,12 +355,13 @@ class TestProjectors:
         """The two triangles of np.outer(c, c.conj()) round differently (by up
         to 2.8e-17 on random_state(6, 0)); projector_of takes its exact
         Hermitian part."""
-        P = projector_of(ray_of(make())).matrix
+        psi = make()
+        P = _born(ray_of(psi), _whole(psi.basis.size)).matrix
         assert np.array_equal(P, P.conj().T)
 
     def test_dominant_ray_round_trip(self):
         r = ray_of(random_state(9, 17))
-        back = dominant_ray(projector_of(r))
+        back = dominant_ray(_born(r, _whole(9)))
         assert fubini_study_distance(r, back) < 1e-12
 
     @pytest.mark.parametrize("matrix", [np.eye(2, dtype=complex) / 2, np.zeros((2, 2), complex)],
@@ -347,7 +370,7 @@ class TestProjectors:
         """A zero column has no Ritz vector, so the zero matrix reaches the
         dense path, whose dominant eigenvalue 0 is a collapse."""
         with pytest.raises(RankCollapse):
-            dominant_ray(ProjectorState(BasisSpec.hermite(2), matrix))
+            dominant_ray(_basis_order(BasisSpec.hermite(2), matrix))
 
 
 def _dense_ray(P):
@@ -375,13 +398,13 @@ def _mixture(weights, size, seed):
     U = np.linalg.qr(A)[0]
     w = np.zeros(size)
     w[:len(weights)] = weights
-    return ProjectorState(BasisSpec.hermite(size), hermitian_part((U * w) @ U.conj().T))
+    return _basis_order(BasisSpec.hermite(size), hermitian_part((U * w) @ U.conj().T))
 
 
 def _coherent_tail_projector():
     """N=256 coherent projector: its tail underflows, so thousands of its
     float parts are subnormal."""
-    P = projector_of(ray_of(coherent_state(0.5 + 0.2j, 256)))
+    P = _born(ray_of(coherent_state(0.5 + 0.2j, 256)), _whole(256))
     parts = np.abs(P.matrix.view(np.float64))
     assert np.count_nonzero((parts > 0) & (parts < np.finfo(float).tiny)) > 1000
     return P
@@ -411,7 +434,7 @@ class TestDominantRay:
     @settings(max_examples=40, derandomize=True, database=None)
     @given(st.integers(1, 64), st.integers(0, 10 ** 6))
     def test_ritz_ray_matches_dense_ray(self, size, seed):
-        P = projector_of(ray_of(random_state(size, seed)))
+        P = _born(ray_of(random_state(size, seed)), _whole(size))
         assert fubini_study_distance(dominant_ray(P), _dense_ray(P)) <= 1e-14
 
     def test_ritz_ray_on_a_subnormal_tail(self, monkeypatch):
@@ -440,20 +463,20 @@ class TestScaledIdempotency:
     @given(st.integers(1, 64), st.integers(0, 10 ** 6))
     def test_bit_identical_on_normal_range_projectors(self, size, seed):
         H = _driven(size)
-        P = projector_of(ray_of(random_state(size, seed))).matrix
+        P = oracles.projector(ray_of(random_state(size, seed)))
         P = _rk4_in_basis(H, 0.0, 1e-2, P)  # idempotent only to roundoff
-        assert ProjectorState(H.basis, P).drift()["idempotency"] == _plain_idempotency(P)
+        assert _drift(_basis_order(H.basis, P))["idempotency"] == _plain_idempotency(P)
 
     def test_equal_on_a_subnormal_tail(self):
         P = _coherent_tail_projector()
-        assert P.drift()["idempotency"] == _plain_idempotency(P.matrix)
+        assert _drift(P)["idempotency"] == _plain_idempotency(P.matrix)
 
     def test_huge_entries_stay_finite(self):
-        P = 1e150 * projector_of(ray_of(random_state(8, 4))).matrix
+        P = 1e150 * oracles.projector(ray_of(random_state(8, 4)))
         plain = _plain_idempotency(P)
         assert np.isfinite(plain)
         with np.errstate(over="raise", invalid="raise"):
-            scaled = ProjectorState(BasisSpec.hermite(8), P).drift()["idempotency"]
+            scaled = _drift(_basis_order(BasisSpec.hermite(8), P))["idempotency"]
         assert scaled == plain
 
     @pytest.mark.parametrize("case", ["norm_at_least_2_510", "nan_entry", "norm_overflows",
@@ -462,7 +485,7 @@ class TestScaledIdempotency:
         """Where |P|_F >= 2^510 or is not finite the scale is 1: under the
         walk's overflow guard the value, or the error the walk turns into a
         NumericError, is the plain product's."""
-        P = projector_of(ray_of(random_state(8, 4))).matrix
+        P = oracles.projector(ray_of(random_state(8, 4)))
         if case == "norm_at_least_2_510":
             P = P * 2.0 ** 510
             assert np.linalg.norm(P) >= 2.0 ** 510
@@ -518,7 +541,7 @@ class TestReducedPropagation:
         basis = BasisSpec.hermite(12)
         with_p = TDepHamiltonian(((CoefficientFn.sinusoid(0.3, 1.0), build_named("p", basis), "p"),
                                   (CoefficientFn.constant(0.5), build_named("x2", basis), "x2")))
-        P = projector_of(ray_of(random_state(12, 4))).matrix
+        P = oracles.projector(ray_of(random_state(12, 4)))
         for H in (_driven(12), with_p):
             out = _rk4_in_basis(H, 0.3, 0.05, P)
             assert np.array_equal(out, out.conj().T)
@@ -621,8 +644,8 @@ def _in_blocks(H, P):
 
 def _reproject(H):
     """The flow's re-projection of a basis-order P: the dominant ray of the
-    block-order P, whose projector_of is returned in basis order."""
-    return lambda P: projector_of(dominant_ray(_in_blocks(H, P))).matrix
+    block-order P, whose projector is returned in basis order."""
+    return lambda P: oracles.projector(dominant_ray(_in_blocks(H, P)))
 
 
 class TestBlockOrderFlow:
@@ -632,7 +655,7 @@ class TestBlockOrderFlow:
         assert [idx.shape for idx in H.blocks.groups] == shapes
         n = H.basis.size
         work = np.empty((3, n, n), dtype=np.complex128)
-        P = projector_of(ray_of(psi)).matrix
+        P = oracles.projector(ray_of(psi))
         times = list(_time_grid(0.0, 0.2, 1e-3))
         assert len(times) == 201
         ref = oracles.reference_projector_flow(H, P, times, 100, _reproject(H))
@@ -648,9 +671,9 @@ class TestBlockOrderFlow:
         ray0 = ray_of(psi)
         records, drifts = reduced_propagate(H, ray0, 1e-3, 0.0, 0.2, stride=20)
         times = list(_time_grid(0.0, 0.2, 1e-3))
-        ref = list(oracles.reference_projector_flow(H, projector_of(ray0).matrix, times, 100,
+        ref = list(oracles.reference_projector_flow(H, oracles.projector(ray0), times, 100,
                                                     _reproject(H)))
-        want = {key: max(_in_blocks(H, raw).drift()[key] for raw, _ in ref) for key in drifts}
+        want = {key: max(_drift(_in_blocks(H, raw))[key] for raw, _ in ref) for key in drifts}
         assert drifts == want
         assert [r.t for r in records] == times[::20]
         for rec, (_, P) in zip(records[1:], ref[19::20]):
@@ -661,8 +684,8 @@ class TestBlockOrderFlow:
     @pytest.mark.parametrize("size", [8, 33, 64])
     def test_rk4_keeps_a_bitwise_hermitian_projector_bitwise_hermitian(self, size):
         H = _driven(size)
-        P = projector_of(ray_of(coherent_state(0.5 + 0.2j, size))).matrix
-        assert np.array_equal(P, P.conj().T)  # projector_of is born Hermitian
+        P = oracles.projector(ray_of(coherent_state(0.5 + 0.2j, size)))
+        assert np.array_equal(P, P.conj().T)  # born Hermitian
         P = oracles.permuted(P, H.blocks.order)
         work = np.empty((3, size, size), dtype=np.complex128)
         times = list(_time_grid(0.0, 0.05, 1e-3))
@@ -680,7 +703,7 @@ class TestBlockOrderFlow:
         seen = []
         drift = ProjectorState.drift
 
-        def spy(state, fresh=True, work=None):
+        def spy(state, fresh, work):
             seen.append((fresh, np.array_equal(state.matrix, state.matrix.conj().T)))
             return drift(state, fresh, work)
 
@@ -694,25 +717,25 @@ class TestBlockOrderFlow:
     def test_birth_in_block_order_is_the_permuted_projector(self, case):
         H, psi, _ = FLOW_CASES[case]()
         ray = ray_of(psi)
-        born = projector_of(ray, H.blocks)
-        want = oracles.permuted(projector_of(ray).matrix, H.blocks.order)
+        born = _born(ray, H.blocks)
+        want = oracles.permuted(oracles.projector(ray), H.blocks.order)
         assert np.array_equal(born.matrix.view(np.uint64), want.view(np.uint64))
         assert np.array_equal(born.rows, H.blocks.inverse)
 
     @pytest.mark.parametrize("case", sorted(FLOW_CASES))
     def test_projector_built_in_a_buffer_is_projector_of(self, case):
         """Built in a buffer and scratch that hold stale values, as the flow's
-        do at a re-projection, P has the bits of a fresh projector_of, in
-        basis and in block order."""
+        do at a re-projection, P has the bits of the permuted basis-order
+        projector, in basis and in block order."""
         H, psi, _ = FLOW_CASES[case]()
         ray, n = ray_of(psi), H.basis.size
-        for blocks in (None, H.blocks):
+        for blocks in (_whole(n), H.blocks):
             out = np.full((n, n), np.nan + 1j, dtype=np.complex128)
             work = np.full((2, n, n), -7.5 + np.inf * 1j, dtype=np.complex128)
             got = projector_of(ray, blocks, out, work)
-            want = projector_of(ray, blocks)
+            want = oracles.permuted(oracles.projector(ray), blocks.order)
             assert got.matrix is out
-            assert np.array_equal(got.matrix.view(np.uint64), want.matrix.view(np.uint64))
+            assert np.array_equal(got.matrix.view(np.uint64), want.view(np.uint64))
 
     def test_birth_under_random_permutations_is_the_permuted_projector(self):
         """Coefficient magnitudes drawn from 1e-300 to 1e300, scaled to a unit
@@ -723,8 +746,8 @@ class TestBlockOrderFlow:
             c = 10.0 ** rng.uniform(-300, 300, n) * np.exp(2j * np.pi * rng.uniform(size=n))
             ray = ray_of(StateVector(BasisSpec.hermite(n), c / np.abs(c).max()))
             order = rng.permutation(n)
-            born = projector_of(ray, InvariantBlocks(n, (order[None, :],))).matrix
-            want = oracles.permuted(projector_of(ray).matrix, order)
+            born = _born(ray, InvariantBlocks(n, (order[None, :],))).matrix
+            want = oracles.permuted(oracles.projector(ray), order)
             assert np.array_equal(born.view(np.uint64), want.view(np.uint64))
 
     @pytest.mark.parametrize("case", sorted(FLOW_CASES))
@@ -734,14 +757,14 @@ class TestBlockOrderFlow:
         the basis-order P."""
         H, psi, _ = FLOW_CASES[case]()
         times = list(_time_grid(0.0, 0.2, 1e-3))
-        ref = list(oracles.reference_projector_flow(H, projector_of(ray_of(psi)).matrix, times,
+        ref = list(oracles.reference_projector_flow(H, oracles.projector(ray_of(psi)), times,
                                                     100, _reproject(H)))
         for raw, _ in ref:
-            got, want = _in_blocks(H, raw).drift(), ProjectorState(H.basis, raw).drift()
+            got, want = _drift(_in_blocks(H, raw)), _drift(_basis_order(H.basis, raw))
             assert all(abs(got[key] - want[key]) <= 1e-15 for key in want)
         for _, P in ref[19::20]:
             assert fubini_study_distance(dominant_ray(_in_blocks(H, P)),
-                                         dominant_ray(ProjectorState(H.basis, P))) <= 1e-14
+                                         dominant_ray(_basis_order(H.basis, P))) <= 1e-14
 
     def test_drift_allocates_no_n_by_n_array_at_n256(self, monkeypatch):
         """P - P^H and the idempotency product run in the flow's RK4
@@ -752,7 +775,7 @@ class TestBlockOrderFlow:
         rises = []
         drift = ProjectorState.drift
 
-        def spy(state, fresh=True, work=None):
+        def spy(state, fresh, work):
             tracemalloc.reset_peak()
             before = tracemalloc.get_traced_memory()[0]
             out = drift(state, fresh, work)
