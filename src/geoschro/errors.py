@@ -27,6 +27,10 @@ class SchemaError(ConfigError):
         self.message = message
         super().__init__(f"{pointer}: {message}")
 
+    def __reduce__(self):
+        """Unpickle through the constructor, as a verify lane's error is."""
+        return type(self), (self.pointer, self.message)
+
 
 class UnknownOperator(SchemaError):
     """Hamiltonian term names neither a builtin operator nor a readable file."""
@@ -99,8 +103,12 @@ class MissingInput(GeoschroError):
 
     def __init__(self, path, reason: str | None = None):
         self.path = str(path)
+        self.reason = reason
         super().__init__(f"missing input file: {quoted_path(path)}"
                          + ("" if reason is None else f": {reason}"))
+
+    def __reduce__(self):
+        return type(self), (self.path, self.reason)
 
 
 _PATHS = reprlib.Repr()

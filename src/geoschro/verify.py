@@ -4,10 +4,15 @@ Each suite re-measures the invariants of one library layer on freshly drawn
 random data and reports {name, measured, bound, pass} per case.  Bounds are
 the frozen contract numbers, not knobs; the --tol overrides only feed the
 tolerances used *inside* computations (flag checks, eigen gates and the like).
+The suites are independent, so `run_verify` runs them in forked lanes, up to
+one per available CPU, and joins their cases in serial order.
 """
 
 from __future__ import annotations
 
+import ctypes
+import os
+import pickle
 import time
 from dataclasses import dataclass
 from math import factorial, pi, sqrt
@@ -391,18 +396,122 @@ SUITES = {
 }
 
 
+_PR_SET_PDEATHSIG = 1  # <linux/prctl.h>
+
+
+def _run_lane(names: tuple, size: int, seed: int, tol: Tolerances) -> dict:
+    """{suite: its cases, or the exception it raised} for one lane's suites,
+    run in order; the lane stops at the first suite that raises, as a serial
+    run would."""
+    outcomes = {}
+    for name in names:
+        try:
+            outcomes[name] = SUITES[name](size, seed, tol)
+        except Exception as exc:  # carried to run_verify, which raises it in suite order
+            outcomes[name] = exc
+            break
+    return outcomes
+
+
+def _die_with_parent(parent: int) -> None:
+    """Have the kernel SIGKILL this process when the thread that forked it
+    ends, and end now if that has already happened."""
+    import signal
+
+    prctl = ctypes.CDLL(None, use_errno=True).prctl
+    prctl.argtypes = (ctypes.c_int, ctypes.c_ulong)
+    prctl.restype = ctypes.c_int
+    if prctl(_PR_SET_PDEATHSIG, signal.SIGKILL) != 0 or os.getppid() != parent:
+        os._exit(1)
+
+
+def _fork_lane(names: tuple, size: int, seed: int, tol: Tolerances) -> tuple:
+    """(pid, read end of its pipe) of a forked child that runs one lane and
+    writes its outcomes there, pickled, before it exits."""
+    read_fd, write_fd = os.pipe()
+    parent = os.getpid()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_fd)
+            _die_with_parent(parent)
+            data = pickle.dumps(_run_lane(names, size, seed, tol))
+            with open(write_fd, "wb") as pipe:
+                pipe.write(data)
+            status = 0
+        finally:  # whatever happened, the child never unwinds into the caller's frames
+            os._exit(status)
+    os.close(write_fd)
+    return pid, open(read_fd, "rb")
+
+
+def _run_lanes(names: tuple, size: int, seed: int, tol: Tolerances) -> dict:
+    """{suite: its cases or the exception that stops the run} for every suite
+    in ``names`` up to the first that raises in its lane.  The suites are
+    dealt round-robin into one lane per available CPU, at most one per suite;
+    the caller runs the last lane itself and forks a child for each other.
+    A child that ends without a result, as one the OOM killer stops does,
+    gives each of its suites a ParseError that names them and how it ended.
+    Every child is killed and reaped before this returns or raises."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    k = min(cpus, len(names))
+    if k == 1:
+        return _run_lane(names, size, seed, tol)
+    # imported here, not at the top, so that importing the CLI does not pay for it
+    import signal
+
+    lanes = [names[i::k] for i in range(k)]
+    children = {}  # pid: (lane, pipe), until reaped
+    try:
+        for lane in lanes[:-1]:
+            pid, pipe = _fork_lane(lane, size, seed, tol)
+            children[pid] = (lane, pipe)
+        outcomes = _run_lane(lanes[-1], size, seed, tol)
+        for pid, (lane, pipe) in list(children.items()):
+            with pipe:
+                data = pipe.read()
+            _, status = os.waitpid(pid, 0)
+            del children[pid]
+            if status == 0:
+                outcomes.update(pickle.loads(data))
+                continue
+            how = (f"by {signal.Signals(os.WTERMSIG(status)).name}" if os.WIFSIGNALED(status)
+                   else f"with exit status {os.waitstatus_to_exitcode(status)}")
+            lost = ParseError(f"verify --size {size} is too large: the lane running"
+                              f" {', '.join(lane)} ended {how}")
+            outcomes.update(dict.fromkeys(lane, lost))
+        return outcomes
+    finally:
+        for pid, (_, pipe) in children.items():
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pipe.close()
+
+
 def run_verify(suite: str, size: int, seed: int, tol: Tolerances = DEFAULT) -> dict:
-    """Run one suite (or all of them) and return the report dict."""
+    """Run one suite (or all of them) and return the report dict.  The cases,
+    and the error raised when a suite fails, are those of a serial run."""
     if suite != "all" and suite not in SUITES:
         raise UnknownSuite(f"unknown suite {suite!r}; choose from {SUITE_NAMES + ('all',)}")
     if seed < 0:
         raise ParseError(f"verify --seed must be >= 0, got {seed}")
     start = time.perf_counter()
     names = SUITE_NAMES if suite == "all" else (suite,)
-    try:
-        cases = [case for name in names for case in SUITES[name](size, seed, tol)]
-    except MemoryError as exc:
-        raise ParseError(f"verify --size {size} is too large: {exc}") from exc
+    outcomes = _run_lanes(names, size, seed, tol)
+    cases = []
+    for name in names:
+        outcome = outcomes[name]
+        if isinstance(outcome, MemoryError):
+            raise ParseError(f"verify --size {size} is too large: {outcome}") from outcome
+        if isinstance(outcome, Exception):
+            raise outcome
+        cases += outcome
     elapsed = time.perf_counter() - start
     return {
         "suite": suite,
