@@ -12,7 +12,7 @@ import sys
 
 from geoschro.dynamics import IntegratorSpec, oscillator_hamiltonian
 from geoschro.hilbert import coherent_state
-from geoschro.reduction import diagram_residuals, paired_records
+from geoschro.reduction import paired_records
 
 
 def main(argv=None) -> int:
@@ -35,9 +35,9 @@ def main(argv=None) -> int:
     for k in range(args.levels):
         dt = args.dt0 / 2 ** k
         stride = max(1, round(0.5 / dt))  # record roughly every 0.5 time units
-        up, down, drifts = paired_records(H, psi0, args.mu, IntegratorSpec("magnus2", dt),
-                                          dt, 0.0, args.t1, stride=stride)
-        residual = max(diagram_residuals(up, down))
+        _, _, drifts, residuals = paired_records(H, psi0, args.mu, IntegratorSpec("magnus2", dt),
+                                                 dt, 0.0, args.t1, stride=stride)
+        residual = max(residuals)
         note = "" if previous is None or residual == 0.0 else \
             f"   x{previous / residual:.1f} down"
         print(f"{dt:10.2e} {residual:13.3e} {drifts['trace']:10.1e}"

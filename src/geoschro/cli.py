@@ -18,7 +18,7 @@ from .config import SimulationConfig, build_hamiltonian, build_initial_state, pa
 from .dynamics import propagate
 from .errors import (ConfigError, MissingInput, NumericError, ParseError, SchemaError,
                      quoted_path)
-from .reduction import diagram_residuals, paired_records
+from .reduction import paired_records
 from .serialize import (
     TrajectoryWriter,
     emit_plot_script,
@@ -99,10 +99,9 @@ def run_reduce(config: SimulationConfig, out_dir: Path, seed: int = 0) -> dict:
         raise SchemaError("/reduction", "reduce needs a reduction block")
     H = build_hamiltonian(config)
     psi0 = build_initial_state(config)
-    up, down, drifts = paired_records(H, psi0, config.reduction.mu, config.integrator,
-                                      config.reduction.dt_reduced, config.time.t0,
-                                      config.time.t1, stride=config.time.stride)
-    residuals = diagram_residuals(up, down)
+    up, down, drifts, residuals = paired_records(H, psi0, config.reduction.mu, config.integrator,
+                                                 config.reduction.dt_reduced, config.time.t0,
+                                                 config.time.t1, stride=config.time.stride)
     with _staged(out_dir) as stage:
         with TrajectoryWriter(stage, config.outputs.coefficients) as writer:
             for record in up:
@@ -144,7 +143,11 @@ def _build_parser() -> _Parser:
 def _cmd_run(args) -> int:
     run, key = {"simulate": (run_simulate, "max_norm_drift"),
                 "reduce": (run_reduce, "max_residual")}[args.command]
-    summary = run(parse_config(args.config), Path(args.out), args.seed)
+    config = parse_config(args.config)
+    try:
+        summary = run(config, Path(args.out), args.seed)
+    except MemoryError as exc:  # building H, either floor or writing
+        raise SchemaError("/basis/size", f"size {config.basis.size} is too large: {exc}") from exc
     print(f"wrote {Path(args.out) / 'summary.json'} ({key} {summary[key]:.3e})")
     return 0
 

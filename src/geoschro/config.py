@@ -261,21 +261,16 @@ def parse_config(path) -> SimulationConfig:
 
 
 def build_hamiltonian(config: SimulationConfig) -> TDepHamiltonian:
-    """Resolve term operators (builtins or files) into a TDepHamiltonian.  A
-    basis whose matrices cannot be allocated is a SchemaError at /basis/size."""
+    """Resolve term operators (builtins or files) into a TDepHamiltonian."""
     terms = []
-    try:
-        for k, term in enumerate(config.terms):
-            here = f"/hamiltonian/{k}/operator"
-            if term.is_file:
-                op = _from_file(here, OperatorMatrix, config.base_dir / term.operator,
-                                config.basis)
-            else:
-                op = _built(here, build_named, term.operator, config.basis)
-            terms.append((term.coefficient, op, term.operator))
-        return _built("/hamiltonian", TDepHamiltonian, tuple(terms))
-    except MemoryError as exc:
-        raise SchemaError("/basis/size", f"size {config.basis.size} is too large: {exc}") from exc
+    for k, term in enumerate(config.terms):
+        here = f"/hamiltonian/{k}/operator"
+        if term.is_file:
+            op = _from_file(here, OperatorMatrix, config.base_dir / term.operator, config.basis)
+        else:
+            op = _built(here, build_named, term.operator, config.basis)
+        terms.append((term.coefficient, op, term.operator))
+    return _built("/hamiltonian", TDepHamiltonian, tuple(terms))
 
 
 def build_initial_state(config: SimulationConfig) -> StateVector:

@@ -292,8 +292,9 @@ def _time_grid(t0: float, t1: float, dt: float, knots=()):
     generator of its points.
 
     The grid restarts at every knot strictly inside (t0, t1), so it passes
-    exactly through each of them.  A grid that would need more than MAX_STEPS
-    steps is a NumericError, raised here, before the first point.
+    exactly through each of them; a point a + k*dt not above the last one (a
+    step below the float spacing of t) is skipped, so no time repeats.  A grid
+    needing more than MAX_STEPS steps is a NumericError, raised before the first point.
     """
     if not dt > 0:
         raise ValueError("dt must be positive")
@@ -321,7 +322,12 @@ def _time_grid(t0: float, t1: float, dt: float, knots=()):
     def points():
         yield t0
         for a, b, n in segments:
-            yield from (a + k * dt for k in range(1, n + 1))
+            last = a
+            for k in range(1, n + 1):
+                t = a + k * dt
+                if t > last:
+                    yield t
+                    last = t
             yield b
 
     return points()

@@ -23,8 +23,8 @@ is exactly anti-Hermitian, and RK4 carries the -i in its weights), so P is
 never repaired; a step whose idempotency drift passes 1 - rank_dominance
 stops the flow, as P is then no longer near a projector.
 paired_records runs that flow and the upstairs unitary flow once each,
-recording both at shared sample times, and diagram_residuals compares the
-projection of the one against the other.
+recording both at shared sample times, and compares the projection of the
+one against the other at each of them.
 
 The dominant ray is a Rayleigh-Ritz step on span{v, Pv}, v the column of P
 with the largest diagonal entry: one 2 x 2 eigendecomposition instead of an
@@ -417,23 +417,17 @@ def reduced_propagate(H: TDepHamiltonian, ray0: Ray, dt: float, t0: float, t1: f
 def paired_records(H: TDepHamiltonian, psi0: StateVector, mu: float, spec: IntegratorSpec,
                    dt_reduced: float, t0: float, t1: float, stride: int = 1,
                    tol: Tolerances = DEFAULT):
-    """Upstairs records, downstairs records at the same times, and drift
-    diagnostics, for the commuting-diagram comparison."""
+    """(up, down, drifts, residuals): upstairs records, downstairs records at
+    their times (the down grid's knots), projector drifts, and at each time the
+    commuting-diagram residual, the Fubini-Study distance between the ray of
+    the upstairs state and the downstairs ray."""
     point = level_set_project(psi0, mu, tol)
     up = propagate(H, point.state, spec, t0, t1, stride, tol)
-    up_times = [r.t for r in up]
     down, drifts = reduced_propagate(H, ray_of(point.state, tol), dt_reduced, t0, t1,
-                                     record_times=up_times, tol=tol)
-    if len(down) != len(up):
-        raise RuntimeError("record alignment failed between the two flows")
-    return up, down, drifts
-
-
-def diagram_residuals(up, down, tol: Tolerances = DEFAULT) -> list[float]:
-    """The commuting-diagram residual at each shared record time of
-    ``paired_records``: the Fubini-Study distance between the ray of the
-    upstairs state and the downstairs ray."""
-    return [fubini_study_distance(ray_of(u.state, tol), d.ray) for u, d in zip(up, down)]
+                                     record_times=[r.t for r in up], tol=tol)
+    residuals = [fubini_study_distance(ray_of(u.state, tol), d.ray)
+                 for u, d in zip(up, down, strict=True)]
+    return up, down, drifts, residuals
 
 
 def commuting_diagram_residual(H: TDepHamiltonian, psi0: StateVector, mu: float,
@@ -441,5 +435,4 @@ def commuting_diagram_residual(H: TDepHamiltonian, psi0: StateVector, mu: float,
                                stride: int = 1, tol: Tolerances = DEFAULT) -> float:
     """max over shared sample times of the Fubini-Study distance between the
     projected unitary flow and the independently integrated ray flow."""
-    up, down, _ = paired_records(H, psi0, mu, spec, dt_reduced, t0, t1, stride, tol)
-    return max(diagram_residuals(up, down, tol))
+    return max(paired_records(H, psi0, mu, spec, dt_reduced, t0, t1, stride, tol)[3])

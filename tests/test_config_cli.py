@@ -15,7 +15,8 @@ import pytest
 
 import geoschro.cli as cli
 import oracles
-from geoschro import dynamics
+from geoschro import config as config_module
+from geoschro import dynamics, reduction
 from geoschro.config import (
     build_hamiltonian,
     build_initial_state,
@@ -25,7 +26,7 @@ from geoschro.config import (
 from geoschro.errors import MissingInput, ParseError, SchemaError, UnknownOperator, quoted_path
 from geoschro.hilbert import BasisSpec, StateVector
 from geoschro.operators import OperatorMatrix, build_position
-from geoschro.reduction import diagram_residuals, paired_records
+from geoschro.reduction import paired_records
 from geoschro.serialize import emit_plot_script, json_numbers
 from geoschro.tolerances import DEFAULT, Tolerances, parse_overrides
 
@@ -338,13 +339,13 @@ class TestReducePipeline:
         out = tmp_path / "red"
         assert cli.main(["reduce", "--config", str(config_path), "--out", str(out)]) == 0
         config = parse_config(config_path)
-        up, down, _ = paired_records(build_hamiltonian(config), build_initial_state(config),
-                                     config.reduction.mu, config.integrator,
-                                     config.reduction.dt_reduced, config.time.t0,
-                                     config.time.t1, stride=config.time.stride)
+        *_, residuals = paired_records(build_hamiltonian(config), build_initial_state(config),
+                                       config.reduction.mu, config.integrator,
+                                       config.reduction.dt_reduced, config.time.t0,
+                                       config.time.t1, stride=config.time.stride)
         lines = (out / "rays.csv").read_text().splitlines()
         assert lines[0].split(",")[-1] == "fs_residual"
-        assert [float(line.split(",")[-1]) for line in lines[1:]] == diagram_residuals(up, down)
+        assert [float(line.split(",")[-1]) for line in lines[1:]] == residuals
 
     def test_reduce_without_block_fails(self, tmp_path):
         config_path = _write_config(tmp_path, _base_config())
@@ -811,6 +812,33 @@ def test_an_interrupted_run_removes_the_directories_it_made(tmp_path, monkeypatc
         cli.main(["simulate", "--config", str(config), "--out", str(tmp_path / "a" / "b")])
     assert len(records) == 5
     assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
+@pytest.mark.parametrize("command,module,name", [
+    ("simulate", config_module, "build_named"),    # building H
+    ("simulate", dynamics, "apply_exp_step"),      # the unitary floor
+    ("reduce", reduction, "projector_of"),         # the projector floor
+    ("reduce", cli, "write_summary"),              # writing
+], ids=["build", "upstairs", "downstairs", "writing"])
+def test_an_allocation_that_fails_anywhere_in_a_run_is_too_large(tmp_path, monkeypatch, capsys,
+                                                                   command, module, name):
+    """A MemoryError in any phase of a run is the one-line /basis/size error
+    (exit 1), and --out is left as it was."""
+    def fails(*args, **kwargs):
+        raise MemoryError("Unable to allocate 64.0 MiB for an array with shape (2048, 2048)")
+
+    out = tmp_path / "o"
+    out.mkdir()
+    old = b'{"t":0.0,"norm":1.0}\n'
+    (out / "trajectory.jsonl").write_bytes(old)
+    monkeypatch.setattr(module, name, fails)
+    config = _write_config(tmp_path, TestReducePipeline()._reduce_config())
+    assert cli.main([command, "--config", str(config), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: /basis/size: size 8 is too large: Unable to allocate 64.0 MiB for an array"
+        " with shape (2048, 2048)"]
+    assert [p.name for p in out.iterdir()] == ["trajectory.jsonl"]
+    assert (out / "trajectory.jsonl").read_bytes() == old
 
 
 def test_simulate_memory_does_not_grow_with_the_record_count(tmp_path):

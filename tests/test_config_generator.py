@@ -1,6 +1,8 @@
 """Seeded valid configs: every one runs through the CLI in-process and keeps
 the exit-code, stderr and finite-output contracts, and no `reduce` run exits
-0 with a matrix that is no longer near a projector."""
+0 with a matrix that is no longer near a projector.  A second sweep runs far
+from t = 0, where a step can fall below the float spacing of t: there too the
+record times strictly increase and both floors record the same times."""
 
 import json
 import math
@@ -9,11 +11,18 @@ from math import comb
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import geoschro.cli as cli
 from geoschro.tolerances import DEFAULT
 
 CONFIGS = 100
+# a second sweep near |t0| = FAR_T0, where the float spacing of t, about 2e-3,
+# exceeds the smallest dt drawn and the grid's 64-ulp misfit slack, about 0.14,
+# leaves room for inner points; among these seeds, 1114 (reduce) and 1115
+# (simulate) record at times that steps below that spacing would repeat
+FAR_SEEDS = range(1100, 1160)
+FAR_T0 = 1e13
 MAX_STEPS = 150  # per floor, so the whole sweep stays within a few seconds
 BUILTINS = {  # basis kind -> the builtin operators valid on it
     "hermite1d_orthonormal": ("p2", "x2", "xp_px", "p", "x", "id"),
@@ -35,6 +44,15 @@ REPRODUCER = {
     "time": {"t0": 0.8390800400871314, "t1": 1.8946187291290877, "stride": 3},
     "outputs": {"coefficients": True, "diagnostics": False},
     "reduction": {"mu": -0.6673298371044109, "dt_reduced": 0.11928289719205766},
+}
+
+ABSORBED = {
+    "basis": {"kind": "hermite1d_orthonormal", "size": 4},
+    "hamiltonian": [{"operator": "id", "coefficient": {"kind": "constant", "c": 1.0}}],
+    "initial_state": {"kind": "coherent", "alpha": 0.5},
+    "integrator": {"method": "magnus2", "dt": 0.01},
+    "time": {"t0": 1e15, "t1": 1.00000000000002e15, "stride": 1},
+    "reduction": {"mu": -0.5, "dt_reduced": 0.01},
 }
 
 
@@ -89,10 +107,11 @@ def _initial_state(rng, basis: dict, tmp: Path) -> dict:
     return {"kind": kind, "path": "psi.json"}
 
 
-def generate(seed: int, tmp: Path) -> dict:
-    """One valid config for ``seed``; a coefficients file it names is written
-    under tmp.  Each floor takes at most MAX_STEPS steps, and about 40% of
-    the configs carry a reduction block with dt_reduced up to 0.3."""
+def generate(seed: int, tmp: Path, t_offset: float = 0.0) -> dict:
+    """One valid config for ``seed``, its window starting within 1 of
+    t_offset; a coefficients file it names is written under tmp.  Each floor
+    takes at most MAX_STEPS steps, and about 40% of the configs carry a
+    reduction block with dt_reduced up to 0.3."""
     rng = np.random.default_rng(seed)
     basis = _basis(rng)
     method = str(rng.choice(("exact_eig", "magnus2", "cayley2")))
@@ -100,7 +119,7 @@ def generate(seed: int, tmp: Path) -> dict:
               "coefficient": _coefficient(rng, method == "exact_eig")}
              for _ in range(rng.integers(1, 4))]
     dt = _log_uniform(rng, 1e-3, 0.1)
-    t0 = float(rng.uniform(-1.0, 1.0))
+    t0 = t_offset + float(rng.uniform(-1.0, 1.0))
     span = min(float(rng.uniform(0.0, 2.0)), MAX_STEPS * dt)
     cfg = {"basis": basis, "hamiltonian": terms,
            "initial_state": _initial_state(rng, basis, tmp),
@@ -169,6 +188,51 @@ def test_generated_configs_keep_the_cli_contracts(tmp_path, capsys):
         codes.append((code, "reduction" in cfg))
     # the sweep samples both floors and both outcomes of the projector gate
     assert {(0, False), (0, True), (2, True)} <= set(codes), codes
+
+
+def _assert_record_times(out: Path, reduced: bool, context) -> None:
+    """The record times of trajectory.csv strictly increase and, after
+    reduce, rays.csv has the same ones."""
+    def times(name):
+        return [float(row.split(",", 1)[0])
+                for row in (out / name).read_text(encoding="utf-8").splitlines()[1:]]
+
+    up = times("trajectory.csv")
+    assert all(a < b for a, b in zip(up, up[1:])), context
+    if reduced:
+        assert times("rays.csv") == up, context
+
+
+def test_generated_configs_far_from_t0_keep_the_contracts(tmp_path, capsys):
+    outcomes = set()
+    for seed in FAR_SEEDS:
+        tmp = tmp_path / str(seed)
+        tmp.mkdir()
+        cfg = generate(seed, tmp, (-1) ** seed * FAR_T0)
+        code, stderr, summary = _run(cfg, tmp, capsys)
+        assert code in (0, 1, 2, 3, 4) and len(stderr) <= 1, (seed, cfg, stderr)
+        assert (code == 0) == (summary is not None), (seed, cfg)
+        reduced = "reduction" in cfg
+        if code == 0:
+            _assert_record_times(tmp / "out", reduced, (seed, cfg))
+        dt = min(cfg["integrator"]["dt"], cfg.get("reduction", {}).get("dt_reduced", math.inf))
+        absorbed = dt < math.ulp(cfg["time"]["t0"])
+        outcomes.add((code, reduced, absorbed))
+    # both floors ran to the end on grids with steps below the spacing of t
+    assert {(0, False, True), (0, True, True)} <= outcomes, outcomes
+
+
+@pytest.mark.parametrize("command", ["simulate", "reduce"])
+def test_steps_below_the_spacing_of_t_keep_the_floors_aligned(tmp_path, capsys, command):
+    """dt = 0.01 at t0 = 1e15, where t is spaced 0.125: most steps a + k*dt
+    round onto the time before them.  Such a grid used to repeat record
+    times (13 rows at 1000000000000005.5) and stopped reduce with misaligned
+    floors."""
+    reduced = command == "reduce"
+    cfg = {k: v for k, v in ABSORBED.items() if reduced or k != "reduction"}
+    code, stderr, _ = _run(cfg, tmp_path, capsys)
+    assert code == 0 and stderr == [], stderr
+    _assert_record_times(tmp_path / "out", reduced, command)
 
 
 def test_unstable_projector_flow_is_2(tmp_path, capsys):

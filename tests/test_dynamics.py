@@ -501,6 +501,19 @@ class TestStepBudget:
     def test_largest_grid_in_use_is_accepted(self):
         assert len(list(_time_grid(0.0, 5.0, 2.5e-4))) == 20001
 
+    def test_steps_below_the_spacing_of_t_are_skipped(self):
+        """At t0 = 1e15 t is spaced 0.125, so a + k*dt with dt = 0.01 repeats
+        a time about 12 times in 13; the grid yields each time once, and a
+        grid bent through those times (the down floor's) holds each once."""
+        t0, t1 = 1e15, 1.00000000000002e15
+        times = list(_time_grid(t0, t1, 0.01))
+        assert times[0] == t0 and times[-1] == t1 and len(times) == 47
+        assert all(a < b for a, b in zip(times, times[1:]))
+        knots = times[5:-1:5]
+        bent = list(_time_grid(t0, t1, 0.01, knots=knots))
+        assert all(a < b for a, b in zip(bent, bent[1:]))
+        assert {t0, t1, *knots} <= set(bent)
+
     def test_grid_is_generated_point_by_point(self):
         tracemalloc.start()
         try:

@@ -39,7 +39,6 @@ from geoschro.reduction import (
     _idempotency,
     _rk4_projector_step,
     commuting_diagram_residual,
-    diagram_residuals,
     dominant_ray,
     fubini_study_distance,
     horizontal_project,
@@ -629,10 +628,10 @@ def test_commuting_diagram_on_other_block_structures(case):
     split: magnus2 and RK4 at dt 1e-3 over [0, 2] on the level mu = -0.5."""
     H, psi, shapes = DIAGRAM_CASES[case]()
     assert [idx.shape for idx in H.blocks.groups] == shapes
-    up, down, _ = paired_records(H, psi, -0.5, IntegratorSpec("magnus2", 1e-3), 1e-3,
-                                 0.0, 2.0, stride=100)
+    up, _, _, residuals = paired_records(H, psi, -0.5, IntegratorSpec("magnus2", 1e-3), 1e-3,
+                                         0.0, 2.0, stride=100)
     assert len(up) == 21
-    assert max(diagram_residuals(up, down)) <= 1e-6
+    assert max(residuals) <= 1e-6
     assert max(abs(r.norm - up[0].norm) for r in up) <= 1e-12
     assert max(abs(r.momentum_J - up[0].momentum_J) for r in up) <= 1e-12
 
@@ -850,16 +849,17 @@ class TestCommutingDiagram:
 
     def test_paired_records_share_times(self):
         H = _driven(8)
-        up, down, drifts = paired_records(H, random_state(8, 6), -0.5,
-                                          IntegratorSpec("magnus2", 1e-2), 1e-2,
-                                          0.0, 0.55, stride=10)
+        up, down, drifts, _ = paired_records(H, random_state(8, 6), -0.5,
+                                             IntegratorSpec("magnus2", 1e-2), 1e-2,
+                                             0.0, 0.55, stride=10)
         assert [r.t for r in up] == [r.t for r in down]
         assert set(drifts) == {"trace", "hermiticity", "idempotency"}
 
     def test_residual_is_the_worst_paired_residual(self):
         H = _driven(8)
         args = (H, random_state(8, 5), -0.5, IntegratorSpec("magnus2", 1e-2), 1e-2, 0.0, 0.55, 10)
-        up, down, _ = paired_records(*args)
-        residuals = diagram_residuals(up, down)
+        up, down, _, residuals = paired_records(*args)
+        assert residuals == [fubini_study_distance(ray_of(u.state), d.ray)
+                             for u, d in zip(up, down)]
         assert len(residuals) == len(up)
         assert commuting_diagram_residual(*args) == max(residuals)
