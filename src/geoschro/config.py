@@ -284,7 +284,8 @@ def build_initial_state(config: SimulationConfig) -> StateVector:
     psi = _from_file("/initial_state/path", StateVector, config.base_dir / init.path, config.basis)
     with np.errstate(over="ignore"):
         nrm = float(np.linalg.norm(psi.coefficients))
-    if not 0.0 < nrm * nrm < np.inf:  # every record divides by the squared norm
-        raise SchemaError("/initial_state/path", f"the state in {init.path} has norm {nrm!r},"
-                                                 " whose square is not positive and finite")
+    if not (nrm > DEFAULT.zero_vector and nrm * nrm < inf):  # records divide by the square
+        raise SchemaError("/initial_state/path", f"the state in {init.path} has norm {nrm!r};"
+                                                 f" it must be above {DEFAULT.zero_vector!r}"
+                                                 " and have a finite square")
     return psi

@@ -47,7 +47,7 @@ from .numerics import (
     invariant_blocks,
     matmul,
 )
-from .operators import OperatorMatrix, build_quadratics
+from .operators import OperatorMatrix, build_named
 from .tolerances import DEFAULT, Tolerances
 
 INTEGRATOR_METHODS = ("exact_eig", "magnus2", "cayley2")
@@ -183,7 +183,7 @@ class TDepHamiltonian:
 def oscillator_hamiltonian(size: int, drive: float = 0.0) -> TDepHamiltonian:
     """(1/2)p^2 + (1/2)x^2 + drive sin(t) x^2 on the orthonormal Hermite basis;
     autonomous when drive is 0."""
-    x2, p2, _ = build_quadratics(BasisSpec.hermite(size))
+    x2, p2 = (build_named(name, BasisSpec.hermite(size)) for name in ("x2", "p2"))
     terms = [
         (CoefficientFn.constant(0.5), p2, "p2"),
         (CoefficientFn.constant(0.5), x2, "x2"),
@@ -288,8 +288,10 @@ class TrajectoryRecord:
 
 
 def _time_grid(t0: float, t1: float, dt: float, knots=()):
-    """Closed grid t0, t0+dt, ... with the final step shortened onto t1, as a
-    generator of its points.
+    """Closed grid t0, t0+dt, ... ending on t1, as a generator of its points.
+    The final step takes up the remainder; a misfit below min(64 ulps of t,
+    dt/2) joins the step before it, so the final step is at most 1.5 dt, up
+    to the rounding of t to its float spacing.
 
     The grid restarts at every knot strictly inside (t0, t1), so it passes
     exactly through each of them; a point a + k*dt not above the last one (a
@@ -308,8 +310,9 @@ def _time_grid(t0: float, t1: float, dt: float, knots=()):
         if steps > left:
             raise NumericError(f"time grid needs {steps:.6g} more steps, "
                                f"only {left} of MAX_STEPS={MAX_STEPS} are left")
-        # tolerate 1-ulp-scale misfits so dt that "divides" (b-a) lands exactly
-        below = b - 64.0 * np.finfo(float).eps * max(1.0, abs(b), abs(a))
+        # tolerate 1-ulp-scale misfits so dt that "divides" (b-a) lands exactly,
+        # but never half a step or more
+        below = b - min(64.0 * np.finfo(float).eps * max(1.0, abs(b), abs(a)), dt / 2)
         # a + k*dt grows with k: the inside points are k = 1..n, n close to steps
         n = int(steps) if steps >= 1 else 0
         while n > 0 and not a + n * dt < below:
@@ -408,11 +411,11 @@ def propagate(H: TDepHamiltonian, psi0: StateVector, spec: IntegratorSpec,
               t0: float, t1: float, stride: int = 1,
               tol: Tolerances = DEFAULT, sink=None) -> list[TrajectoryRecord] | None:
     """Propagate psi0 from t0 to t1, recording every stride-th step plus the
-    endpoints.  The grid walks in steps of spec.dt with the final step
-    shortened to land exactly on t1.  Returns the records; with ``sink``,
-    each record is handed to sink(record) as it is made, none is kept, and
-    None is returned.  A psi0 whose norm is not above tol.zero_vector is a
-    ZeroVector: no record of it has an energy."""
+    endpoints.  The grid walks in steps of spec.dt and lands exactly on t1;
+    its final step takes up the remainder, at most 1.5 dt (see _time_grid).
+    Returns the records; with ``sink``, each record is handed to sink(record)
+    as it is made, none is kept, and None is returned.  A psi0 whose norm is
+    not above tol.zero_vector is a ZeroVector: no record of it has an energy."""
     if psi0.basis != H.basis:
         raise BasisMismatch("initial state basis does not match the Hamiltonian")
     if not float(np.linalg.norm(psi0.coefficients)) > tol.zero_vector:

@@ -16,7 +16,11 @@ class ConfigError(GeoschroError):
 
 
 class ParseError(ConfigError):
-    """Config file is not syntactically valid JSON."""
+    """An input that cannot be read as given: a JSON file (config, operator,
+    coefficients or summary) that is not valid JSON, a summary whose shape or
+    file names `plot` cannot use, a bad command-line argument or `--tol`
+    override, or a verify `--size`/`--seed` out of range (too small, negative,
+    or too large to allocate).  Exit 1, like every ConfigError."""
 
 
 class SchemaError(ConfigError):

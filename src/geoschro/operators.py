@@ -6,15 +6,19 @@ produce, lower_band the maximum decrease.  A vector supported on the first
 N - k*raise_band indices sees no truncation error under k applications,
 which is what safe_subspace certifies.
 
-Quadratic operators are written from closed-form ladder expressions rather
-than products of the truncated x and p matrices; products corrupt the last
-rows/columns of the truncation while the closed forms are exact everywhere.
+BUILTINS is the one table of builtin operators, name -> (the basis kind it
+needs, its constructor); build_named checks the kind and builds that name
+alone.  The Hermite operators are table entries {offset d: (upper(k),
+lower(k))}, their diagonals written from closed-form ladder expressions
+rather than products of the truncated x and p matrices; products corrupt the
+last rows/columns of the truncation while the closed forms are exact everywhere.
 """
 
 from __future__ import annotations
 
 import reprlib
 from dataclasses import InitVar, dataclass
+from functools import partial
 from math import factorial, pi, sqrt
 
 import numpy as np
@@ -140,80 +144,42 @@ class AnalyticCertificate:
 
 
 # ---------------------------------------------------------------------------
-# constructors
+# builtin operators
 
 
-def _require_kind(basis: BasisSpec, kind: str):
-    if basis.kind != kind:
-        raise UnsupportedBasis(f"operator needs basis kind {kind!r}, got {basis.kind!r}")
+def _ladder(bands: dict):
+    """The constructor of the Hermitian operator with upper(k) at (k, k+d) and
+    lower(k) at (k+d, k), k = 0..N-1-d, for each band d: (upper, lower) of
+    its table entry; both declared bands are the largest d.  Both triangles
+    are given, so every entry is its closed form's own expression and no
+    signed zero is carried from one triangle to the other by a conjugate."""
+    def build(basis: BasisSpec) -> OperatorMatrix:
+        n = basis.size
+        diagonals = []  # (k, k + d, upper(k), lower(k))
+        for d, (upper, lower) in bands.items():
+            k = np.arange(n - d)
+            diagonals.append((k, k + d, upper(k), lower(k)))
+        M = np.zeros((n, n), np.result_type(*(up for _, _, up, _ in diagonals)))
+        for k, kd, up, low in diagonals:
+            M[k, kd] = up
+            M[kd, k] = low
+        return OperatorMatrix(basis, M, "hermitian", max(bands), max(bands))
+    return build
 
 
-def build_position(basis: BasisSpec) -> OperatorMatrix:
-    """x = (a + a^dag)/sqrt(2); tridiagonal with x_{n,n+1} = sqrt((n+1)/2)."""
-    _require_kind(basis, "hermite1d_orthonormal")
-    n = basis.size
-    off = np.sqrt(np.arange(1, n) / 2.0)
-    M = np.zeros((n, n))
-    M[np.arange(n - 1), np.arange(1, n)] = off
-    M[np.arange(1, n), np.arange(n - 1)] = off
-    return OperatorMatrix(basis, M, "hermitian", 1, 1)
+def _x(k):      # x_{k,k+1} = sqrt((k+1)/2), x = (a + a^dag)/sqrt(2)
+    return np.sqrt((k + 1) / 2.0)
 
 
-def build_momentum(basis: BasisSpec) -> OperatorMatrix:
-    """p = -i d/dx = -i(a - a^dag)/sqrt(2); p_{n,n+1} = -i sqrt((n+1)/2)."""
-    _require_kind(basis, "hermite1d_orthonormal")
-    n = basis.size
-    off = np.sqrt(np.arange(1, n) / 2.0)
-    M = np.zeros((n, n), dtype=np.complex128)
-    M[np.arange(n - 1), np.arange(1, n)] = -1j * off
-    M[np.arange(1, n), np.arange(n - 1)] = 1j * off
-    return OperatorMatrix(basis, M, "hermitian", 1, 1)
+def _a2(k):     # (a^2)_{k,k+2} = sqrt((k+1)(k+2))
+    return np.sqrt((k + 1.0) * (k + 2.0))
 
 
-def build_quadratics(basis: BasisSpec) -> tuple[OperatorMatrix, OperatorMatrix, OperatorMatrix]:
-    """(x^2, p^2, xp+px) from closed-form ladder expressions.
-
-    x^2 = (n + 1/2) diag + (a^2 + a^dag^2)/2
-    p^2 = (n + 1/2) diag - (a^2 + a^dag^2)/2
-    xp+px = i(a^dag^2 - a^2)
-    """
-    _require_kind(basis, "hermite1d_orthonormal")
-    n = basis.size
-    diag = np.arange(n) + 0.5
-    x2 = np.zeros((n, n))
-    p2 = np.zeros((n, n))
-    xppx = np.zeros((n, n), dtype=np.complex128)
-    x2[np.arange(n), np.arange(n)] = diag
-    p2[np.arange(n), np.arange(n)] = diag
-    if n > 2:
-        rows = np.arange(n - 2)
-        # couples index k and k+2 with weight sqrt((k+1)(k+2))
-        two_down = np.sqrt((rows + 1.0) * (rows + 2.0))
-        x2[rows, rows + 2] = two_down / 2.0
-        x2[rows + 2, rows] = two_down / 2.0
-        p2[rows, rows + 2] = -two_down / 2.0
-        p2[rows + 2, rows] = -two_down / 2.0
-        xppx[rows, rows + 2] = -1j * two_down
-        xppx[rows + 2, rows] = 1j * two_down
-    return (
-        OperatorMatrix(basis, x2, "hermitian", 2, 2),
-        OperatorMatrix(basis, p2, "hermitian", 2, 2),
-        OperatorMatrix(basis, xppx, "hermitian", 2, 2),
-    )
-
-
-def build_identity(basis: BasisSpec) -> OperatorMatrix:
-    return OperatorMatrix(basis, np.eye(basis.size), "hermitian", 0, 0)
-
-
-def build_angular_momentum(basis: BasisSpec) -> tuple[OperatorMatrix, OperatorMatrix, OperatorMatrix]:
-    """(L_x, L_y, L_z) on the degree-graded 3-d Hermite basis.
-
-    In ladder form L_z = i(a_y^dag a_x - a_x^dag a_y) and cyclic; every term
-    raises one mode and lowers another, so total degree is preserved and the
-    truncation to degree <= d is exact (block-diagonal by degree).
-    """
-    _require_kind(basis, "hermite3d_degree")
+def _angular_momentum(axis_a: int, axis_b: int, basis: BasisSpec) -> OperatorMatrix:
+    """L along the axis other than a and b, i(a_b^dag a_a - a_a^dag a_b), on
+    the degree-graded 3-d Hermite basis.  Every term raises one mode and
+    lowers another, so total degree is preserved and the truncation to
+    degree <= d is exact (block-diagonal by degree)."""
     tuples = hermite3d_index_tuples(basis.degree)
     index = {t: i for i, t in enumerate(tuples)}
     n = basis.size
@@ -230,49 +196,39 @@ def build_angular_momentum(basis: BasisSpec) -> tuple[OperatorMatrix, OperatorMa
             M[index[tuple(u)], j] = sqrt(t[src]) * sqrt(u[dst])
         return M
 
-    def L(axis_a: int, axis_b: int) -> np.ndarray:
-        # i (a_b^dag a_a - a_a^dag a_b) for L along the remaining axis
-        return 1j * (hop_matrix(axis_b, axis_a) - hop_matrix(axis_a, axis_b))
-
-    Lx = L(1, 2)   # y p_z - z p_y
-    Ly = L(2, 0)   # z p_x - x p_z
-    Lz = L(0, 1)   # x p_y - y p_x
-    return tuple(OperatorMatrix.from_matrix(basis, M, "hermitian") for M in (Lx, Ly, Lz))
+    M = 1j * (hop_matrix(axis_b, axis_a) - hop_matrix(axis_a, axis_b))
+    return OperatorMatrix.from_matrix(basis, M, "hermitian")
 
 
-def build_fourier_p_squared(basis: BasisSpec) -> OperatorMatrix:
+def _fourier_p2(basis: BasisSpec) -> OperatorMatrix:
     """Diagonal p^2 on the interval Fourier basis (convention p = -i d/dx).
 
     Sin mode k carries (pi(k+1)/l)^2, cos mode k carries (pi k/l)^2; the flow
     exp(-i t p^2) therefore multiplies each mode by exp(-i t lambda).
     """
-    _require_kind(basis, "fourier_interval")
-    l = basis.interval_halflength
-    diag = np.empty(basis.size)
-    for j in range(basis.size):
-        k = j // 2
-        freq = (k + 1) if j % 2 == 0 else k
-        diag[j] = (pi * freq / l) ** 2
+    j = np.arange(basis.size)
+    freq = np.where(j % 2 == 0, j // 2 + 1, j // 2)
+    # pow(), as Python's float ** 2 computes it; numpy's ** 2 squares, 1 ulp off at times
+    diag = np.float_power(pi * freq / basis.interval_halflength, 2)
     return OperatorMatrix(basis, np.diag(diag), "hermitian", 0, 0)
 
 
-def metaplectic_set(basis: BasisSpec) -> list[OperatorMatrix]:
-    """[p^2, x^2, xp+px, p, x, Id] — the driven-oscillator generator set."""
-    x2, p2, xppx = build_quadratics(basis)
-    return [p2, x2, xppx, build_momentum(basis), build_position(basis), build_identity(basis)]
-
-
+# name -> (the basis kind it needs, None for any; its constructor).  The
+# Hermite entries are closed-form ladder expressions:
+#   x^2 = (n + 1/2) + (a^2 + a^dag^2)/2      p^2 = (n + 1/2) - (a^2 + a^dag^2)/2
+#   xp+px = i(a^dag^2 - a^2)                 p = -i d/dx = -i(a - a^dag)/sqrt(2)
+_HERMITE = "hermite1d_orthonormal"
 BUILTINS = {
-    "p2": lambda basis: build_quadratics(basis)[1],
-    "x2": lambda basis: build_quadratics(basis)[0],
-    "xp_px": lambda basis: build_quadratics(basis)[2],
-    "p": build_momentum,
-    "x": build_position,
-    "id": build_identity,
-    "Lx": lambda basis: build_angular_momentum(basis)[0],
-    "Ly": lambda basis: build_angular_momentum(basis)[1],
-    "Lz": lambda basis: build_angular_momentum(basis)[2],
-    "fourier_p2": build_fourier_p_squared,
+    "p2": (_HERMITE, _ladder({0: (lambda k: k + 0.5,) * 2, 2: (lambda k: -_a2(k) / 2.0,) * 2})),
+    "x2": (_HERMITE, _ladder({0: (lambda k: k + 0.5,) * 2, 2: (lambda k: _a2(k) / 2.0,) * 2})),
+    "xp_px": (_HERMITE, _ladder({2: (lambda k: -1j * _a2(k), lambda k: 1j * _a2(k))})),
+    "p": (_HERMITE, _ladder({1: (lambda k: -1j * _x(k), lambda k: 1j * _x(k))})),
+    "x": (_HERMITE, _ladder({1: (_x, _x)})),
+    "id": (None, _ladder({0: (lambda k: np.ones(k.size),) * 2})),
+    "Lx": ("hermite3d_degree", partial(_angular_momentum, 1, 2)),   # y p_z - z p_y
+    "Ly": ("hermite3d_degree", partial(_angular_momentum, 2, 0)),   # z p_x - x p_z
+    "Lz": ("hermite3d_degree", partial(_angular_momentum, 0, 1)),   # x p_y - y p_x
+    "fourier_p2": ("fourier_interval", _fourier_p2),
 }
 BUILTIN_OPERATORS = tuple(BUILTINS)
 
@@ -280,7 +236,15 @@ BUILTIN_OPERATORS = tuple(BUILTINS)
 def build_named(name: str, basis: BasisSpec) -> OperatorMatrix:
     if name not in BUILTINS:
         raise UnsupportedBasis(f"not a builtin operator: {name!r}")
-    return BUILTINS[name](basis)
+    kind, build = BUILTINS[name]
+    if kind is not None and basis.kind != kind:
+        raise UnsupportedBasis(f"operator needs basis kind {kind!r}, got {basis.kind!r}")
+    return build(basis)
+
+
+def metaplectic_set(basis: BasisSpec) -> list[OperatorMatrix]:
+    """[p^2, x^2, xp+px, p, x, Id] -- the driven-oscillator generator set."""
+    return [build_named(name, basis) for name in ("p2", "x2", "xp_px", "p", "x", "id")]
 
 
 # ---------------------------------------------------------------------------

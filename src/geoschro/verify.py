@@ -44,8 +44,6 @@ from .hilbert import (
 from .numerics import apply_exp_step, hermitian_eigendecompose
 from .operators import (
     analytic_certificate,
-    build_angular_momentum,
-    build_fourier_p_squared,
     build_named,
     commutator,
     flag_violation,
@@ -158,8 +156,8 @@ def suite_operators(size: int, seed: int, tol: Tolerances) -> list[VerifyCase]:
     H = metaplectic_set(basis)
     rng = _rng(seed, 2)
 
-    L = Lx, Ly, Lz = build_angular_momentum(BasisSpec.hermite3d(6))
-    built = [*H, *L, build_fourier_p_squared(BasisSpec.fourier(size, pi))]
+    L = Lx, Ly, Lz = [build_named(name, BasisSpec.hermite3d(6)) for name in ("Lx", "Ly", "Lz")]
+    built = [*H, *L, build_named("fourier_p2", BasisSpec.fourier(size, pi))]
     flag = max(flag_violation(op.matrix, "hermitian", 0.0) for op in built)  # max|M - M^H|
 
     # commutators of i H_a must fall back into the real span of {i H_c}

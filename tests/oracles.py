@@ -188,6 +188,13 @@ def lz_single_excitation_block() -> np.ndarray:
     ], dtype=complex)
 
 
+def fourier_p2_diagonal(size: int, halflength: float) -> list:
+    """(pi k / l)^2 per mode in Python floats, one mode at a time: sin mode k
+    has k + 1 half-waves, cos mode k has k."""
+    return [(pi * (j // 2 + 1 if j % 2 == 0 else j // 2) / halflength) ** 2
+            for j in range(size)]
+
+
 def nearly_hermitian_matrix() -> np.ndarray:
     """50 (A + A^T) for the 8 x 8 standard normal A of seed 0 (max entry
     about 155), with entry [0, 1] moved by 1.5e-10: Hermitian within the

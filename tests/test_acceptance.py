@@ -34,9 +34,7 @@ from geoschro.hilbert import (
 )
 from geoschro.operators import (
     analytic_certificate,
-    build_angular_momentum,
-    build_momentum,
-    build_quadratics,
+    build_named,
     commutator,
     flow_commutator,
     metaplectic_set,
@@ -60,7 +58,7 @@ def _report(criterion: int, detail: str):
 
 def _oscillator(size: int) -> TDepHamiltonian:
     basis = BasisSpec.hermite(size)
-    x2, p2, _ = build_quadratics(basis)
+    x2, p2 = (build_named(name, basis) for name in ("x2", "p2"))
     return TDepHamiltonian((
         (CoefficientFn.constant(0.5), p2, "kinetic"),
         (CoefficientFn.constant(0.5), x2, "potential"),
@@ -72,7 +70,7 @@ def _driven_oscillator(size: int) -> TDepHamiltonian:
     coefficient (1 + 0.1 sin t)^2 / 2 is expanded exactly into a constant
     plus two sinusoids."""
     basis = BasisSpec.hermite(size)
-    x2, p2, _ = build_quadratics(basis)
+    x2, p2 = (build_named(name, basis) for name in ("x2", "p2"))
     return TDepHamiltonian((
         (CoefficientFn.constant(0.5), p2, "kinetic"),
         (CoefficientFn.constant(0.5025), x2, "potential_dc"),
@@ -193,7 +191,7 @@ def test_criterion_05_analytic_vector_certificates():
 def test_criterion_06_flow_commutator():
     size = 64
     basis = BasisSpec.hermite(size)
-    ip = build_momentum(basis).scaled(1j)
+    ip = build_named("p", basis).scaled(1j)
     x = metaplectic_set(basis)[4]
     ix = x.scaled(1j)
     ground = StateVector(basis, np.eye(size)[0])
@@ -235,7 +233,7 @@ def test_criterion_07_lie_algebra_closures():
     assert worst <= 1e-10
 
     basis3 = BasisSpec.hermite3d(6)
-    Lx, Ly, Lz = (L.matrix for L in build_angular_momentum(basis3))
+    Lx, Ly, Lz = (build_named(name, basis3).matrix for name in ("Lx", "Ly", "Lz"))
     su2 = max(
         float(np.max(np.abs(oracles.matrix_commutator(Lx, Ly) - 1j * Lz))),
         float(np.max(np.abs(oracles.matrix_commutator(Ly, Lz) - 1j * Lx))),
@@ -253,7 +251,7 @@ def test_criterion_08_translation_flow():
     size = 64
     t = 0.5
     basis = BasisSpec.hermite(size)
-    p = build_momentum(basis)
+    p = build_named("p", basis)
     H = TDepHamiltonian(((CoefficientFn.constant(1.0), p, "translation"),))
     ground = StateVector(basis, np.eye(size)[0])
     final = propagate(H, ground, IntegratorSpec("exact_eig", t), 0.0, t)[-1].state
@@ -272,7 +270,7 @@ def test_criterion_08_translation_flow():
 def test_criterion_09_reduction_well_defined():
     size = 64
     basis = BasisSpec.hermite(size)
-    x2 = build_quadratics(basis)[0]
+    x2 = build_named("x2", basis)
     rng = np.random.default_rng(909)
     mu = -0.5
 

@@ -25,7 +25,7 @@ from geoschro.config import (
 )
 from geoschro.errors import MissingInput, ParseError, SchemaError, UnknownOperator, quoted_path
 from geoschro.hilbert import BasisSpec, StateVector
-from geoschro.operators import OperatorMatrix, build_position
+from geoschro.operators import OperatorMatrix, build_named
 from geoschro.reduction import paired_records
 from geoschro.serialize import emit_plot_script, json_numbers
 from geoschro.tolerances import DEFAULT, Tolerances, parse_overrides
@@ -212,7 +212,8 @@ class TestConstruction:
     def test_operator_file_term(self, tmp_path):
         basis = BasisSpec.hermite(8)
         op_path = tmp_path / "custom_x.json"
-        op_path.write_text(json.dumps(oracles.operator_json(build_position(basis))), encoding="utf-8")
+        op_path.write_text(json.dumps(oracles.operator_json(build_named("x", basis))),
+                           encoding="utf-8")
         cfg = _base_config()
         cfg["hamiltonian"].append(
             {"operator": "custom_x.json", "coefficient": {"kind": "sinusoid", "a": 0.1, "omega": 1.0}})
@@ -220,7 +221,7 @@ class TestConstruction:
         H = build_hamiltonian(config)
         assert len(H.terms) == 3
         assert not H.is_autonomous
-        assert np.array_equal(H.terms[2][1].matrix, build_position(basis).matrix)
+        assert np.array_equal(H.terms[2][1].matrix, build_named("x", basis).matrix)
 
     def test_missing_operator_file(self, tmp_path):
         cfg = _base_config()
@@ -521,7 +522,7 @@ def _edited(d, **changes):
 
 def _x_file(size):
     """The operator file of x on the Hermite basis of this size."""
-    return oracles.operator_json(build_position(BasisSpec.hermite(size)))
+    return oracles.operator_json(build_named("x", BasisSpec.hermite(size)))
 
 
 def _psi_file(size):
@@ -609,6 +610,8 @@ _ERROR_CORPUS = [
     ("psi_im_element_is_a_bool", {"psi.json": _edited(_psi_file(8), im=[True] + [0] * 7)},
      _PSI_STATE, 1, _PSI_AT),
     ("psi_zero_vector", {"psi.json": _edited(_psi_file(8), re=[0.0] * 8)}, _PSI_STATE, 1, _PSI_AT),
+    ("psi_norm_below_zero_floor", {"psi.json": _edited(_psi_file(8), re=[1e-20] + [0] * 7)},
+     _PSI_STATE, 1, _PSI_AT),
     ("psi_norm_overflows", {"psi.json": _edited(_psi_file(8), re=[1e200] * 8)}, _PSI_STATE, 1,
      _PSI_AT),
     ("coherent_amplitudes_underflow", {}, {"initial_state": {"kind": "coherent", "alpha": 40}},

@@ -39,17 +39,14 @@ from geoschro.numerics import (
 from geoschro.operators import (
     BUILTIN_OPERATORS,
     OperatorMatrix,
-    build_identity,
     build_named,
-    build_position,
-    build_quadratics,
 )
 from geoschro.tolerances import DEFAULT
 
 
 def _oscillator(size):
     basis = BasisSpec.hermite(size)
-    x2, p2, _ = build_quadratics(basis)
+    x2, p2 = (build_named(name, basis) for name in ("x2", "p2"))
     return TDepHamiltonian((
         (CoefficientFn.constant(0.5), p2, "kinetic"),
         (CoefficientFn.constant(0.5), x2, "potential"),
@@ -66,7 +63,7 @@ def _basis_order_step(H, spec, t0, vec0):
 
 def _driven(size, amplitude=0.05):
     basis = BasisSpec.hermite(size)
-    x2, p2, _ = build_quadratics(basis)
+    x2, p2 = (build_named(name, basis) for name in ("x2", "p2"))
     return TDepHamiltonian((
         (CoefficientFn.constant(0.5), p2, "kinetic"),
         (CoefficientFn.constant(0.5), x2, "potential"),
@@ -121,13 +118,13 @@ class TestCoefficientFn:
 class TestHamiltonianAssembly:
     def test_terms_must_be_hermitian_and_share_basis(self):
         basis = BasisSpec.hermite(6)
-        x = build_position(basis)
+        x = build_named("x", basis)
         with pytest.raises(NotHermitian):
             TDepHamiltonian(((CoefficientFn.constant(1.0), x.scaled(1j), "bad"),))
         with pytest.raises(BasisMismatch):
             TDepHamiltonian((
                 (CoefficientFn.constant(1.0), x, "a"),
-                (CoefficientFn.constant(1.0), build_position(BasisSpec.hermite(5)), "b"),
+                (CoefficientFn.constant(1.0), build_named("x", BasisSpec.hermite(5)), "b"),
             ))
         with pytest.raises(ValueError):
             TDepHamiltonian(())
@@ -139,7 +136,7 @@ class TestHamiltonianAssembly:
     def test_assemble_sums_with_coefficients(self):
         H = _driven(10)
         t = 0.9
-        x2, p2, _ = build_quadratics(BasisSpec.hermite(10))
+        x2, p2 = (build_named(name, BasisSpec.hermite(10)) for name in ("x2", "p2"))
         expected = 0.5 * p2.matrix + (0.5 + 0.05 * np.sin(t)) * x2.matrix
         got = oracles.densify(H.blocks, assemble(H, t))
         assert np.max(np.abs(got - expected)) < 1e-15
@@ -221,7 +218,7 @@ class TestHermitianByConstruction:
 class TestObservables:
     def test_ground_state_averages(self):
         basis = BasisSpec.hermite(12)
-        x2 = build_quadratics(basis)[0]
+        x2 = build_named("x2", basis)
         ground = StateVector(basis, np.eye(12)[0])
         assert average_value(x2, ground) == 0.5
         assert hamiltonian_function(x2, ground) == 0.25
@@ -247,7 +244,7 @@ class TestObservables:
 
     def test_differential_matches_central_difference(self):
         basis = BasisSpec.hermite(10)
-        A = build_quadratics(basis)[1]
+        A = build_named("p2", basis)
         psi = random_state(10, 3)
         phi_dir = random_state(10, 4)
         phi = TangentVector(psi, phi_dir)
@@ -264,7 +261,7 @@ class TestObservables:
     @given(st.integers(0, 10 ** 6))
     def test_field_residual_vanishes(self, seed):
         basis = BasisSpec.hermite(9)
-        A = build_quadratics(basis)[0]
+        A = build_named("x2", basis)
         psi = random_state(9, seed)
         phi = TangentVector(psi, random_state(9, seed + 1))
         assert hamiltonian_field_residual(A, psi, phi) == 0.0
@@ -472,7 +469,7 @@ class TestSymplecticPreservation:
 
     def test_identity_hamiltonian_is_pure_phase(self):
         basis = BasisSpec.hermite(8)
-        H = TDepHamiltonian(((CoefficientFn.constant(1.0), build_identity(basis), "id"),))
+        H = TDepHamiltonian(((CoefficientFn.constant(1.0), build_named("id", basis), "id"),))
         base = random_state(8, 3)
         u = TangentVector(base, random_state(8, 4))
         v = TangentVector(base, random_state(8, 5))
@@ -507,12 +504,28 @@ class TestStepBudget:
         grid bent through those times (the down floor's) holds each once."""
         t0, t1 = 1e15, 1.00000000000002e15
         times = list(_time_grid(t0, t1, 0.01))
-        assert times[0] == t0 and times[-1] == t1 and len(times) == 47
+        assert times[0] == t0 and times[-1] == t1 and len(times) == 161
         assert all(a < b for a, b in zip(times, times[1:]))
         knots = times[5:-1:5]
         bent = list(_time_grid(t0, t1, 0.01, knots=knots))
         assert all(a < b for a, b in zip(bent, bent[1:]))
         assert {t0, t1, *knots} <= set(bent)
+
+    @pytest.mark.parametrize("t0,width,dt,points,longest", [
+        (1e15, 20.0, 0.01, 161, 0.125),
+        (1e13, 1.0, 1e-3, 513, 0.001953125),
+        (1e9, 1.0, 1e-3, 1001, 0.001000046730041504),
+        (0.0, 5.0, 1e-3, 5001, 0.001000000000000334),
+    ])
+    def test_no_step_outgrows_dt_and_the_spacing_of_t(self, t0, width, dt, points, longest):
+        """Far from t = 0 the misfit slack of 64 ulps of t once passed dt, and
+        the last step swallowed the points within it (14.375 units at 1e15);
+        it is now at most dt/2, so no step is longer than 1.5 dt or the float
+        spacing of t1, whichever is larger."""
+        t1 = t0 + width
+        steps = np.diff(list(_time_grid(t0, t1, dt)))
+        assert len(steps) + 1 == points and steps.max() == longest
+        assert steps.max() <= max(1.5 * dt, float(np.spacing(t1)))
 
     def test_grid_is_generated_point_by_point(self):
         tracemalloc.start()

@@ -22,7 +22,7 @@ from geoschro.dynamics import (
 from geoschro.errors import NumericError
 from geoschro.floatrepr import join_reprs
 from geoschro.hilbert import BasisSpec, coherent_state
-from geoschro.operators import build_quadratics
+from geoschro.operators import build_named
 from geoschro.serialize import write_trajectory_jsonl
 
 
@@ -94,7 +94,7 @@ def _write_jsonl(path, records):
 
 
 def _oscillator(size):
-    x2, p2, _ = build_quadratics(BasisSpec.hermite(size))
+    x2, p2 = (build_named(name, BasisSpec.hermite(size)) for name in ("x2", "p2"))
     return TDepHamiltonian(((CoefficientFn.constant(0.5), p2, "kinetic"),
                             (CoefficientFn.constant(0.5), x2, "potential")))
 

@@ -16,7 +16,7 @@ from geoschro.numerics import (
     invariant_blocks,
     matmul,
 )
-from geoschro.operators import build_angular_momentum, build_named
+from geoschro.operators import build_named
 from geoschro.tolerances import DEFAULT
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -241,7 +241,7 @@ def test_invariant_blocks_match_breadth_first_components(seed):
 def test_angular_momentum_blocks_are_degree_shells():
     degree = 5
     basis = BasisSpec.hermite3d(degree)
-    blocks = invariant_blocks([L.matrix for L in build_angular_momentum(basis)])
+    blocks = invariant_blocks([build_named(name, basis).matrix for name in ("Lx", "Ly", "Lz")])
     assert _shapes(blocks) == [(1, (k + 1) * (k + 2) // 2) for k in range(degree + 1)]
     tuples = hermite3d_index_tuples(degree)
     for k, idx in enumerate(blocks.groups):

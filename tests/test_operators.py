@@ -20,13 +20,7 @@ from geoschro.operators import (
     BUILTIN_OPERATORS,
     OperatorMatrix,
     analytic_certificate,
-    build_angular_momentum,
-    build_fourier_p_squared,
-    build_identity,
-    build_momentum,
     build_named,
-    build_position,
-    build_quadratics,
     commutator,
     flow_commutator,
     metaplectic_set,
@@ -46,41 +40,38 @@ def _basis_state(basis, index):
 
 class TestLadderBuilders:
     def test_position_matches_quadrature(self):
-        M = build_position(HERMITE12).matrix
+        M = build_named("x", HERMITE12).matrix
         assert np.max(np.abs(M - oracles.position_matrix_quadrature(12))) < 1e-12
 
     def test_momentum_matches_quadrature(self):
-        M = build_momentum(HERMITE12).matrix
+        M = build_named("p", HERMITE12).matrix
         assert np.max(np.abs(M - oracles.momentum_matrix_quadrature(12))) < 1e-12
 
     def test_literal_corner_entries(self):
-        x = build_position(HERMITE12).matrix
-        p = build_momentum(HERMITE12).matrix
+        x = build_named("x", HERMITE12).matrix
+        p = build_named("p", HERMITE12).matrix
         assert x[0, 1] == np.sqrt(0.5)
         assert p[1, 0] == 1j * np.sqrt(0.5)
         assert p[0, 1] == -1j * np.sqrt(0.5)
+        assert not np.any(np.signbit(p.real))  # +0.0 real parts in both triangles
 
     def test_x_squared_diagonal_matches_quadrature(self):
-        x2 = build_quadratics(HERMITE12)[0].matrix
+        x2 = build_named("x2", HERMITE12).matrix
         diag = oracles.position_squared_diagonal_quadrature(12)
         assert np.max(np.abs(np.diag(x2).real - diag)) < 1e-12
         assert x2[0, 0] == pytest.approx(0.5, abs=1e-15)
 
     def test_oscillator_diagonal_is_exact(self):
-        x2, p2, _ = build_quadratics(HERMITE12)
+        x2, p2 = (build_named(name, HERMITE12) for name in ("x2", "p2"))
         H = (x2.matrix + p2.matrix) / 2
         assert np.array_equal(H, np.diag(np.arange(12) + 0.5).astype(complex))
 
     def test_quadratics_couple_two_steps(self):
-        x2, p2, xppx = build_quadratics(HERMITE12)
+        x2, p2, xppx = (build_named(name, HERMITE12) for name in ("x2", "p2", "xp_px"))
         for op in (x2, p2, xppx):
             assert (op.raise_band, op.lower_band) == (2, 2)
         assert x2.matrix[0, 2] == pytest.approx(np.sqrt(2) / 2, abs=1e-15)
         assert xppx.matrix[0, 2] == pytest.approx(-1j * np.sqrt(2), abs=1e-15)
-
-    def test_wrong_basis_kind_rejected(self):
-        with pytest.raises(UnsupportedBasis):
-            build_position(BasisSpec.fourier(8, 1.0))
 
 
 class TestProbabilistDerivative:
@@ -98,18 +89,18 @@ class TestProbabilistDerivative:
 class TestAngularMomentum:
     def test_single_excitation_block_matches_hand_computation(self):
         basis = BasisSpec.hermite3d(2)
-        Lz = build_angular_momentum(basis)[2].matrix
+        Lz = build_named("Lz", basis).matrix
         assert np.max(np.abs(Lz[1:4, 1:4] - oracles.lz_single_excitation_block())) < 1e-15
 
     def test_degree_one_spectrum(self):
         basis = BasisSpec.hermite3d(1)
-        for L in build_angular_momentum(basis):
+        for L in (build_named(name, basis) for name in ("Lx", "Ly", "Lz")):
             w = np.linalg.eigvalsh(L.matrix[1:, 1:])
             assert np.max(np.abs(w - [-1.0, 0.0, 1.0])) < 1e-14
 
     def test_su2_commutators(self):
         basis = BasisSpec.hermite3d(4)
-        Lx, Ly, Lz = (L.matrix for L in build_angular_momentum(basis))
+        Lx, Ly, Lz = (build_named(name, basis).matrix for name in ("Lx", "Ly", "Lz"))
         assert np.max(np.abs(oracles.matrix_commutator(Lx, Ly) - 1j * Lz)) < 1e-13
         assert np.max(np.abs(oracles.matrix_commutator(Ly, Lz) - 1j * Lx)) < 1e-13
         assert np.max(np.abs(oracles.matrix_commutator(Lz, Lx) - 1j * Ly)) < 1e-13
@@ -117,7 +108,7 @@ class TestAngularMomentum:
     def test_degree_blocks_preserved(self):
         # no coupling between degree <= 2 and degree 3 states
         basis = BasisSpec.hermite3d(3)
-        Lz = build_angular_momentum(basis)[2].matrix
+        Lz = build_named("Lz", basis).matrix
         assert np.max(np.abs(Lz[10:, :10])) == 0.0
         assert np.max(np.abs(Lz[:10, 10:])) == 0.0
 
@@ -125,15 +116,23 @@ class TestAngularMomentum:
 class TestFourier:
     def test_diagonal_eigenvalues(self):
         basis = BasisSpec.fourier(6, 2.0)
-        d = np.diag(build_fourier_p_squared(basis).matrix).real
+        d = np.diag(build_named("fourier_p2", basis).matrix).real
         expected = [(np.pi / 2) ** 2, 0.0, (2 * np.pi / 2) ** 2,
                     (np.pi / 2) ** 2, (3 * np.pi / 2) ** 2, (2 * np.pi / 2) ** 2]
         assert np.max(np.abs(d - expected)) < 1e-14
 
+    @pytest.mark.parametrize("halflength", [1.0, np.pi, 0.3])
+    def test_diagonal_has_the_bits_of_python_floats(self, halflength):
+        """The vectorized diagonal squares with pow(), as Python's float ** 2
+        does; numpy's ** 2 multiplies and differs in the last bit at some
+        indices (at l = 0.3 first at index 236)."""
+        d = np.diag(build_named("fourier_p2", BasisSpec.fourier(1000, halflength)).matrix)
+        assert d.tolist() == oracles.fourier_p2_diagonal(1000, halflength)
+
 
 class TestOperatorMatrix:
     def test_json_round_trip(self):
-        op = build_momentum(BasisSpec.hermite(5))
+        op = build_named("p", BasisSpec.hermite(5))
         back = OperatorMatrix.from_json_dict(oracles.operator_json(op))
         assert back.basis == op.basis
         assert back.symmetry == op.symmetry
@@ -166,7 +165,7 @@ class TestOperatorMatrix:
             == "hermitian"
 
     def test_scaled_by_i_flips_flag(self):
-        x = build_position(BasisSpec.hermite(6))
+        x = build_named("x", BasisSpec.hermite(6))
         ix = x.scaled(1j)
         assert ix.symmetry == "skew_hermitian"
         assert ix.scaled(1j).symmetry == "hermitian"
@@ -188,22 +187,48 @@ class TestOperatorMatrix:
 
     def test_mismatched_apply(self):
         with pytest.raises(BasisMismatch):
-            build_position(HERMITE12).apply(_basis_state(BasisSpec.hermite(6), 0))
+            build_named("x", HERMITE12).apply(_basis_state(BasisSpec.hermite(6), 0))
+
+
+# the basis kind each builtin needs (None: any kind), and a basis of each kind
+_NEEDS = {**dict.fromkeys(("p2", "x2", "xp_px", "p", "x"), "hermite1d_orthonormal"),
+          "id": None, **dict.fromkeys(("Lx", "Ly", "Lz"), "hermite3d_degree"),
+          "fourier_p2": "fourier_interval"}
+_BASES = {"hermite1d_orthonormal": BasisSpec.hermite(8), "hermite3d_degree": BasisSpec.hermite3d(2),
+          "fourier_interval": BasisSpec.fourier(5, 1.5)}
 
 
 class TestBuiltins:
-    def test_all_names_build(self):
-        for name in BUILTIN_OPERATORS:
-            if name in ("Lx", "Ly", "Lz"):
-                basis = BasisSpec.hermite3d(2)
-            elif name == "fourier_p2":
-                basis = BasisSpec.fourier(8, 1.5)
-            else:
-                basis = BasisSpec.hermite(8)
+    def test_the_table_names_every_builtin(self):
+        assert BUILTIN_OPERATORS == tuple(_NEEDS)
+
+    @pytest.mark.parametrize("kind", _BASES)
+    @pytest.mark.parametrize("name", BUILTIN_OPERATORS)
+    def test_each_name_builds_on_its_kind_and_only_there(self, name, kind):
+        basis = _BASES[kind]
+        if _NEEDS[name] in (None, kind):
             assert build_named(name, basis).basis == basis
+        else:
+            with pytest.raises(UnsupportedBasis) as exc:
+                build_named(name, basis)
+            assert str(exc.value) == f"operator needs basis kind {_NEEDS[name]!r}, got {kind!r}"
+
+    @pytest.mark.parametrize("name", BUILTIN_OPERATORS)
+    def test_each_name_constructs_one_operator(self, monkeypatch, name):
+        """A name builds its own matrix alone: p2 no longer builds x2 and
+        xp_px beside it, nor Lx the other two components."""
+        built, check = [], OperatorMatrix.__post_init__
+
+        def counted(self, tol):
+            built.append(self)
+            check(self, tol)
+
+        monkeypatch.setattr(OperatorMatrix, "__post_init__", counted)
+        op = build_named(name, _BASES[_NEEDS[name] or "fourier_interval"])
+        assert len(built) == 1 and built[0] is op
 
     def test_unknown_name(self):
-        with pytest.raises(UnsupportedBasis):
+        with pytest.raises(UnsupportedBasis, match="^not a builtin operator: 'q2'$"):
             build_named("q2", BasisSpec.hermite(4))
 
     def test_metaplectic_order(self):
@@ -217,8 +242,8 @@ class TestBuiltins:
 
 class TestCommutator:
     def test_canonical_pair_interior(self):
-        x = build_position(HERMITE12)
-        p = build_momentum(HERMITE12)
+        x = build_named("x", HERMITE12)
+        p = build_named("p", HERMITE12)
         K = commutator(x, p)
         assert K.symmetry == "skew_hermitian"
         # truncation corrupts only the last diagonal entry
@@ -226,19 +251,19 @@ class TestCommutator:
         assert K.matrix[11, 11] == pytest.approx(-11j, abs=1e-13)
 
     def test_band_accounting(self):
-        x2 = build_quadratics(HERMITE12)[0]
-        x = build_position(HERMITE12)
+        x2 = build_named("x2", HERMITE12)
+        x = build_named("x", HERMITE12)
         K = commutator(x2, x)
         assert K.raise_band <= 3 and K.lower_band <= 3
 
     def test_hermitian_skew_pair_gives_hermitian(self):
-        x = build_position(HERMITE12)
-        ip = build_momentum(HERMITE12).scaled(1j)
+        x = build_named("x", HERMITE12)
+        ip = build_named("p", HERMITE12).scaled(1j)
         assert commutator(x, ip).symmetry == "hermitian"
 
     def test_basis_mismatch(self):
         with pytest.raises(BasisMismatch):
-            commutator(build_position(HERMITE12), build_position(BasisSpec.hermite(6)))
+            commutator(build_named("x", HERMITE12), build_named("x", BasisSpec.hermite(6)))
 
     @pytest.mark.parametrize("scale_a,scale_b", [(1, 1), (1j, 1j), (1, 1j), (1j, 1)],
                              ids=["hermitian", "skew", "hermitian_skew", "skew_hermitian"])
@@ -258,7 +283,7 @@ class TestCommutator:
             assert np.max(np.abs(K.matrix - want)) <= 1e-13, (a, b)
 
     def test_unflagged_operator_keeps_both_products(self):
-        x = build_position(HERMITE12)
+        x = build_named("x", HERMITE12)
         raising = OperatorMatrix.from_matrix(HERMITE12, np.tril(x.matrix))
         assert raising.symmetry == "none"
         for A, B in ((raising, x), (x, raising)):
@@ -277,21 +302,21 @@ class TestSupportAccounting:
         assert support_max(psi, 1e-2) == -1
 
     def test_safe_subspace_prefix(self):
-        x = build_position(BasisSpec.hermite(10))
+        x = build_named("x", BasisSpec.hermite(10))
         assert safe_subspace(x, 3) == 6
         with pytest.raises(DomainExhausted):
             safe_subspace(x, 10)
 
     def test_zero_band_operator_never_exhausts(self):
-        ident = build_identity(BasisSpec.hermite(4))
+        ident = build_named("id", BasisSpec.hermite(4))
         assert safe_subspace(ident, 1000) == 3
 
 
 class TestFlowCommutator:
     def test_matches_matrix_commutator_to_second_order(self):
         basis = BasisSpec.hermite(24)
-        ip = build_momentum(basis).scaled(1j)
-        ix = build_position(basis).scaled(1j)
+        ip = build_named("p", basis).scaled(1j)
+        ix = build_named("x", basis).scaled(1j)
         psi = _basis_state(basis, 0)
         exact = oracles.matrix_commutator(ip.matrix, ix.matrix) @ psi.coefficients
         errs = []
@@ -303,8 +328,8 @@ class TestFlowCommutator:
 
     def test_commuting_flows_give_null(self):
         basis = BasisSpec.hermite(24)
-        ix = build_position(basis).scaled(1j)
-        i_id = build_identity(basis).scaled(1j)
+        ix = build_named("x", basis).scaled(1j)
+        i_id = build_named("id", basis).scaled(1j)
         psi = _basis_state(basis, 1)
         out = flow_commutator(ix, i_id, psi, 1e-3)
         assert np.linalg.norm(out.coefficients) < 1e-8
@@ -315,14 +340,14 @@ class TestFlowCommutator:
         basis = BasisSpec.hermite(8)
         zero = OperatorMatrix.from_matrix(basis, np.zeros((8, 8))).scaled(1j)
         assert zero.symmetry == "skew_hermitian"
-        ip = build_momentum(basis).scaled(1j)
+        ip = build_named("p", basis).scaled(1j)
         out = flow_commutator(zero, ip, _basis_state(basis, 0), 1e-3)
         assert np.linalg.norm(out.coefficients) < 1e-8
 
     def test_requires_skew_inputs(self):
         basis = BasisSpec.hermite(16)
         with pytest.raises(NotSkewHermitian):
-            flow_commutator(build_position(basis), build_momentum(basis).scaled(1j),
+            flow_commutator(build_named("x", basis), build_named("p", basis).scaled(1j),
                             _basis_state(basis, 0), 1e-3)
 
     def test_the_flag_is_the_skew_rule(self):
@@ -331,12 +356,12 @@ class TestFlowCommutator:
         steps its exact Hermitian part, while an exactly skew matrix flagged
         "none" is refused."""
         basis = HERMITE12
-        clean = build_position(basis).scaled(1e4j)
+        clean = build_named("x", basis).scaled(1e4j)
         assert clean.symmetry == "skew_hermitian"
         M = clean.matrix.copy()
         M[0, 1] += 1e-8
         A = OperatorMatrix(basis, M, "skew_hermitian", 1, 1)
-        ip = build_momentum(basis).scaled(1j)
+        ip = build_named("p", basis).scaled(1j)
         psi = _basis_state(basis, 0)
         got = flow_commutator(A, ip, psi, 1e-3).coefficients
         want = flow_commutator(clean, ip, psi, 1e-3).coefficients
@@ -348,8 +373,8 @@ class TestFlowCommutator:
 
     def test_support_guard(self):
         basis = BasisSpec.hermite(8)
-        ip = build_momentum(basis).scaled(1j)
-        ix = build_position(basis).scaled(1j)
+        ip = build_named("p", basis).scaled(1j)
+        ix = build_named("x", basis).scaled(1j)
         with pytest.raises(UnsafeSubspace):
             flow_commutator(ip, ix, _basis_state(basis, 7), 1e-3)
 
@@ -357,14 +382,14 @@ class TestFlowCommutator:
 class TestAnalyticCertificate:
     def test_identity_norms_and_fit(self):
         basis = BasisSpec.hermite(8)
-        cert = analytic_certificate(build_identity(basis), _basis_state(basis, 0), 4)
+        cert = analytic_certificate(build_named("id", basis), _basis_state(basis, 0), 4)
         assert np.array_equal(cert.norms, np.ones(5))
         # |Id^n psi| = 1 <= C^n n! pins fitted C at (1/n!)^(1/n), maxed at n=1
         assert cert.fitted_C == pytest.approx(1.0, abs=1e-12)
 
     def test_holds_logic(self):
         basis = BasisSpec.hermite(32)
-        x = build_position(basis)
+        x = build_named("x", basis)
         psi = _basis_state(basis, 0)
         good = analytic_certificate(x, psi, 6, claimed_C=10.0)
         assert good.holds is True
@@ -375,7 +400,7 @@ class TestAnalyticCertificate:
     def test_support_guard(self):
         basis = BasisSpec.hermite(8)
         with pytest.raises(UnsafeSubspace):
-            analytic_certificate(build_position(basis), _basis_state(basis, 5), 4)
+            analytic_certificate(build_named("x", basis), _basis_state(basis, 5), 4)
 
 
 class TestDtypeRule:
@@ -398,7 +423,7 @@ class TestDtypeRule:
         assert M.flags.c_contiguous
 
     def test_operator_file_with_zero_imaginary_part_loads_real(self):
-        x = build_position(BasisSpec.hermite(6))
+        x = build_named("x", BasisSpec.hermite(6))
         d = oracles.operator_json(x)
         assert d["im"] == np.zeros((6, 6)).tolist()
         back = OperatorMatrix.from_json_dict(d)
@@ -407,7 +432,7 @@ class TestDtypeRule:
         assert oracles.operator_json(back) == d
 
     def test_scaled_follows_the_factor(self):
-        x = build_position(BasisSpec.hermite(6))
+        x = build_named("x", BasisSpec.hermite(6))
         assert x.scaled(2.0).matrix.dtype == np.float64
         assert np.array_equal(x.scaled(2.0).matrix, 2.0 * x.matrix)
         ix = x.scaled(1j)

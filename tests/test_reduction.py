@@ -27,10 +27,7 @@ from geoschro.hilbert import (
 )
 from geoschro.numerics import InvariantBlocks, hermitian_eigendecompose, hermitian_part
 from geoschro.operators import (
-    build_angular_momentum,
-    build_identity,
     build_named,
-    build_quadratics,
 )
 from geoschro.reduction import (
     LevelSetPoint,
@@ -65,7 +62,7 @@ def _unit(basis, index):
 
 def _oscillator(size):
     basis = BasisSpec.hermite(size)
-    x2, p2, _ = build_quadratics(basis)
+    x2, p2 = (build_named(name, basis) for name in ("x2", "p2"))
     return TDepHamiltonian((
         (CoefficientFn.constant(0.5), p2, "kinetic"),
         (CoefficientFn.constant(0.5), x2, "potential"),
@@ -74,7 +71,7 @@ def _oscillator(size):
 
 def _driven(size):
     basis = BasisSpec.hermite(size)
-    x2, p2, _ = build_quadratics(basis)
+    x2, p2 = (build_named(name, basis) for name in ("x2", "p2"))
     return TDepHamiltonian((
         (CoefficientFn.constant(0.5), p2, "kinetic"),
         (CoefficientFn.constant(0.5), x2, "potential"),
@@ -286,11 +283,11 @@ class TestReducedStructures:
     def test_reduced_hamiltonian_identity(self):
         basis = BasisSpec.hermite(4)
         r = ray_of(_unit(basis, 0))
-        assert reduced_hamiltonian(build_identity(basis), r, -0.5) == 0.5
+        assert reduced_hamiltonian(build_named("id", basis), r, -0.5) == 0.5
 
     def test_reduced_hamiltonian_oscillator_ground(self):
         basis = BasisSpec.hermite(4)
-        x2, p2, _ = build_quadratics(basis)
+        x2, p2 = (build_named(name, basis) for name in ("x2", "p2"))
         from geoschro.operators import OperatorMatrix
 
         H = OperatorMatrix.from_matrix(basis, 0.5 * (x2.matrix + p2.matrix))
@@ -299,7 +296,7 @@ class TestReducedStructures:
     def test_reduced_hamiltonian_scales_with_mu(self):
         basis = BasisSpec.hermite(4)
         r = ray_of(_unit(basis, 0))
-        ident = build_identity(basis)
+        ident = build_named("id", basis)
         assert reduced_hamiltonian(ident, r, -2.0) == 2.0
         with pytest.raises(NonNegativeMu):
             reduced_hamiltonian(ident, r, 0.5)
@@ -310,7 +307,7 @@ class TestReducedStructures:
         r1 = ray_of(psi)
         rotated = StateVector(basis, np.exp(0.9j) * psi.coefficients)
         r2 = ray_of(rotated)
-        x2 = build_quadratics(basis)[0]
+        x2 = build_named("x2", basis)
         assert abs(reduced_hamiltonian(x2, r1, -0.5)
                    - reduced_hamiltonian(x2, r2, -0.5)) < 1e-13
 
@@ -521,7 +518,7 @@ class TestReducedPropagation:
 
     def test_identity_hamiltonian_freezes_the_ray(self):
         basis = BasisSpec.hermite(5)
-        H = TDepHamiltonian(((CoefficientFn.constant(1.0), build_identity(basis), "id"),))
+        H = TDepHamiltonian(((CoefficientFn.constant(1.0), build_named("id", basis), "id"),))
         ray0 = ray_of(random_state(5, 3))
         records, _ = reduced_propagate(H, ray0, 1e-2, 0.0, 1.0, stride=50)
         for rec in records:
@@ -569,7 +566,7 @@ class TestReducedPropagation:
 
 def _driven_angular_momentum():
     """A driven Lx/Ly/Lz Hamiltonian at degree 3: N = 20 in four degree shells."""
-    Lx, Ly, Lz = build_angular_momentum(BasisSpec.hermite3d(3))
+    Lx, Ly, Lz = (build_named(name, BasisSpec.hermite3d(3)) for name in ("Lx", "Ly", "Lz"))
     return TDepHamiltonian(((CoefficientFn.constant(1.0), Lz, "Lz"),
                             (CoefficientFn.sinusoid(0.3, 2.0), Lx, "Lx"),
                             (CoefficientFn.constant(0.2), Ly, "Ly")))
@@ -597,7 +594,7 @@ FLOW_CASES = {  # (Hamiltonian, initial state, block shapes per group)
 def _rotating_angular_momentum():
     """Lz + 0.3 sin(t) Lx + 0.3 cos(t) Ly at degree 3: N = 20 in four
     complex degree shells."""
-    Lx, Ly, Lz = build_angular_momentum(BasisSpec.hermite3d(3))
+    Lx, Ly, Lz = (build_named(name, BasisSpec.hermite3d(3)) for name in ("Lx", "Ly", "Lz"))
     return TDepHamiltonian(((CoefficientFn.constant(1.0), Lz, "Lz"),
                             (CoefficientFn.sinusoid(0.3, 1.0), Lx, "Lx"),
                             (CoefficientFn.sinusoid(0.3, 1.0, np.pi / 2), Ly, "Ly")))
@@ -607,7 +604,7 @@ def _linearly_driven_oscillator(size):
     """(1/2)p^2 + (1/2)x^2 + 0.05 sin(t) x: x couples every index to its
     neighbours, so the Hamiltonian is one whole block."""
     basis = BasisSpec.hermite(size)
-    x2, p2, _ = build_quadratics(basis)
+    x2, p2 = (build_named(name, basis) for name in ("x2", "p2"))
     return TDepHamiltonian(((CoefficientFn.constant(0.5), p2, "kinetic"),
                             (CoefficientFn.constant(0.5), x2, "potential"),
                             (CoefficientFn.sinusoid(0.05, 1.0), build_named("x", basis), "drive")))
@@ -835,7 +832,7 @@ class TestCommutingDiagram:
 
     def test_identity_hamiltonian(self):
         basis = BasisSpec.hermite(6)
-        H = TDepHamiltonian(((CoefficientFn.constant(1.0), build_identity(basis), "id"),))
+        H = TDepHamiltonian(((CoefficientFn.constant(1.0), build_named("id", basis), "id"),))
         res = commuting_diagram_residual(H, random_state(6, 4), -0.5,
                                          IntegratorSpec("exact_eig", 0.1), 0.1, 0.0, 2.0)
         assert res <= 1e-12
@@ -854,6 +851,17 @@ class TestCommutingDiagram:
                                              0.0, 0.55, stride=10)
         assert [r.t for r in up] == [r.t for r in down]
         assert set(drifts) == {"trace", "hermiticity", "idempotency"}
+
+    def test_far_from_zero_the_down_floor_steps_at_its_dt(self):
+        """On [1e15, 1e15 + 20] at dt 0.01 the grid's misfit slack once made
+        a step far longer than dt, and the RK4 projector floor stopped on its
+        idempotency gate; with the slack under dt/2 every step is the float
+        spacing, 0.125, and the run closes."""
+        args = (_oscillator(4), coherent_state(0.5, 4), -0.5, IntegratorSpec("magnus2", 0.01),
+                0.01, 1e15, 1.00000000000002e15, 10)
+        up, _, drifts, residuals = paired_records(*args)
+        assert up[-1].t == 1.00000000000002e15 and max(residuals) < 1e-3
+        assert drifts["idempotency"] < 1e-3
 
     def test_residual_is_the_worst_paired_residual(self):
         H = _driven(8)

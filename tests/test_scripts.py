@@ -1,5 +1,5 @@
-"""Smoke runs of scripts/convergence_scan.py and scripts/reduction_demo.py, and
-the pair statistics of scripts/bench.py."""
+"""Smoke runs of scripts/convergence_scan.py, and the pair statistics of
+scripts/bench.py."""
 
 import importlib.util
 import json
@@ -26,10 +26,10 @@ def test_convergence_scan_sees_second_order_cayley2(capsys, extra):
     assert len(orders) == 1 and abs(orders[0] - 2.0) < 0.1
 
 
-def test_reduction_demo_residual_falls_between_levels(capsys):
-    assert _script("reduction_demo").main(["--size", "8", "--levels", "2"]) == 0
-    rows = [line.split() for line in capsys.readouterr().out.splitlines()[2:]]
-    residuals = [float(row[1]) for row in rows]
+def test_convergence_scan_diagram_residual_falls_between_levels(capsys):
+    assert _script("convergence_scan").main(["--size", "8", "--levels", "2", "--driven"]) == 0
+    reduction = capsys.readouterr().out.split("reduction (")[1]
+    residuals = [float(v) for v in re.findall(r"residual\s+(\S+)", reduction)]
     assert len(residuals) == 2 and 0.0 < residuals[1] < residuals[0]
 
 
