@@ -261,15 +261,19 @@ def parse_config(path) -> SimulationConfig:
 
 
 def build_hamiltonian(config: SimulationConfig) -> TDepHamiltonian:
-    """Resolve term operators (builtins or files) into a TDepHamiltonian."""
-    terms = []
+    """Resolve term operators (builtins or files) into a TDepHamiltonian;
+    an operator that several terms name is built once, at its first term."""
+    terms, built = [], {}
     for k, term in enumerate(config.terms):
-        here = f"/hamiltonian/{k}/operator"
-        if term.is_file:
-            op = _from_file(here, OperatorMatrix, config.base_dir / term.operator, config.basis)
-        else:
-            op = _built(here, build_named, term.operator, config.basis)
-        terms.append((term.coefficient, op, term.operator))
+        key = (term.is_file, term.operator)
+        if key not in built:
+            here = f"/hamiltonian/{k}/operator"
+            if term.is_file:
+                built[key] = _from_file(here, OperatorMatrix, config.base_dir / term.operator,
+                                        config.basis)
+            else:
+                built[key] = _built(here, build_named, term.operator, config.basis)
+        terms.append((term.coefficient, built[key], term.operator))
     return _built("/hamiltonian", TDepHamiltonian, tuple(terms))
 
 

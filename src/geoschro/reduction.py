@@ -16,8 +16,12 @@ per group of blocks on a slice of rows, and the stages and the drift, which no
 permutation changes, run in three fixed N x N buffers.  Every projector_of,
 the first and each re-projection, is built in P's own buffer with two of
 those as scratch, and an RK4 step holds one H(t) at a time, so the flow holds
-four N x N buffers and one H(t).  After every step P is bit for bit the
-permuted dense flow's; drifts and rays match it to roundoff.
+four N x N buffers and one H(t).  Every float part of P below 2^-511 in
+magnitude is zeroed after each projector_of and each step, so the product of
+any two parts is a normal double (or zero) and no product of P multiplies
+slow subnormals; a part that small is some 140 decades under every bound.
+After every step P is bit for bit the permuted dense flow's, with its parts
+below 2^-511 zeroed; drifts and rays match it to roundoff.
 ``projector_of`` is bitwise Hermitian and RK4 keeps it so (X - X^H, X = HP,
 is exactly anti-Hermitian, and RK4 carries the -i in its weights), so P is
 never repaired; a step whose idempotency drift passes 1 - rank_dominance
@@ -31,16 +35,13 @@ with the largest diagonal entry: one 2 x 2 eigendecomposition instead of an
 N x N one.  It is taken only under a Davis-Kahan certificate (the Ritz value
 clears rank_dominance and the residual is within eig_residual of the gap to
 every other eigenvalue); otherwise the full eigendecomposition decides, so
-RankCollapse fires at the same threshold.  The idempotency drift
-max|P @ P - P| is measured on P scaled by a power of two, so the underflowing
-tail of a projector is multiplied in the normal range; every entry the plain
-product keeps normal comes out bit for bit.
+RankCollapse fires at the same threshold.
 """
 
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass
-from math import acos, asin, frexp, isfinite, ldexp, sqrt
+from math import acos, asin, sqrt
 
 import numpy as np
 
@@ -223,7 +224,7 @@ class ProjectorState:
         P - P^H and P @ P run in ``work``, three N x N complex buffers."""
         P = self.matrix
         D, _, A = work
-        if fresh:  # D is read below, before the idempotency product reuses it
+        if fresh:  # read below, before the idempotency product reuses A
             np.subtract(P, np.conjugate(P.T, out=D), out=D)
         return {
             "trace": abs(complex(np.trace(P)) - 1.0),
@@ -233,24 +234,29 @@ class ProjectorState:
 
 
 def _idempotency(P: np.ndarray, work: np.ndarray) -> float:
-    """max|P @ P - P| in ``work``, measured on S = sP for a power of two s >= 1.
+    """max|P @ P - P|, formed in the last two buffers of ``work``.  The flow's
+    P has no nonzero part below 2^-511 (``_zero_tiny_parts``), so the product
+    multiplies no subnormal."""
+    _, X, A = work
+    np.matmul(P, P, out=X)
+    X -= P
+    return float(np.abs(X, out=A.real).max())
 
-    s brings the Frobenius norm of P to at most 2^510 (s = 1 if it is larger
-    or not finite).  That norm bounds every entry of S @ S and every partial
-    sum forming it (Cauchy-Schwarz), so nothing overflows, and (S @ S)/s - S
-    = s(P @ P - P) entry for entry: every entry the plain product keeps in
-    the normal range comes out bit for bit.  The point is the tail of a
-    projector: entries the plain product would multiply as subnormals, at a
-    hundred times the cost, are normal in S.
-    """
-    S, X, A = work
-    norm2 = float(np.vdot(P, P).real)
-    k = 510 - min(max(frexp(sqrt(norm2))[1], 0), 510) if isfinite(norm2) else 0
-    np.multiply(P, ldexp(1.0, k), out=S)
-    np.matmul(S, S, out=X)
-    X *= ldexp(1.0, -k)
-    X -= S
-    return float(np.abs(X, out=A.real).max()) * ldexp(1.0, -k)
+
+TINY_PART = 2.0 ** -511  # sqrt(2^-1022): the product of two parts this size is normal
+
+
+def _zero_tiny_parts(P: np.ndarray, scratch: np.ndarray) -> None:
+    """Zero every float part of P below TINY_PART in magnitude, in place: each
+    part is multiplied by 1.0 or 0.0, held in ``scratch``, an N x N complex
+    buffer, so nothing is allocated (a masked write is slower where tiny and
+    kept parts alternate).  A zero keeps its sign, a NaN or infinite part is
+    left for the overflow guard, and P_ji = conj(P_ij) has the magnitudes of
+    P_ij, so a bitwise Hermitian P stays so."""
+    parts, keep = P.view(np.float64), scratch.view(np.float64)
+    np.abs(parts, out=keep)
+    np.greater_equal(keep, TINY_PART, out=keep)
+    np.multiply(parts, keep, out=parts)
 
 
 def projector_of(ray: Ray, blocks: InvariantBlocks, out: np.ndarray,
@@ -396,6 +402,7 @@ def reduced_propagate(H: TDepHamiltonian, ray0: Ray, dt: float, t0: float, t1: f
         nonlocal taken
         taken += 1
         _rk4_projector_step(H, t, t_next - t, P.matrix, work)  # in place
+        _zero_tiny_parts(P.matrix, work[0])
         state = P.drift((taken - 1) % reproject_every == 0, work)
         if not state["idempotency"] <= 1.0 - tol.rank_dominance:
             raise NumericError(f"projector idempotency drift {state['idempotency']:.3e}"
@@ -403,10 +410,15 @@ def reduced_propagate(H: TDepHamiltonian, ray0: Ray, dt: float, t0: float, t1: f
         for key in drifts:
             drifts[key] = max(drifts[key], state[key])
         if taken % reproject_every == 0:
-            P = projector_of(dominant_ray(P, tol), blocks, P.matrix, work[:2])
+            P = born(dominant_ray(P, tol), P.matrix)
         return P
 
-    P = projector_of(ray0, blocks, np.empty((n, n), dtype=np.complex128), work[:2])
+    def born(ray, out):  # projector_of in ``out``, its tiny parts zeroed
+        P = projector_of(ray, blocks, out, work[:2])
+        _zero_tiny_parts(P.matrix, work[0])
+        return P
+
+    P = born(ray0, np.empty((n, n), dtype=np.complex128))
     records = []
     for t, P in _walk(step, P, "projector flow", t0, t1, dt, stride, record_times):
         ray = dominant_ray(P, tol) if taken else ray0

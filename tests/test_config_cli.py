@@ -223,6 +223,20 @@ class TestConstruction:
         assert not H.is_autonomous
         assert np.array_equal(H.terms[2][1].matrix, build_named("x", basis).matrix)
 
+    def test_an_operator_named_twice_is_built_once(self, monkeypatch):
+        """driven_oscillator names x2 in two terms: p2 and x2 are built and
+        checked once each, and both x2 terms hold the one matrix."""
+        built, check = [], OperatorMatrix.__post_init__
+
+        def counted(self, tol):
+            built.append(self)
+            check(self, tol)
+
+        monkeypatch.setattr(OperatorMatrix, "__post_init__", counted)
+        H = build_hamiltonian(parse_config(REPO / "configs" / "driven_oscillator.json"))
+        assert [label for _, _, label in H.terms] == ["p2", "x2", "x2"]
+        assert len(built) == 2 and H.terms[1][1] is H.terms[2][1] is built[1]
+
     def test_missing_operator_file(self, tmp_path):
         cfg = _base_config()
         cfg["hamiltonian"][0]["operator"] = "absent.json"
