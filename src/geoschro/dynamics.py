@@ -202,15 +202,15 @@ def assemble(H: TDepHamiltonian, t: float) -> tuple:
     a real float, so every stack equals its conjugate transpose and nothing
     re-checks it; only non-finite coefficients and overflow are left to check.
     """
-    if not H.lead_finite:  # the leading terms alone overflow
-        raise NumericError(f"non-finite H(t) entries at t={t!r}")
-    M = [L.copy() for L in H.lead]
     try:
         with np.errstate(over="raise", invalid="raise"):
+            if not H.lead_finite:  # the leading terms alone overflow
+                raise FloatingPointError
+            M = [L.copy() for L in H.lead]
             for coeff, stacks in H.rest:
                 b = coeff(t)
                 if not isfinite(b):
-                    raise NumericError(f"non-finite H(t) entries at t={t!r}")
+                    raise FloatingPointError
                 for S, T in zip(M, stacks):
                     S += b * T
     except FloatingPointError as exc:

@@ -1,7 +1,8 @@
 """Exception hierarchy.
 
 Three families matter for the CLI exit-code mapping: configuration errors
-(exit 1), numeric-domain errors (exit 2) and I/O errors (exit 3).
+(exit 1), numeric-domain errors (exit 2) and I/O errors (exit 3).  Fields are
+args, so default pickling rebuilds every error, as a verify lane's error is.
 """
 
 import reprlib
@@ -27,13 +28,12 @@ class SchemaError(ConfigError):
     """Config violates the schema; carries a JSON pointer to the offender."""
 
     def __init__(self, pointer: str, message: str):
+        super().__init__(pointer, message)
         self.pointer = pointer
         self.message = message
-        super().__init__(f"{pointer}: {message}")
 
-    def __reduce__(self):
-        """Unpickle through the constructor, as a verify lane's error is."""
-        return type(self), (self.pointer, self.message)
+    def __str__(self) -> str:
+        return f"{self.pointer}: {self.message}"
 
 
 class UnknownOperator(SchemaError):
@@ -108,11 +108,11 @@ class MissingInput(GeoschroError):
     def __init__(self, path, reason: str | None = None):
         self.path = str(path)
         self.reason = reason
-        super().__init__(f"missing input file: {quoted_path(path)}"
-                         + ("" if reason is None else f": {reason}"))
+        super().__init__(self.path, reason)
 
-    def __reduce__(self):
-        return type(self), (self.path, self.reason)
+    def __str__(self) -> str:
+        return (f"missing input file: {quoted_path(self.path)}"
+                + ("" if self.reason is None else f": {self.reason}"))
 
 
 _PATHS = reprlib.Repr()

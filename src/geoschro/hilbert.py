@@ -97,13 +97,9 @@ class BasisSpec:
 
 @lru_cache(maxsize=32)
 def hermite3d_index_tuples(degree: int) -> tuple[tuple[int, int, int], ...]:
-    """Frozen enumeration of (n1, n2, n3) with n1+n2+n3 <= degree."""
-    out = []
-    for total in range(degree + 1):
-        for n1 in range(total + 1):
-            for n2 in range(total - n1 + 1):
-                out.append((n1, n2, total - n1 - n2))
-    return tuple(sorted(out, key=lambda t: (sum(t), t)))
+    """(n1, n2, n3) with n1+n2+n3 <= degree, by total degree, then lexicographically."""
+    return tuple((n1, n2, total - n1 - n2) for total in range(degree + 1)
+                 for n1 in range(total + 1) for n2 in range(total - n1 + 1))
 
 
 @dataclass(frozen=True)

@@ -16,10 +16,10 @@ per group of blocks on a slice of rows, and the stages and the drift, which no
 permutation changes, run in three fixed N x N buffers.  Every projector_of,
 the first and each re-projection, is built in P's own buffer with two of
 those as scratch, and an RK4 step holds one H(t) at a time, so the flow holds
-four N x N buffers and one H(t).  Every float part of P below 2^-511 in
-magnitude is zeroed after each projector_of and each step, so the product of
-any two parts is a normal double (or zero) and no product of P multiplies
-slow subnormals; a part that small is some 140 decades under every bound.
+four N x N buffers and one H(t).  projector_of and every RK4 step zero each
+float part of P below 2^-511 in magnitude, so the product of any two parts is
+a normal double (or zero) and no product of P multiplies slow subnormals; a
+part that small is some 140 decades under every bound.
 After every step P is bit for bit the permuted dense flow's, with its parts
 below 2^-511 zeroed; drifts and rays match it to roundoff.
 ``projector_of`` is bitwise Hermitian and RK4 keeps it so (X - X^H, X = HP,
@@ -221,26 +221,17 @@ class ProjectorState:
     def drift(self, fresh: bool, work: np.ndarray) -> dict:
         """Hermiticity is measured only on a ``fresh`` P, one step from a
         projector_of; P is bitwise Hermitian, so elsewhere it reads 0.0.
-        P - P^H and P @ P run in ``work``, three N x N complex buffers."""
+        P - P^H and P @ P - P run in ``work``, three N x N complex buffers;
+        P has no nonzero part below TINY_PART, so P @ P multiplies no subnormal."""
         P = self.matrix
-        D, _, A = work
-        if fresh:  # read below, before the idempotency product reuses A
+        D, X, A = work
+        if fresh:
             np.subtract(P, np.conjugate(P.T, out=D), out=D)
-        return {
-            "trace": abs(complex(np.trace(P)) - 1.0),
-            "hermiticity": float(np.abs(D, out=A.real).max()) if fresh else 0.0,
-            "idempotency": _idempotency(P, work),
-        }
-
-
-def _idempotency(P: np.ndarray, work: np.ndarray) -> float:
-    """max|P @ P - P|, formed in the last two buffers of ``work``.  The flow's
-    P has no nonzero part below 2^-511 (``_zero_tiny_parts``), so the product
-    multiplies no subnormal."""
-    _, X, A = work
-    np.matmul(P, P, out=X)
-    X -= P
-    return float(np.abs(X, out=A.real).max())
+        hermiticity = float(np.abs(D, out=A.real).max()) if fresh else 0.0  # before A is reused
+        np.matmul(P, P, out=X)
+        X -= P
+        return {"trace": abs(complex(np.trace(P)) - 1.0), "hermiticity": hermiticity,
+                "idempotency": float(np.abs(X, out=A.real).max())}
 
 
 TINY_PART = 2.0 ** -511  # sqrt(2^-1022): the product of two parts this size is normal
@@ -261,14 +252,16 @@ def _zero_tiny_parts(P: np.ndarray, scratch: np.ndarray) -> None:
 
 def projector_of(ray: Ray, blocks: InvariantBlocks, out: np.ndarray,
                  work: np.ndarray) -> ProjectorState:
-    """|r><r| as the exact Hermitian part of the outer product: bitwise
-    Hermitian.  It is built from the ray permuted to the block order of
-    ``blocks``, entry for entry the permuted basis-order projector, in
-    ``out``, an N x N complex buffer, with ``work``, two more, as scratch, so
-    no complex N x N array is allocated."""
+    """|r><r| as the exact Hermitian part of the outer product, bitwise
+    Hermitian, with its parts below TINY_PART zeroed.  It is built from the
+    ray permuted to the block order of ``blocks``, entry for entry the
+    permuted basis-order projector, in ``out``, an N x N complex buffer, with
+    ``work``, two more, as scratch, so no complex N x N array is allocated.
+    np.outer alone is not bitwise Hermitian where its products are fused."""
     c = ray.representative.coefficients[blocks.order]
-    M = np.outer(c, c.conj(), out=out)
-    return ProjectorState(ray.representative.basis, hermitian_part(M, M, work), blocks.inverse)
+    M = hermitian_part(np.outer(c, c.conj(), out=out), out, work)
+    _zero_tiny_parts(M, work[0])
+    return ProjectorState(ray.representative.basis, M, blocks.inverse)
 
 
 def dominant_ray(P: ProjectorState, tol: Tolerances = DEFAULT) -> Ray:
@@ -348,12 +341,13 @@ def _commutator(blocks, M: tuple, Q: np.ndarray, X: np.ndarray, T: np.ndarray) -
 def _rk4_projector_step(H: TDepHamiltonian, t: float, h: float, P: np.ndarray,
                         work: np.ndarray) -> np.ndarray:
     """One classical RK4 step of dP/dt = -i[H(t), P] on P in the block order
-    of H.blocks, written into P and returned.  ``work`` is three N x N complex
-    buffers: the stage input, the stage commutator and their weighted sum.
-    Each slope's -i rides in the weights -i c and -i h/6: times -i, parts
-    only swap and negate, so every float is the one -i[M, Q] gives.  H(t),
-    H(t + h/2) and H(t + h) are assembled in turn, each when its first slope
-    needs it, and only one is held at a time."""
+    of H.blocks, written into P, its parts below TINY_PART zeroed, and
+    returned.  ``work`` is three N x N complex buffers: the stage input,
+    the stage commutator and their weighted sum.  Each slope's -i rides in
+    the weights -i c and -i h/6: times -i, parts only swap and negate, so
+    every float is the one -i[M, Q] gives.  H(t), H(t + h/2) and H(t + h)
+    are assembled in turn, each when its first slope needs it, and only one
+    is held at a time."""
     Q, K, A = work
 
     def slope(M, c):  # K = [M, P - i c K]
@@ -372,7 +366,9 @@ def _rk4_projector_step(H: TDepHamiltonian, t: float, h: float, P: np.ndarray,
     slope(assemble(H, t + h), h)  # k4
     np.add(A, K, out=A)
     np.multiply(-1j * (h / 6.0), A, out=A)
-    return np.add(P, A, out=P)
+    np.add(P, A, out=P)
+    _zero_tiny_parts(P, Q)
+    return P
 
 
 def reduced_propagate(H: TDepHamiltonian, ray0: Ray, dt: float, t0: float, t1: float,
@@ -402,7 +398,6 @@ def reduced_propagate(H: TDepHamiltonian, ray0: Ray, dt: float, t0: float, t1: f
         nonlocal taken
         taken += 1
         _rk4_projector_step(H, t, t_next - t, P.matrix, work)  # in place
-        _zero_tiny_parts(P.matrix, work[0])
         state = P.drift((taken - 1) % reproject_every == 0, work)
         if not state["idempotency"] <= 1.0 - tol.rank_dominance:
             raise NumericError(f"projector idempotency drift {state['idempotency']:.3e}"
@@ -410,15 +405,10 @@ def reduced_propagate(H: TDepHamiltonian, ray0: Ray, dt: float, t0: float, t1: f
         for key in drifts:
             drifts[key] = max(drifts[key], state[key])
         if taken % reproject_every == 0:
-            P = born(dominant_ray(P, tol), P.matrix)
+            P = projector_of(dominant_ray(P, tol), blocks, P.matrix, work[:2])
         return P
 
-    def born(ray, out):  # projector_of in ``out``, its tiny parts zeroed
-        P = projector_of(ray, blocks, out, work[:2])
-        _zero_tiny_parts(P.matrix, work[0])
-        return P
-
-    P = born(ray0, np.empty((n, n), dtype=np.complex128))
+    P = projector_of(ray0, blocks, np.empty((n, n), dtype=np.complex128), work[:2])
     records = []
     for t, P in _walk(step, P, "projector flow", t0, t1, dt, stride, record_times):
         ray = dominant_ray(P, tol) if taken else ray0

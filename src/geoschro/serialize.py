@@ -154,11 +154,11 @@ class TrajectoryWriter:
     """trajectory.jsonl and trajectory.csv in ``directory``, streamed one
     record at a time: a TrajectoryWriter is a ``propagate`` sink, and its
     memory does not grow with the record count.  It keeps only the running
-    values of the run summary (``summary``) and the records waiting for the
-    next flush, which writes _FLUSH_BATCHES join_reprs batches of them
-    (about 1 MB of states) at once, so the formatting keeps the locality of
-    long batches instead of interleaving with the steps, through
-    write_trajectory_jsonl and write_trajectory_csv.
+    maxima of the run summary (``summary``), the last record and the records
+    waiting for the next flush, which writes _FLUSH_BATCHES join_reprs
+    batches of them (about 1 MB of states) at once, so the formatting keeps
+    the locality of long batches instead of interleaving with the steps,
+    through write_trajectory_jsonl and write_trajectory_csv.
     Used as a context manager: the pending records are written on a clean
     exit, and the files are closed either way."""
 
@@ -167,8 +167,8 @@ class TrajectoryWriter:
         self.pending: list = []
         self.flush_at = 0        # pending records per flush, set by the first record
         self.records = 0
-        self.first = None        # (norm, J) of the first record
-        self.max_norm_drift = self.max_J_drift = self.final = None
+        self.first = self.last = None  # (norm, J) of the first record; the last record
+        self.max_norm_drift = self.max_J_drift = 0.0  # the first record's drift is 0.0
         self.jsonl = open(directory / "trajectory.jsonl", "w", encoding="utf-8", newline="\n")
         try:
             self.csv = open(directory / "trajectory.csv", "w", encoding="utf-8", newline="\n")
@@ -194,9 +194,9 @@ class TrajectoryWriter:
             self.flush_at = _FLUSH_BATCHES * _batch_records(r)
         norm0, J0 = self.first
         self.records += 1
-        self.max_norm_drift = _running_max(self.max_norm_drift, abs(r.norm - norm0))
-        self.max_J_drift = _running_max(self.max_J_drift, abs(r.momentum_J - J0))
-        self.final = {"t": r.t, "norm": r.norm, "J": r.momentum_J, "energy": r.energy}
+        self.max_norm_drift = max(self.max_norm_drift, abs(r.norm - norm0))
+        self.max_J_drift = max(self.max_J_drift, abs(r.momentum_J - J0))
+        self.last = r
         self.pending.append(r)
         if len(self.pending) >= self.flush_at:
             self.flush()
@@ -210,13 +210,7 @@ class TrajectoryWriter:
         """records, max_norm_drift, max_J_drift and final: the trajectory
         keys of summary.json."""
         return {"records": self.records, "max_norm_drift": self.max_norm_drift,
-                "max_J_drift": self.max_J_drift, "final": self.final}
-
-
-def _running_max(best, value):
-    """max() over a stream: the first value, then a later one only when it
-    is larger, as max() takes them from a list."""
-    return value if best is None or value > best else best
+                "max_J_drift": self.max_J_drift, "final": self.last.to_json_dict()}
 
 
 def write_rays_jsonl(path: Path, records) -> None:

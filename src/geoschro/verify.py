@@ -62,8 +62,6 @@ from .reduction import (
 )
 from .tolerances import DEFAULT, Tolerances
 
-SUITE_NAMES = ("symplectic", "operators", "analytic", "dynamics", "reduction")
-
 # metaplectic index pairs, split by whether the commutator vanishes
 NONCOMMUTING_PAIRS = ((0, 1), (0, 2), (0, 4), (1, 2), (1, 3), (2, 3), (2, 4), (3, 4))
 COMMUTING_PAIRS = ((0, 3), (1, 4), (0, 5), (1, 5), (2, 5), (3, 5), (4, 5))
@@ -392,6 +390,7 @@ SUITES = {
     "dynamics": suite_dynamics,
     "reduction": suite_reduction,
 }
+SUITE_NAMES = tuple(SUITES)
 
 
 _PR_SET_PDEATHSIG = 1  # <linux/prctl.h>
@@ -456,7 +455,7 @@ def _run_lanes(names: tuple, size: int, seed: int, tol: Tolerances) -> dict:
     the caller runs the last lane itself and forks a child for each other,
     so one lane forks nothing.
     A child that ends without a result, as one the OOM killer stops does,
-    gives each of its suites a ParseError that names them and how it ended.
+    gives each of its suites a MemoryError that names them and how it ended.
     Every child is killed and reaped before this returns or raises."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     k = min(cpus, len(names))
@@ -480,8 +479,7 @@ def _run_lanes(names: tuple, size: int, seed: int, tol: Tolerances) -> dict:
                 continue
             how = (f"by {signal.Signals(os.WTERMSIG(status)).name}" if os.WIFSIGNALED(status)
                    else f"with exit status {os.waitstatus_to_exitcode(status)}")
-            lost = ParseError(f"verify --size {size} is too large: the lane running"
-                              f" {', '.join(lane)} ended {how}")
+            lost = MemoryError(f"the lane running {', '.join(lane)} ended {how}")
             outcomes.update(dict.fromkeys(lane, lost))
         return outcomes
     finally:
@@ -495,11 +493,11 @@ def run_verify(suite: str, size: int, seed: int, tol: Tolerances = DEFAULT) -> d
     """Run one suite (or all of them) and return the report dict.  The cases,
     and the error raised when a suite fails, are those of a serial run."""
     if suite != "all" and suite not in SUITES:
-        raise UnknownSuite(f"unknown suite {suite!r}; choose from {SUITE_NAMES + ('all',)}")
+        raise UnknownSuite(f"unknown suite {suite!r}; choose from {(*SUITES, 'all')}")
     if seed < 0:
         raise ParseError(f"verify --seed must be >= 0, got {seed}")
     start = time.perf_counter()
-    names = SUITE_NAMES if suite == "all" else (suite,)
+    names = tuple(SUITES) if suite == "all" else (suite,)
     outcomes = _run_lanes(names, size, seed, tol)
     cases = []
     for name in names:

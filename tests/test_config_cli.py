@@ -395,12 +395,20 @@ class TestPlotCommand:
         assert cli.main(["plot", "--summary", str(out / "summary.json")]) == 3
 
     def test_single_record_summary_is_plottable(self, tmp_path):
-        cfg = _base_config(time={"t0": 0.0, "t1": 0.0})
+        """A simulate or reduce run of one record drifts by exactly 0.0, and
+        its final entry is that record."""
+        cfg = _base_config(time={"t0": 0.0, "t1": 0.0},
+                           reduction={"mu": -0.5, "dt_reduced": 0.1})
         config_path = _write_config(tmp_path, cfg)
-        out = tmp_path / "run"
-        assert cli.main(["simulate", "--config", str(config_path), "--out", str(out)]) == 0
-        assert json.loads((out / "summary.json").read_text())["records"] == 1
-        assert cli.main(["plot", "--summary", str(out / "summary.json")]) == 0
+        for command in ("simulate", "reduce"):
+            out = tmp_path / command
+            assert cli.main([command, "--config", str(config_path), "--out", str(out)]) == 0
+            summary = json.loads((out / "summary.json").read_text())
+            assert summary["records"] == 1
+            assert summary["max_norm_drift"] == summary["max_J_drift"] == 0.0
+            [record] = map(json.loads, (out / "trajectory.jsonl").read_text().splitlines())
+            assert summary["final"] == record
+            assert cli.main(["plot", "--summary", str(out / "summary.json")]) == 0
 
 
 class TestExitCodes:

@@ -399,9 +399,10 @@ def _mixture(weights, size, seed):
 
 
 def _coherent_tail_projector():
-    """N=256 coherent projector: its tail underflows, so thousands of its
-    float parts are subnormal."""
-    P = _born(ray_of(coherent_state(0.5 + 0.2j, 256)), _whole(256))
+    """N=256 coherent projector in basis order, its tiny parts kept: its tail
+    underflows, so thousands of its float parts are subnormal."""
+    ray = ray_of(coherent_state(0.5 + 0.2j, 256))
+    P = _basis_order(ray.representative.basis, oracles.projector(ray))
     parts = np.abs(P.matrix.view(np.float64))
     assert np.count_nonzero((parts > 0) & (parts < np.finfo(float).tiny)) > 1000
     return P
@@ -759,7 +760,23 @@ class TestBlockOrderFlow:
             order = rng.permutation(n)
             born = _born(ray, InvariantBlocks(n, (order[None, :],))).matrix
             want = oracles.permuted(oracles.projector(ray), order)
+            _zero_tiny_parts(want, np.empty_like(want))
             assert np.array_equal(born.view(np.uint64), want.view(np.uint64))
+
+    def test_birth_and_one_rk4_step_hold_no_part_below_2_511(self):
+        """On the N=256 coherent ray, whose unzeroed projector holds some
+        55,000 nonzero parts below 2^-511, projector_of and one RK4 step
+        from it zero every one of them."""
+        H = _driven(256)
+        P = _born(ray_of(coherent_state(0.5 + 0.2j, 256)), H.blocks).matrix
+
+        def tiny(M):
+            parts = np.abs(M.view(np.float64))
+            return int(np.count_nonzero((parts > 0) & (parts < TINY_PART)))
+
+        assert tiny(P) == 0
+        work = np.empty((3, *P.shape), dtype=np.complex128)
+        assert tiny(_rk4_projector_step(H, 0.0, 1e-3, P, work)) == 0
 
     @pytest.mark.parametrize("case", sorted(FLOW_CASES))
     def test_block_order_drifts_and_rays_match_basis_order_to_roundoff(self, case):

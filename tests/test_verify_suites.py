@@ -53,9 +53,7 @@ def test_all_merges_in_declared_order(monkeypatch):
             return [VerifyCase(f"{name}_case", 0.0, 1.0)]
         return suite_fn
 
-    names = ("alpha", "beta", "gamma")
-    monkeypatch.setattr(verify, "SUITE_NAMES", names)
-    monkeypatch.setattr(verify, "SUITES", {n: make(n) for n in names})
+    monkeypatch.setattr(verify, "SUITES", {n: make(n) for n in ("alpha", "beta", "gamma")})
     report = run_verify("all", 8, 0)
     assert [c["name"] for c in report["cases"]] == ["alpha_case", "beta_case", "gamma_case"]
 
