@@ -20,8 +20,19 @@ four N x N buffers and one H(t).  projector_of and every RK4 step zero each
 float part of P below 2^-511 in magnitude, so the product of any two parts is
 a normal double (or zero) and no product of P multiplies slow subnormals; a
 part that small is some 140 decades under every bound.
-After every step P is bit for bit the permuted dense flow's, with its parts
-below 2^-511 zeroed; drifts and rays match it to roundoff.
+Each step and its drift run on P's window (``_Window``): in each group of
+blocks, the positions P occupies widened by ``reach``, four times the group's
+in-block bandwidth, as far as four RK4 stages move P's support, and clamped
+to the block; a group P leaves empty is dropped.  Outside the window P is
+exactly zero before and after the step, so the window drops only exact
+zeros: H(t)'s stacks are cut to it as views and P's window is stepped in
+compact buffers carved from the workspace, or in P itself when the window is
+all of it.  After every step P is bit for bit the permuted dense flow's,
+with its parts below 2^-511 zeroed, and its drifts and rays match that
+flow's to roundoff.  Against the same step on all of P, the trace drift
+(summed over P's whole diagonal) and the hermiticity drift are bit for bit
+the same, and the idempotency drift, whose product the window blocks
+differently, moves by roundoff.
 ``projector_of`` is bitwise Hermitian and RK4 keeps it so (X - X^H, X = HP,
 is exactly anti-Hermitian, and RK4 carries the -i in its weights), so P is
 never repaired; a step whose idempotency drift passes 1 - rank_dominance
@@ -218,19 +229,22 @@ class ProjectorState:
     matrix: np.ndarray
     rows: np.ndarray
 
-    def drift(self, fresh: bool, work: np.ndarray) -> dict:
+    def drift(self, fresh: bool, work: np.ndarray, window: _Window | None = None) -> dict:
         """Hermiticity is measured only on a ``fresh`` P, one step from a
         projector_of; P is bitwise Hermitian, so elsewhere it reads 0.0.
-        P - P^H and P @ P - P run in ``work``, three N x N complex buffers;
-        P has no nonzero part below TINY_PART, so P @ P multiplies no subnormal."""
-        P = self.matrix
-        D, X, A = work
+        The trace is summed over P's whole diagonal; P - P^H and P @ P - P
+        are measured on ``window``, a _Window fitted to a P whose support it
+        holds (the last RK4 step's), or on all of P when None, and run in
+        ``work``, three N x N complex buffers.  P has no nonzero part below
+        TINY_PART, so P @ P multiplies no subnormal."""
+        trace = abs(complex(np.trace(self.matrix)) - 1.0)
+        P, (D, X, A) = (self.matrix, work) if window is None else window.take(self.matrix, work)
         if fresh:
             np.subtract(P, np.conjugate(P.T, out=D), out=D)
         hermiticity = float(np.abs(D, out=A.real).max()) if fresh else 0.0  # before A is reused
         np.matmul(P, P, out=X)
         X -= P
-        return {"trace": abs(complex(np.trace(P)) - 1.0), "hermiticity": hermiticity,
+        return {"trace": trace, "hermiticity": hermiticity,
                 "idempotency": float(np.abs(X, out=A.real).max())}
 
 
@@ -338,36 +352,116 @@ def _commutator(blocks, M: tuple, Q: np.ndarray, X: np.ndarray, T: np.ndarray) -
     np.subtract(X, T, out=X)
 
 
+class _Window:
+    """The part of P, held in the block order of H.blocks, that an RK4 step
+    of H can touch.  In each group of blocks it spans the positions that any
+    block of the group occupies, widened by ``reach`` and clamped to the
+    block; ``reach`` is four times the group's in-block bandwidth over H's
+    term stacks, as far as four stages of H(t) can move P's support.  A
+    group P leaves empty is dropped: no H(t) moves anything into it.  Outside
+    the window P is zero before a step and after it, so every product term
+    the window drops is an exact zero.
+
+    ``fit`` reads which rows of P hold a nonzero part and keeps the window's
+    flat ``index`` into P, its compact ``blocks`` and its ``cuts`` (group,
+    lo, hi) while those positions do not change.  ``index`` is None when the
+    window is the whole of P, or when its four compact buffers would not fit
+    in the three N x N buffers of the step's workspace; P is then stepped as
+    it is."""
+
+    def __init__(self, H: TDepHamiltonian):
+        self.full = self.blocks = H.blocks
+        self.reach = []
+        for group in zip(H.lead, *(S for _, S in H.rest)):  # one group's term stacks
+            i, j = np.nonzero(np.any([(S != 0).any(axis=0) for S in group], axis=0))
+            self.reach.append(4 * int(np.abs(i - j).max(initial=0)))
+        self.key, self.cuts, self.index = None, [], None  # None: P fills every row
+
+    def fit(self, P: np.ndarray) -> "_Window":
+        occupied = P.view(np.float64).any(axis=1)
+        key = None
+        if not occupied.all():
+            key = []
+            for rows, idx, reach in zip(self.full.rows, self.full.groups, self.reach):
+                at = np.flatnonzero(occupied[rows].reshape(idx.shape).any(axis=0))
+                key.append((max(0, int(at[0]) - reach), min(idx.shape[1], int(at[-1]) + 1 + reach))
+                           if at.size else None)
+        if key == self.key:
+            return self
+        self.key, n = key, self.full.size
+        self.cuts = [(g, *cut) for g, cut in enumerate(key or ()) if cut]
+        rows = []  # per kept group, the (k, hi - lo) rows of P its blocks keep
+        for g, lo, hi in self.cuts:
+            k, s = self.full.groups[g].shape
+            rows.append(self.full.rows[g].start + s * np.arange(k)[:, None] + np.arange(lo, hi))
+        m = sum(r.size for r in rows)
+        if m == 0 or 4 * m * m > 3 * n * n:  # so also when m == n, the whole of P
+            self.index, self.blocks = None, self.full
+            return self
+        at = np.concatenate([r.ravel() for r in rows])
+        self.index = (at[:, None] * n + at).ravel()
+        parts = np.split(np.arange(m), np.cumsum([r.size for r in rows])[:-1])
+        self.blocks = InvariantBlocks(m, tuple(p.reshape(r.shape) for p, r in zip(parts, rows)))
+        return self
+
+    def cut(self, M: tuple) -> tuple:
+        """H(t)'s stacks on the window, as views."""
+        if self.index is None:
+            return M
+        return tuple(M[g][:, lo:hi, lo:hi] for g, lo, hi in self.cuts)
+
+    def take(self, P: np.ndarray, work: np.ndarray):
+        """(P on the window, three scratch buffers of its size): P itself and
+        ``work`` when the window is whole, else four compact buffers carved
+        from ``work``, the first holding P's window."""
+        if self.index is None:
+            return P, work
+        m = self.blocks.size
+        W = work.reshape(-1)[:4 * m * m].reshape(4, m, m)
+        np.take(P, self.index, out=W[0].reshape(-1), mode="clip")  # "raise" would buffer
+        return W[0], W[1:]
+
+    def put(self, Pw: np.ndarray, P: np.ndarray) -> None:
+        """Write the window ``Pw`` back into P."""
+        if self.index is not None:
+            np.put(P, self.index, Pw)
+
+
 def _rk4_projector_step(H: TDepHamiltonian, t: float, h: float, P: np.ndarray,
-                        work: np.ndarray) -> np.ndarray:
+                        work: np.ndarray, window: _Window | None = None) -> np.ndarray:
     """One classical RK4 step of dP/dt = -i[H(t), P] on P in the block order
     of H.blocks, written into P, its parts below TINY_PART zeroed, and
     returned.  ``work`` is three N x N complex buffers: the stage input,
-    the stage commutator and their weighted sum.  Each slope's -i rides in
-    the weights -i c and -i h/6: times -i, parts only swap and negate, so
-    every float is the one -i[M, Q] gives.  H(t), H(t + h/2) and H(t + h)
-    are assembled in turn, each when its first slope needs it, and only one
-    is held at a time."""
-    Q, K, A = work
+    the stage commutator and their weighted sum.  The step runs on
+    ``window``, a _Window of H (a fresh one when None), fitted here to P:
+    on its compact buffers, carved from ``work``, and H(t)'s stacks cut to
+    it.  Each slope's -i rides in the weights -i c and -i h/6: times -i,
+    parts only swap and negate, so every float is the one -i[M, Q] gives.
+    H(t), H(t + h/2) and H(t + h) are assembled in turn, each when its first
+    slope needs it, and only one is held at a time."""
+    window = (_Window(H) if window is None else window).fit(P)
+    blocks, cut = window.blocks, window.cut
+    R, (Q, K, A) = window.take(P, work)
 
-    def slope(M, c):  # K = [M, P - i c K]
+    def slope(M, c):  # K = [M, R - i c K]
         np.multiply(-1j * c, K, out=Q)
-        np.add(P, Q, out=Q)
-        _commutator(H.blocks, M, Q, K, Q)
+        np.add(R, Q, out=Q)
+        _commutator(blocks, M, Q, K, Q)
 
-    _commutator(H.blocks, assemble(H, t), P, K, Q)  # k1 = -i K
+    _commutator(blocks, cut(assemble(H, t)), R, K, Q)  # k1 = -i K
     np.copyto(A, K)
-    M = assemble(H, t + 0.5 * h)
+    M = cut(assemble(H, t + 0.5 * h))
     for c in (0.5 * h, 0.5 * h):
         slope(M, c)            # k2, then k3
         np.multiply(2.0, K, out=Q)
         np.add(A, Q, out=A)
     del M
-    slope(assemble(H, t + h), h)  # k4
+    slope(cut(assemble(H, t + h)), h)  # k4
     np.add(A, K, out=A)
     np.multiply(-1j * (h / 6.0), A, out=A)
-    np.add(P, A, out=P)
-    _zero_tiny_parts(P, Q)
+    np.add(R, A, out=R)
+    _zero_tiny_parts(R, Q)
+    window.put(R, P)
     return P
 
 
@@ -391,14 +485,15 @@ def reduced_propagate(H: TDepHamiltonian, ray0: Ray, dt: float, t0: float, t1: f
     blocks = H.blocks
     n = blocks.size
     work = np.empty((3, n, n), dtype=np.complex128)
+    window = _Window(H)
     drifts = {"trace": 0.0, "hermiticity": 0.0, "idempotency": 0.0}
     taken = 0  # steps so far
 
     def step(t, t_next, P):
         nonlocal taken
         taken += 1
-        _rk4_projector_step(H, t, t_next - t, P.matrix, work)  # in place
-        state = P.drift((taken - 1) % reproject_every == 0, work)
+        _rk4_projector_step(H, t, t_next - t, P.matrix, work, window)  # in place
+        state = P.drift((taken - 1) % reproject_every == 0, work, window)
         if not state["idempotency"] <= 1.0 - tol.rank_dominance:
             raise NumericError(f"projector idempotency drift {state['idempotency']:.3e}"
                                f" exceeds 1 - rank_dominance at t={t_next!r}")

@@ -390,7 +390,6 @@ SUITES = {
     "dynamics": suite_dynamics,
     "reduction": suite_reduction,
 }
-SUITE_NAMES = tuple(SUITES)
 
 
 _PR_SET_PDEATHSIG = 1  # <linux/prctl.h>

@@ -26,15 +26,14 @@ from geoschro.hilbert import (
     symplectic_form,
 )
 from geoschro.numerics import InvariantBlocks, hermitian_eigendecompose, hermitian_part
-from geoschro.operators import (
-    build_named,
-)
+from geoschro.operators import OperatorMatrix, build_named
 from geoschro.reduction import (
     LevelSetPoint,
     ProjectorState,
     Ray,
     TINY_PART,
     _rk4_projector_step,
+    _Window,
     _zero_tiny_parts,
     commuting_diagram_residual,
     dominant_ray,
@@ -456,6 +455,11 @@ def _plain_idempotency(P):
     return float(np.max(np.abs(P @ P - P)))
 
 
+def _on_window(window, P):
+    """P on a fitted _Window, in buffers of its own: P itself when the window is whole."""
+    return window.take(P, np.empty((3, *P.shape), dtype=np.complex128))[0]
+
+
 class TestIdempotencyIsThePlainProduct:
     @settings(max_examples=40, derandomize=True, database=None)
     @given(st.integers(1, 64), st.integers(0, 10 ** 6))
@@ -481,23 +485,23 @@ class TestIdempotencyIsThePlainProduct:
         """At every step of a large-basis flow no float part of P is nonzero
         and below 2^-511 (unzeroed, the coherent tail holds about 55,000 such
         parts, some 5,000 of them subnormal), P is bitwise Hermitian, and the
-        drift is max|P @ P - P|."""
+        drift is max|P @ P - P| on P's window, which is not all of P."""
         seen = []
         drift = ProjectorState.drift
 
-        def spy(state, fresh, work):
-            out = drift(state, fresh, work)
+        def spy(state, fresh, work, window):
+            out = drift(state, fresh, work, window)
             P = state.matrix
             parts = np.abs(P.view(np.float64))
             seen.append((int(np.count_nonzero((parts > 0) & (parts < 2.0 ** -511))),
-                         np.array_equal(P, P.conj().T),
-                         out["idempotency"] == _plain_idempotency(P)))
+                         np.array_equal(P, P.conj().T), window.index is not None,
+                         out["idempotency"] == _plain_idempotency(_on_window(window, P))))
             return out
 
         monkeypatch.setattr(ProjectorState, "drift", spy)
         reduced_propagate(_driven(256), ray_of(coherent_state(0.5 + 0.2j, 256)), 1e-3, 0.0,
                           0.02, reproject_every=10)
-        assert seen == [(0, True, True)] * 20
+        assert seen == [(0, True, True, True)] * 20
 
 
 class TestZeroTinyParts:
@@ -715,9 +719,9 @@ class TestBlockOrderFlow:
         seen = []
         drift = ProjectorState.drift
 
-        def spy(state, fresh, work):
+        def spy(state, fresh, work, window):
             seen.append((fresh, np.array_equal(state.matrix, state.matrix.conj().T)))
-            return drift(state, fresh, work)
+            return drift(state, fresh, work, window)
 
         monkeypatch.setattr(ProjectorState, "drift", spy)
         reduced_propagate(H, ray_of(psi), 1e-3, 0.0, 0.2, stride=20)
@@ -803,10 +807,10 @@ class TestBlockOrderFlow:
         rises = []
         drift = ProjectorState.drift
 
-        def spy(state, fresh, work):
+        def spy(state, fresh, work, window):
             tracemalloc.reset_peak()
             before = tracemalloc.get_traced_memory()[0]
-            out = drift(state, fresh, work)
+            out = drift(state, fresh, work, window)
             rises.append((fresh, tracemalloc.get_traced_memory()[1] - before))
             return out
 
@@ -853,6 +857,153 @@ class TestBlockOrderFlow:
             tracemalloc.stop()
         assert len(records) == 21
         assert peak <= 5 * 256 * 256 * 16
+
+
+class _Whole(_Window):
+    """A window that stays all of P: the step on it is the full-matrix flow."""
+
+    def fit(self, P):
+        return self
+
+
+def _window_against_full(H, psi, steps, dt=1e-3):
+    """``steps`` RK4 steps from the projector of psi, on P's window and on all
+    of P; after every step the two P are equal, their trace and hermiticity
+    drifts bit for bit and their idempotency drifts to roundoff.  Returns the
+    fitted window after each step."""
+    n = H.basis.size
+    P = _born(ray_of(psi), H.blocks).matrix
+    full = P.copy()
+    work, full_work = np.empty((2, 3, n, n), dtype=np.complex128)
+    window, whole = _Window(H), _Whole(H)
+    fitted = []
+    for k in range(steps):
+        _rk4_projector_step(H, k * dt, dt, P, work, window)
+        _rk4_projector_step(H, k * dt, dt, full, full_work, whole)
+        assert np.array_equal(P, full)
+        got = ProjectorState(H.basis, P, H.blocks.inverse).drift(True, work, window)
+        want = ProjectorState(H.basis, full, H.blocks.inverse).drift(True, full_work)
+        assert (got["trace"], got["hermiticity"]) == (want["trace"], want["hermiticity"])
+        assert abs(got["idempotency"] - want["idempotency"]) <= 1e-15
+        fitted.append((window.blocks.size, list(window.cuts), window.index is None))
+    return fitted
+
+
+def _in_one_shell(H, g, seed):
+    """A random state of H's basis held in the blocks of group g alone."""
+    c = np.zeros(H.basis.size, dtype=complex)
+    c[H.blocks.groups[g]] = random_state(H.blocks.groups[g].size, seed).coefficients
+    return StateVector(H.basis, c)
+
+
+def _dense_drive(size, seed):
+    """(1/2)p^2 + (1/2)x^2 + 0.01 sin(t) R with R a dense random Hermitian
+    matrix, as an operator file holds it: one block with every entry set."""
+    basis = BasisSpec.hermite(size)
+    rng = np.random.default_rng(seed)
+    R = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
+    dense = OperatorMatrix(basis, hermitian_part(R), "hermitian", size - 1, size - 1)
+    return TDepHamiltonian(((CoefficientFn.constant(0.5), build_named("p2", basis), "kinetic"),
+                            (CoefficientFn.constant(0.5), build_named("x2", basis), "potential"),
+                            (CoefficientFn.sinusoid(0.01, 1.0), dense, "drive")))
+
+
+class TestWindowFlow:
+    def test_parity_coherent_flow_at_n256(self):
+        """The large-basis shape: P occupies the first 69 positions of each
+        parity block, the drive x2 has in-block bandwidth 1, so reach is 4."""
+        H = _driven(256)
+        fitted = _window_against_full(H, coherent_state(0.5 + 0.2j, 256), 50)
+        assert _Window(H).reach == [4]
+        assert all(cuts == [(0, 0, 73)] and size == 146 for size, cuts, _ in fitted)
+
+    def test_basis_vector_mid_block(self):
+        """e_100 sits at position 50 of the even block: the window starts
+        inside the block, and grows with P's support from step to step."""
+        fitted = _window_against_full(_driven(256), _unit(BasisSpec.hermite(256), 100), 20)
+        (_, [(_, lo, hi)], _), (_, [(_, lo_end, hi_end)], _) = fitted[0], fitted[-1]
+        assert (lo, hi) == (46, 55) and lo_end < lo and hi_end > hi
+        assert not any(whole for *_, whole in fitted)
+
+    def test_one_block_hamiltonian(self):
+        H = _linearly_driven_oscillator(256)
+        fitted = _window_against_full(H, coherent_state(0.5 + 0.2j, 256), 20)
+        assert [idx.shape for idx in H.blocks.groups] == [(1, 256)]
+        assert all(cuts[0][:2] == (0, 0) and size < 160 for size, cuts, _ in fitted)
+
+    def test_one_degree_shell_drops_the_empty_groups(self):
+        """Lz + 0.3 sin(2t) Lx on the degree-4 shells, the state in the shell
+        of degree 3: the other four groups stay empty and leave the window."""
+        Lz, Lx = (build_named(name, BasisSpec.hermite3d(4)) for name in ("Lz", "Lx"))
+        H = TDepHamiltonian(((CoefficientFn.constant(1.0), Lz, "Lz"),
+                             (CoefficientFn.sinusoid(0.3, 2.0), Lx, "Lx")))
+        assert [idx.shape for idx in H.blocks.groups] == [(1, 1), (1, 3), (1, 6), (1, 10),
+                                                          (1, 15)]
+        fitted = _window_against_full(H, _in_one_shell(H, 3, 5), 30, dt=1e-2)
+        assert all(cuts == [(3, 0, 10)] and size == 10 for size, cuts, _ in fitted)
+
+    def test_a_dense_operator_takes_the_whole_matrix(self):
+        """A dense drive couples every position, so reach covers the block
+        however few rows P occupies."""
+        H = _dense_drive(256, 8)
+        assert _Window(H).reach == [4 * 255]
+        fitted = _window_against_full(H, coherent_state(0.5 + 0.2j, 256), 5)
+        assert all(whole and size == 256 for size, _, whole in fitted)
+
+    def test_flow_at_n256_steps_at_most_five_eighths_of_p(self, monkeypatch):
+        """Pin: with the tiny-part rule the N=256 coherent P occupies 69 of
+        each parity block's 128 positions, so the window holds 146 of 256
+        rows at every step; without the rule P reaches every row."""
+        sizes = []
+        drift = ProjectorState.drift
+
+        def spy(state, fresh, work, window):
+            sizes.append(window.blocks.size)
+            return drift(state, fresh, work, window)
+
+        monkeypatch.setattr(ProjectorState, "drift", spy)
+        reduced_propagate(_driven(256), ray_of(coherent_state(0.5 + 0.2j, 256)), 1e-3, 0.0,
+                          0.05, reproject_every=10)
+        assert len(sizes) == 50 and max(sizes) <= 5 * 256 // 8
+
+    def test_driven_reduction_sized_flow_takes_the_whole_matrix(self, monkeypatch):
+        """At N=64 no part of the coherent projector is below 2^-511, so P
+        occupies every row and every step is the full-matrix step."""
+        wholes = []
+        step = reduction._rk4_projector_step
+
+        def spy(H, t, h, P, work, window):
+            out = step(H, t, h, P, work, window)
+            wholes.append(window.index is None and window.blocks is H.blocks)
+            return out
+
+        monkeypatch.setattr(reduction, "_rk4_projector_step", spy)
+        reduced_propagate(_driven(64), ray_of(coherent_state(0.5, 64)), 1e-3, 0.0, 0.2)
+        assert wholes == [True] * 200
+
+    def test_windowed_step_allocates_no_n_by_n_array(self, monkeypatch):
+        """A windowed step at N=256 raises the traced peak by less than one
+        N x N complex array: P's window and its scratch are carved from the
+        workspace and H(t) is cut to it as views."""
+        rises = []
+        step = reduction._rk4_projector_step
+
+        def spy(H, t, h, P, work, window):
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            out = step(H, t, h, P, work, window)
+            rises.append((window.index is not None, tracemalloc.get_traced_memory()[1] - before))
+            return out
+
+        monkeypatch.setattr(reduction, "_rk4_projector_step", spy)
+        tracemalloc.start()
+        try:
+            reduced_propagate(_driven(256), ray_of(coherent_state(0.5 + 0.2j, 256)), 1e-3, 0.0,
+                              1e-2, reproject_every=5)
+        finally:
+            tracemalloc.stop()
+        assert len(rises) == 10 and all(windowed for windowed, _ in rises)
+        assert max(rise for _, rise in rises) < 256 * 256 * 16
 
 
 class TestCommutingDiagram:

@@ -18,12 +18,12 @@ import geoschro.reduction as reduction
 import geoschro.verify as verify
 from geoschro.errors import MissingInput, NumericError, ParseError, SchemaError, UnknownSuite
 from geoschro.tolerances import DEFAULT
-from geoschro.verify import SUITE_NAMES, SUITES, VerifyCase, run_verify
+from geoschro.verify import SUITES, VerifyCase, run_verify
 
 REPO = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("suite", SUITE_NAMES)
+@pytest.mark.parametrize("suite", SUITES)
 def test_suite_passes(suite):
     report = run_verify(suite, 16, 1)
     assert report["suite"] == suite
@@ -99,7 +99,7 @@ def test_suite_rejects_size_below_its_minimum(suite, least):
 
 def test_negative_seed_is_rejected_before_any_suite(monkeypatch):
     ran = []
-    monkeypatch.setattr(verify, "SUITES", {n: lambda *a: ran.append(a) or [] for n in SUITE_NAMES})
+    monkeypatch.setattr(verify, "SUITES", {n: lambda *a: ran.append(a) or [] for n in SUITES})
     with pytest.raises(ParseError, match="--seed"):
         run_verify("all", 16, -1)
     assert ran == []
@@ -118,7 +118,7 @@ def _fake_suites(monkeypatch, **special):
     def quick(name):
         return lambda size, seed, tol: [VerifyCase(f"{name}@{os.getpid()}", float(seed), 1.0)]
 
-    monkeypatch.setattr(verify, "SUITES", {n: special.get(n) or quick(n) for n in SUITE_NAMES})
+    monkeypatch.setattr(verify, "SUITES", {n: special.get(n) or quick(n) for n in SUITES})
 
 
 def _assert_no_children():
@@ -173,7 +173,7 @@ def test_lanes_are_dealt_round_robin_and_joined_in_suite_order(two_lanes, monkey
     _fake_suites(monkeypatch)
     report = run_verify("all", 8, 3)
     ran = dict(c["name"].split("@") for c in report["cases"])
-    assert list(ran) == list(SUITE_NAMES)
+    assert list(ran) == list(SUITES)
     assert ran["operators"] == ran["dynamics"] == str(os.getpid())
     assert ran["symplectic"] == ran["analytic"] == ran["reduction"] != str(os.getpid())
     assert all(c["measured"] == 3.0 for c in report["cases"])
@@ -182,7 +182,7 @@ def test_lanes_are_dealt_round_robin_and_joined_in_suite_order(two_lanes, monkey
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_lanes_give_the_serial_cases(two_lanes, seed):
-    serial = [c.to_json_dict() for n in SUITE_NAMES for c in SUITES[n](32, seed, DEFAULT)]
+    serial = [c.to_json_dict() for n in SUITES for c in SUITES[n](32, seed, DEFAULT)]
     assert run_verify("all", 32, seed)["cases"] == serial
     _assert_no_children()
 
