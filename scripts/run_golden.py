@@ -18,7 +18,7 @@ import re
 import sys
 from pathlib import Path
 
-from geoschro.cli import run_reduce, run_simulate
+from geoschro.cli import run
 from geoschro.config import parse_config
 
 REPO = Path(__file__).resolve().parent.parent
@@ -68,14 +68,13 @@ def main(argv=None) -> int:
 
     for path in paths:
         config = parse_config(path)
-        out_dir = out_root / path.stem
-        if config.reduction is not None:
-            summary = run_reduce(config, out_dir)
+        reduce = config.reduction is not None
+        summary = run(config, out_root / path.stem, reduce=reduce)
+        if reduce:
             print(f"{path.stem:24s} reduce   records {summary['records']:4d}"
                   f"  norm drift {summary['max_norm_drift']:.3e}"
                   f"  residual {summary['max_residual']:.3e}")
         else:
-            summary = run_simulate(config, out_dir)
             print(f"{path.stem:24s} simulate records {summary['records']:4d}"
                   f"  norm drift {summary['max_norm_drift']:.3e}"
                   f"  J drift {summary['max_J_drift']:.3e}")

@@ -53,60 +53,46 @@ def _staged(out_dir: Path):
                 d.rmdir()
 
 
-def _write_run(config: SimulationConfig, stage: Path, seed: int, up: TrajectoryWriter,
-               reduced=None) -> dict:
-    """Write summary.json, (with diagnostics) plot.gp and, for a reduce run,
-    the ray files into ``stage`` next to the trajectory files of ``up``, and
-    return the summary.  ``reduced`` = (down records, residuals, drifts)
-    marks a reduce run: it adds the ray files and their summary keys."""
-    files = {"trajectory_jsonl": "trajectory.jsonl", "trajectory_csv": "trajectory.csv"}
-    summary = {"kind": "simulate", "seed": seed, "basis": config.basis.to_json_dict()}
-    if reduced is not None:
-        down, residuals, drifts = reduced
-        write_rays_jsonl(stage / "rays.jsonl", down)
-        write_rays_csv(stage / "rays.csv", down, residuals)
-        files.update(rays_jsonl="rays.jsonl", rays_csv="rays.csv")
-        summary.update(kind="reduce", mu=config.reduction.mu,
-                       dt_reduced=config.reduction.dt_reduced)
-    summary["integrator"] = {"method": config.integrator.method, "dt": config.integrator.dt}
-    summary["time"] = {"t0": config.time.t0, "t1": config.time.t1, "stride": config.time.stride}
-    summary.update(up.summary())
-    if reduced is not None:
-        summary.update(max_residual=max(residuals), projector_drifts=drifts)
-    summary["files"] = files
-    write_summary(stage / "summary.json", summary)
-    if config.outputs.diagnostics:
-        emit_plot_script(stage / "summary.json")
-    return summary
-
-
-def run_simulate(config: SimulationConfig, out_dir: Path, seed: int = 0) -> dict:
-    """Stream the trajectory into a stage, one record at a time, and publish
-    the run's files into out_dir only when it succeeds."""
-    H = build_hamiltonian(config)
-    psi0 = build_initial_state(config)
-    with _staged(out_dir) as stage:
-        with TrajectoryWriter(stage, config.outputs.coefficients) as up:
-            propagate(H, psi0, config.integrator, config.time.t0, config.time.t1,
-                      stride=config.time.stride, sink=up)
-        return _write_run(config, stage, seed, up)
-
-
-def run_reduce(config: SimulationConfig, out_dir: Path, seed: int = 0) -> dict:
-    """The paired flows, whose upstairs records the residuals need, written
-    through a stage like run_simulate's."""
-    if config.reduction is None:
+def run(config: SimulationConfig, out_dir: Path, seed: int = 0, reduce: bool = False) -> dict:
+    """Run one scenario in a stage and publish its files into out_dir only
+    when it succeeds.  simulate streams the trajectory into the writer;
+    ``reduce`` runs the paired flows, whose residuals need every upstairs
+    record, then sends those records to the same writer and adds the ray
+    files and their summary keys.  Returns the summary."""
+    time, red = config.time, config.reduction
+    if reduce and red is None:
         raise SchemaError("/reduction", "reduce needs a reduction block")
     H = build_hamiltonian(config)
     psi0 = build_initial_state(config)
-    up, down, drifts, residuals = paired_records(H, psi0, config.reduction.mu, config.integrator,
-                                                 config.reduction.dt_reduced, config.time.t0,
-                                                 config.time.t1, stride=config.time.stride)
+    files = {"trajectory_jsonl": "trajectory.jsonl", "trajectory_csv": "trajectory.csv"}
+    summary = {"kind": "reduce" if reduce else "simulate", "seed": seed,
+               "basis": config.basis.to_json_dict()}
     with _staged(out_dir) as stage:
         with TrajectoryWriter(stage, config.outputs.coefficients) as writer:
-            for record in up:
-                writer(record)
-        return _write_run(config, stage, seed, writer, (down, residuals, drifts))
+            if not reduce:
+                propagate(H, psi0, config.integrator, time.t0, time.t1, stride=time.stride,
+                          sink=writer)
+            else:
+                up, down, drifts, residuals = paired_records(
+                    H, psi0, red.mu, config.integrator, red.dt_reduced, time.t0, time.t1,
+                    stride=time.stride)
+                for record in up:
+                    writer(record)
+        if reduce:
+            write_rays_jsonl(stage / "rays.jsonl", down)
+            write_rays_csv(stage / "rays.csv", down, residuals)
+            files.update(rays_jsonl="rays.jsonl", rays_csv="rays.csv")
+            summary.update(mu=red.mu, dt_reduced=red.dt_reduced)
+        summary["integrator"] = {"method": config.integrator.method, "dt": config.integrator.dt}
+        summary["time"] = {"t0": time.t0, "t1": time.t1, "stride": time.stride}
+        summary.update(writer.summary())
+        if reduce:
+            summary.update(max_residual=max(residuals), projector_drifts=drifts)
+        summary["files"] = files
+        write_summary(stage / "summary.json", summary)
+        if config.outputs.diagnostics:
+            emit_plot_script(stage / "summary.json")
+        return summary
 
 
 class _Parser(argparse.ArgumentParser):
@@ -141,13 +127,13 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_run(args) -> int:
-    run, key = {"simulate": (run_simulate, "max_norm_drift"),
-                "reduce": (run_reduce, "max_residual")}[args.command]
+    reduce = args.command == "reduce"
     config = parse_config(args.config)
     try:
-        summary = run(config, Path(args.out), args.seed)
+        summary = run(config, Path(args.out), args.seed, reduce)
     except MemoryError as exc:  # building H, either floor or writing
         raise SchemaError("/basis/size", f"size {config.basis.size} is too large: {exc}") from exc
+    key = "max_residual" if reduce else "max_norm_drift"
     print(f"wrote {Path(args.out) / 'summary.json'} ({key} {summary[key]:.3e})")
     return 0
 

@@ -128,7 +128,7 @@ class CoefficientFn:
         return getattr(CoefficientFn, kind)(*(d[key] for key in COEFFICIENT_FIELDS[kind]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TDepHamiltonian:
     """H(t) = sum b_a(t) H_a.  Each H_a keeps the dtype its OperatorMatrix
     chose, so H(t) is float64 exactly when every term is real.  ``blocks``
@@ -137,10 +137,10 @@ class TDepHamiltonian:
     lead the list are summed once, from zero and in order, as ``assemble`` does."""
 
     terms: tuple  # of (CoefficientFn, OperatorMatrix, label)
-    blocks: InvariantBlocks = field(init=False, repr=False, compare=False)
-    lead: tuple = field(init=False, repr=False, compare=False)   # stacks of that sum
-    lead_finite: bool = field(init=False, repr=False, compare=False)
-    rest: tuple = field(init=False, repr=False, compare=False)   # of (CoefficientFn, stacks)
+    blocks: InvariantBlocks = field(init=False, repr=False)
+    lead: tuple = field(init=False, repr=False)   # stacks of that sum
+    lead_finite: bool = field(init=False, repr=False)
+    rest: tuple = field(init=False, repr=False)   # of (CoefficientFn, stacks)
 
     def __post_init__(self):
         terms = tuple(self.terms)
@@ -275,7 +275,7 @@ class IntegratorSpec:
             raise ValueError("dt must be positive")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TrajectoryRecord:
     t: float
     norm: float

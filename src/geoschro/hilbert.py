@@ -102,7 +102,7 @@ def hermite3d_index_tuples(degree: int) -> tuple[tuple[int, int, int], ...]:
                  for n1 in range(total + 1) for n2 in range(total - n1 + 1))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StateVector:
     basis: BasisSpec
     coefficients: np.ndarray = field(repr=False)
@@ -131,7 +131,7 @@ class StateVector:
         return StateVector(BasisSpec.from_json_dict(d["basis"]), json_complex(d))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RealChartPoint:
     q: np.ndarray
     p: np.ndarray
@@ -145,7 +145,7 @@ class RealChartPoint:
         object.__setattr__(self, "p", p)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TangentVector:
     """A tangent vector (psi, psi_dot) under the T_psi H ~ H identification."""
 

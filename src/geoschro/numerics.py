@@ -138,7 +138,7 @@ def invariant_blocks(matrices) -> InvariantBlocks:
     return InvariantBlocks(n, groups)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EigenSystem:
     """Eigenpairs group by group, on the indices of ``blocks.groups[g]``."""
 

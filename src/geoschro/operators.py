@@ -56,7 +56,7 @@ def _band_limits(M: np.ndarray) -> tuple[int, int]:
     return max(0, int(np.max(rows - cols))), max(0, int(np.max(cols - rows)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OperatorMatrix:
     """A dense operator matrix whose symmetry flag is checked against the
     flag tolerance of ``tol`` and whose declared bands are checked to cover
@@ -132,7 +132,7 @@ class OperatorMatrix:
                               json_integer(d["lower_band"], "lower_band"))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AnalyticCertificate:
     operator: OperatorMatrix
     vector: StateVector

@@ -27,12 +27,13 @@ to the block; a group P leaves empty is dropped.  Outside the window P is
 exactly zero before and after the step, so the window drops only exact
 zeros: H(t)'s stacks are cut to it as views and P's window is stepped in
 compact buffers carved from the workspace, or in P itself when the window is
-all of it.  After every step P is bit for bit the permuted dense flow's,
-with its parts below 2^-511 zeroed, and its drifts and rays match that
-flow's to roundoff.  Against the same step on all of P, the trace drift
-(summed over P's whole diagonal) and the hermiticity drift are bit for bit
-the same, and the idempotency drift, whose product the window blocks
-differently, moves by roundoff.
+all of it.  The drift reads the window the step left in its first compact
+buffer, with no second gather.  After every step P is bit for bit the
+permuted dense flow's, with its parts below 2^-511 zeroed, and its drifts
+and rays match that flow's to roundoff.  Against the same step on all of
+P, the trace drift (summed over P's whole diagonal) and the hermiticity
+drift are bit for bit the same, and the idempotency drift, whose product the
+window blocks differently, moves by roundoff.
 ``projector_of`` is bitwise Hermitian and RK4 keeps it so (X - X^H, X = HP,
 is exactly anti-Hermitian, and RK4 carries the -i in its weights), so P is
 never repaired; a step whose idempotency drift passes 1 - rank_dominance
@@ -74,6 +75,7 @@ from .dynamics import (
 )
 from .hilbert import BasisSpec, StateVector, TangentVector
 from .numerics import InvariantBlocks, hermitian_eigendecompose, hermitian_part
+from .operators import _band_limits
 from .tolerances import DEFAULT, Tolerances
 
 
@@ -88,7 +90,7 @@ def momentum_tangent_map(phi: TangentVector) -> float:
     return -complex(np.vdot(phi.base_point.coefficients, phi.direction.coefficients)).real
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LevelSetPoint:
     """A state pinned to the level J = mu (mu < 0), checked against the
     level-set tolerance of ``tol``."""
@@ -123,7 +125,7 @@ def u1_act(theta: float, point: LevelSetPoint, tol: Tolerances = DEFAULT) -> Lev
                          point.mu, tol)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Ray:
     """A point of projective space, stored as its canonical representative:
     unit norm, first coefficient above the phase floor real and positive,
@@ -220,7 +222,7 @@ def reduced_hamiltonian(A, ray: Ray, mu: float) -> float:
     return 0.5 * (-2.0 * mu) * average_value(A, ray.representative)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProjectorState:
     """Rank-one density matrix |r><r| for a ray r, with ``rows`` held in a
     block order: a vector v in that order is v[rows] in basis order."""
@@ -233,12 +235,13 @@ class ProjectorState:
         """Hermiticity is measured only on a ``fresh`` P, one step from a
         projector_of; P is bitwise Hermitian, so elsewhere it reads 0.0.
         The trace is summed over P's whole diagonal; P - P^H and P @ P - P
-        are measured on ``window``, a _Window fitted to a P whose support it
-        holds (the last RK4 step's), or on all of P when None, and run in
-        ``work``, three N x N complex buffers.  P has no nonzero part below
-        TINY_PART, so P @ P multiplies no subnormal."""
+        are measured on ``window``, the _Window of the RK4 step that just
+        wrote P, as that step left it in ``work`` (three N x N complex
+        buffers they run in), or on all of P when None.  P has no nonzero
+        part below TINY_PART, so P @ P multiplies no subnormal."""
         trace = abs(complex(np.trace(self.matrix)) - 1.0)
-        P, (D, X, A) = (self.matrix, work) if window is None else window.take(self.matrix, work)
+        P, (D, X, A) = ((self.matrix, work) if window is None
+                        else window.take(self.matrix, work, gather=False))
         if fresh:
             np.subtract(P, np.conjugate(P.T, out=D), out=D)
         hermiticity = float(np.abs(D, out=A.real).max()) if fresh else 0.0  # before A is reused
@@ -328,7 +331,7 @@ def _ritz_vector(P: np.ndarray, tol: Tolerances):
     return None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReducedRecord:
     t: float
     ray: Ray
@@ -373,8 +376,8 @@ class _Window:
         self.full = self.blocks = H.blocks
         self.reach = []
         for group in zip(H.lead, *(S for _, S in H.rest)):  # one group's term stacks
-            i, j = np.nonzero(np.any([(S != 0).any(axis=0) for S in group], axis=0))
-            self.reach.append(4 * int(np.abs(i - j).max(initial=0)))
+            pattern = np.any([(S != 0).any(axis=0) for S in group], axis=0)
+            self.reach.append(4 * max(_band_limits(pattern)))
         self.key, self.cuts, self.index = None, [], None  # None: P fills every row
 
     def fit(self, P: np.ndarray) -> "_Window":
@@ -410,15 +413,17 @@ class _Window:
             return M
         return tuple(M[g][:, lo:hi, lo:hi] for g, lo, hi in self.cuts)
 
-    def take(self, P: np.ndarray, work: np.ndarray):
+    def take(self, P: np.ndarray, work: np.ndarray, gather: bool = True):
         """(P on the window, three scratch buffers of its size): P itself and
         ``work`` when the window is whole, else four compact buffers carved
-        from ``work``, the first holding P's window."""
+        from ``work``, the first holding P's window: gathered from P, or
+        unless ``gather``, as the last step on this window left it."""
         if self.index is None:
             return P, work
         m = self.blocks.size
         W = work.reshape(-1)[:4 * m * m].reshape(4, m, m)
-        np.take(P, self.index, out=W[0].reshape(-1), mode="clip")  # "raise" would buffer
+        if gather:
+            np.take(P, self.index, out=W[0].reshape(-1), mode="clip")  # "raise" would buffer
         return W[0], W[1:]
 
     def put(self, Pw: np.ndarray, P: np.ndarray) -> None:

@@ -839,6 +839,26 @@ def test_an_interrupted_run_removes_the_directories_it_made(tmp_path, monkeypatc
     assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
 
+def test_a_reduce_whose_out_cannot_be_made_exits_before_its_first_step(tmp_path, monkeypatch,
+                                                                       capsys):
+    """reduce stages its outputs before it steps, as simulate does: an --out
+    under a regular file is exit 3 and neither floor runs."""
+    calls = []
+
+    def paired(*args, **kwargs):
+        calls.append(args)
+        return paired_records(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "paired_records", paired)
+    (tmp_path / "file").write_text("")
+    config = _write_config(tmp_path, TestReducePipeline()._reduce_config())
+    argv = ["reduce", "--config", str(config), "--out", str(tmp_path / "file" / "o")]
+    assert cli.main(argv) == 3
+    assert capsys.readouterr().err.startswith("i/o error:")
+    assert calls == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "file"]
+
+
 @pytest.mark.parametrize("command,module,name", [
     ("simulate", config_module, "build_named"),    # building H
     ("simulate", dynamics, "apply_exp_step"),      # the unitary floor
@@ -868,7 +888,7 @@ def test_an_allocation_that_fails_anywhere_in_a_run_is_too_large(tmp_path, monke
 
 def test_simulate_memory_does_not_grow_with_the_record_count(tmp_path):
     """Coefficients at stride 1 and N = 64 flush every 1,024 records:
-    doubling 2,501 records to 5,001 moves the traced peak of run_simulate by
+    doubling 2,501 records to 5,001 moves the traced peak of cli.run by
     under 5%.  Holding every record until the end, it grew by 70%."""
     def config(t1):
         return parse_config_dict(_base_config(
@@ -881,12 +901,12 @@ def test_simulate_memory_does_not_grow_with_the_record_count(tmp_path):
     def peak(t1):
         tracemalloc.start()
         try:
-            records = cli.run_simulate(config(t1), tmp_path / f"o{t1}")["records"]
+            records = cli.run(config(t1), tmp_path / f"o{t1}")["records"]
             return records, tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
-    cli.run_simulate(config(0.1), tmp_path / "warm")  # floatrepr builds its tables on first use
+    cli.run(config(0.1), tmp_path / "warm")  # floatrepr builds its tables on first use
     (n1, peak1), (n2, peak2) = peak(10.0), peak(20.0)
     assert (n1, n2) == (2501, 5001)
     assert peak2 < 1.05 * peak1

@@ -17,20 +17,29 @@ from geoschro.errors import (
     RankCollapse,
     ZeroVector,
 )
-from geoschro.dynamics import CoefficientFn, IntegratorSpec, TDepHamiltonian, _time_grid
+from geoschro.dynamics import (
+    CoefficientFn,
+    IntegratorSpec,
+    TDepHamiltonian,
+    _time_grid,
+    oscillator_hamiltonian,
+    propagate,
+)
 from geoschro.hilbert import (
     BasisSpec,
+    RealChartPoint,
     StateVector,
     TangentVector,
     coherent_state,
     symplectic_form,
 )
 from geoschro.numerics import InvariantBlocks, hermitian_eigendecompose, hermitian_part
-from geoschro.operators import OperatorMatrix, build_named
+from geoschro.operators import OperatorMatrix, analytic_certificate, build_named
 from geoschro.reduction import (
     LevelSetPoint,
     ProjectorState,
     Ray,
+    ReducedRecord,
     TINY_PART,
     _rk4_projector_step,
     _Window,
@@ -950,6 +959,16 @@ class TestWindowFlow:
         fitted = _window_against_full(H, coherent_state(0.5 + 0.2j, 256), 5)
         assert all(whole and size == 256 for size, _, whole in fitted)
 
+    def test_a_window_too_large_for_the_workspace_steps_all_of_p(self):
+        """A random state on basis positions 0-49 at N=64 occupies positions
+        0-24 of each parity block; widened by reach 4 its window holds 58 of
+        64 rows, and four 58 x 58 buffers do not fit in three 64 x 64 ones,
+        so the step runs on P itself: the whole-matrix fallback of fit."""
+        c = np.zeros(64, dtype=complex)
+        c[:50] = random_state(50, 3).coefficients
+        fitted = _window_against_full(_driven(64), StateVector(BasisSpec.hermite(64), c), 3)
+        assert fitted[0] == (64, [(0, 0, 29)], True)
+
     def test_flow_at_n256_steps_at_most_five_eighths_of_p(self, monkeypatch):
         """Pin: with the tiny-part rule the N=256 coherent P occupies 69 of
         each parity block's 128 positions, so the window holds 146 of 256
@@ -1004,6 +1023,47 @@ class TestWindowFlow:
             tracemalloc.stop()
         assert len(rises) == 10 and all(windowed for windowed, _ in rises)
         assert max(rise for _, rise in rises) < 256 * 256 * 16
+
+
+def _two_of_each():
+    """Every frozen dataclass that holds an array, as a factory of fresh
+    instances with equal fields."""
+    basis = BasisSpec.hermite(4)
+
+    def psi():
+        return coherent_state(0.5, 4)
+
+    def ray():
+        return ray_of(psi())
+
+    return {
+        "StateVector": psi,
+        "RealChartPoint": lambda: RealChartPoint(np.zeros(2), np.ones(2)),
+        "TangentVector": lambda: TangentVector(psi(), psi()),
+        "OperatorMatrix": lambda: build_named("x", basis),
+        "AnalyticCertificate": lambda: analytic_certificate(
+            build_named("x", BasisSpec.hermite(16)), _unit(BasisSpec.hermite(16), 0), 3),
+        "TDepHamiltonian": lambda: oscillator_hamiltonian(4),
+        "TrajectoryRecord": lambda: propagate(oscillator_hamiltonian(4), psi(),
+                                              IntegratorSpec("exact_eig", 0.1), 0.0, 0.1)[0],
+        "EigenSystem": lambda: hermitian_eigendecompose(build_named("x2", basis).matrix),
+        "LevelSetPoint": lambda: level_set_project(psi(), -0.5),
+        "Ray": ray,
+        "ProjectorState": lambda: ProjectorState(basis, np.eye(4, dtype=complex), np.arange(4)),
+        "ReducedRecord": lambda: ReducedRecord(0.0, ray(), 0.0),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_two_of_each()))
+def test_array_holding_types_compare_by_identity(name):
+    """== answers a bool and hash works: two instances with equal fields are
+    distinct, each equals itself.  A field-wise __eq__ or __hash__ would
+    compare or hash the arrays, and raise."""
+    make = _two_of_each()[name]
+    a, b = make(), make()
+    assert type(a).__name__ == name
+    assert (a == a, a == b, a != b) == (True, False, True)
+    assert {a: 1}[a] == 1 and hash(a) != hash(b)
 
 
 class TestCommutingDiagram:
